@@ -22,7 +22,6 @@
 #include "parser/parser.h"
 #include "state/evaluation.h"
 #include "state/generator.h"
-#include "state/indexed_evaluation.h"
 
 namespace oocq {
 namespace {
@@ -191,35 +190,58 @@ BENCHMARK(BM_EvaluationCompiledVsWalker)
     ->Args({640, 0})
     ->Args({640, 1});
 
-// Access-path ablation: the naive scan evaluator vs the index-nested-loop
-// evaluator on a selective join (which clients rented one given vehicle's
-// sibling autos). The index turns the membership atom into a probe.
-void BM_EvaluationIndexedVsNaive(benchmark::State& state) {
-  const bool indexed = state.range(1) != 0;
-  Schema schema = bench::MakeVehicleRentalSchema();
+// Reverse access paths (docs/compilation.md): the tree walker vs the VM
+// on the reverse joins of the wire benchmark's eval_join workload, where
+// the free variable binds before the vehicle that owns it. The walker
+// tries every (client, vehicle) pair; the VM probes the state's Owner
+// postings once per client. Answers identical. The walker is left out at
+// n=640, where it takes seconds per iteration.
+void BM_EvaluationReverseJoin(benchmark::State& state) {
+  const bool compiled = state.range(2) != 0;
+  Schema schema = bench::Must(ParseSchema(R"(
+schema Fleet {
+  class Vehicle { VehId: String; Owner: Client; }
+  class Auto    under Vehicle { Doors: Int; }
+  class Truck   under Vehicle { Payload: Real; }
+  class Client  { Name: String; Rented: {Vehicle}; }
+  class Regular under Client { }
+  class Premium under Client { Rate: Real; }
+})"));
   State database = GenerateRandomState(schema, MakeParams(state.range(0)));
-  ConjunctiveQuery query = bench::Must(ParseQuery(
-      schema,
-      "{ y | exists x exists z (y in Client & x in Auto & z in Auto & "
-      "x in y.VehRented & z in y.VehRented & x != z) }"));
-  StateIndex index(database);
+  const char* const shapes[] = {
+      "{ c | exists v (c in Client & v in Vehicle & c = v.Owner) }",
+      "{ c | exists v exists w (c in Client & v in Vehicle & "
+      "w in Vehicle & c = v.Owner & w in c.Rented) }",
+  };
+  ConjunctiveQuery query =
+      bench::Must(ParseQuery(schema, shapes[state.range(1)]));
+  compile::ProgramCache cache;
+  EvalOptions options;
+  options.enable_compilation = compiled;
+  if (compiled) {
+    options.program = cache.GetOrCompile(schema, query);
+    if (options.program == nullptr) state.SkipWithError("did not compile");
+  }
   size_t answers = 0;
   for (auto _ : state) {
-    std::vector<Oid> result =
-        indexed ? bench::Must(EvaluateIndexed(index, query))
-                : bench::Must(Evaluate(database, query));
+    std::vector<Oid> result = bench::Must(Evaluate(database, query, options));
     answers = result.size();
     benchmark::DoNotOptimize(result);
   }
   state.counters["answers"] = static_cast<double>(answers);
 }
-BENCHMARK(BM_EvaluationIndexedVsNaive)
-    ->ArgNames({"n", "indexed"})
-    ->Args({40, 0})
-    ->Args({40, 1})
-    ->Args({160, 0})
-    ->Args({160, 1})
-    ->Args({640, 1});  // The naive scan takes ~15 s/iteration at 640.
+BENCHMARK(BM_EvaluationReverseJoin)
+    ->ArgNames({"n", "shape", "compiled"})
+    ->Args({40, 0, 0})
+    ->Args({40, 0, 1})
+    ->Args({40, 1, 0})
+    ->Args({40, 1, 1})
+    ->Args({160, 0, 0})
+    ->Args({160, 0, 1})
+    ->Args({160, 1, 0})
+    ->Args({160, 1, 1})
+    ->Args({640, 0, 1})
+    ->Args({640, 1, 1});
 
 }  // namespace
 }  // namespace oocq

@@ -105,10 +105,11 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
   // Greedy: seed with the most-constrained variable, then repeatedly bind
   // the variable reachable from the bound set through the cheapest
   // generator — a unit binding (x = y / x = y.A) beats enumerating a
-  // bound set's members, which beats scanning an extent; a variable
-  // sharing any atom with a bound one beats a disconnected scan (its
-  // joins prune at this depth instead of the innermost loop). All ties
-  // break on the lowest VarId, so plans are deterministic.
+  // bound set's members or a bound value's owners (x in y.A, x.A = u,
+  // u in x.A), which beats scanning an extent; a variable sharing any
+  // atom with a bound one beats a disconnected scan (its joins prune at
+  // this depth instead of the innermost loop). All ties break on the
+  // lowest VarId, so plans are deterministic.
   std::vector<char> placed(n, 0);
   std::vector<VarId> order;
   std::vector<Op> generators(n);
@@ -127,40 +128,46 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
   };
 
   // Best generator reachable for `v` from the placed set. Returns the
-  // rank (0 bind-var, 1 bind-slot-ref, 2 scan-set-members, 3 connected
-  // scan, 4 disconnected scan) and fills gen/consumed.
+  // rank (0 bind-var, 1 bind-slot-ref, 2 set-member or owner scan,
+  // 3 connected scan, 4 disconnected scan) and fills gen/consumed; slots
+  // and probes are resolved once the order is fixed.
   auto best_generator = [&](VarId v, Op* gen, int* consumed) {
     int best = connected(v) ? 3 : 4;
+    auto offer = [&](int rank, OpCode code, VarId from, size_t atom_index) {
+      if (rank >= best) return;
+      best = rank;
+      gen->code = code;
+      gen->var_a = v;
+      gen->var_b = from;
+      gen->classes.clear();
+      *consumed = static_cast<int>(atom_index);
+    };
     for (size_t i = 0; i < plans.size(); ++i) {
       const Atom& atom = *plans[i].atom;
       if (atom.kind() == AtomKind::kEquality) {
-        // One side the plain variable v, the other side fully bound.
+        // One side a term of v, the other side fully bound.
         for (const auto& [mine, other] :
              {std::pair(atom.lhs(), atom.rhs()), std::pair(atom.rhs(), atom.lhs())}) {
-          if (mine.var != v || mine.is_attribute()) continue;
-          if (other.var == v || !placed[other.var]) continue;
-          int rank = other.is_attribute() ? 1 : 0;
-          if (rank < best) {
-            best = rank;
-            gen->code = other.is_attribute() ? OpCode::kBindFromSlotRef
-                                             : OpCode::kBindFromVar;
-            gen->var_a = v;
-            gen->var_b = other.var;
-            // slot_a assigned later, once slots exist.
-            gen->slot_a = 0;
-            gen->classes.clear();
-            *consumed = static_cast<int>(i);
+          if (mine.var != v || other.var == v || !placed[other.var]) continue;
+          if (!mine.is_attribute()) {
+            offer(other.is_attribute() ? 1 : 0,
+                  other.is_attribute() ? OpCode::kBindFromSlotRef
+                                       : OpCode::kBindFromVar,
+                  other.var, i);
+          } else {
+            // v.A = u or v.A = y.B: the owners of the bound value.
+            offer(2, OpCode::kScanRefOwners,
+                  other.is_attribute() ? kInvalidVarId : other.var, i);
           }
         }
-      } else if (atom.kind() == AtomKind::kMembership && atom.var() == v &&
-                 atom.set_term().var != v && placed[atom.set_term().var]) {
-        if (2 < best) {
-          best = 2;
-          gen->code = OpCode::kScanSetMembers;
-          gen->var_a = v;
-          gen->var_b = atom.set_term().var;
-          gen->classes.clear();
-          *consumed = static_cast<int>(i);
+      } else if (atom.kind() == AtomKind::kMembership) {
+        const VarId element = atom.var();
+        const VarId owner = atom.set_term().var;
+        if (element == owner) continue;
+        if (element == v && placed[owner]) {
+          offer(2, OpCode::kScanSetMembers, owner, i);
+        } else if (owner == v && placed[element]) {
+          offer(2, OpCode::kScanSetOwners, element, i);
         }
       }
     }
@@ -238,20 +245,35 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
     return id;
   };
 
-  // Generators referencing slots resolve them now (the source variable is
-  // placed strictly earlier, so its slot loads before this level opens).
+  // Generators resolve their slots and probes now (a source slot's owner
+  // is placed strictly earlier, so the slot loads before this level
+  // opens).
   for (size_t d = 0; d < n; ++d) {
     VarId v = order[d];
     Op& gen = generators[v];
-    if (gen.code == OpCode::kBindFromSlotRef ||
-        gen.code == OpCode::kScanSetMembers) {
+    if (consumed_by_gen[v] >= 0) {
+      // The consumed atom's side that is a term of v, and the bound side
+      // (exactly one side mentions v: generators skip self-joins).
       const Atom& atom = *plans[consumed_by_gen[v]].atom;
-      const Term& src = gen.code == OpCode::kScanSetMembers
-                            ? atom.set_term()
-                            : (atom.lhs().var == v && !atom.lhs().is_attribute()
-                                   ? atom.rhs()
-                                   : atom.lhs());
-      gen.slot_a = slot_for(src.var, src.attr);
+      const bool lhs_mine = atom.lhs().var == v;
+      const Term& mine = lhs_mine ? atom.lhs() : atom.rhs();
+      const Term& other = lhs_mine ? atom.rhs() : atom.lhs();
+      switch (gen.code) {
+        case OpCode::kBindFromSlotRef:
+        case OpCode::kScanSetMembers:
+          gen.slot_a = slot_for(other.var, other.attr);
+          break;
+        case OpCode::kScanRefOwners:
+        case OpCode::kScanSetOwners:
+          gen.probe = static_cast<uint16_t>(program.probes.size());
+          program.probes.push_back(mine.attr);
+          if (other.is_attribute()) {
+            gen.slot_b = slot_for(other.var, other.attr);
+          }
+          break;
+        default:
+          break;
+      }
     }
     program.levels[d].gen = gen;
     // A variable bound by something other than its extent scan still

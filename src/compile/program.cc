@@ -9,6 +9,8 @@ const char* OpCodeName(OpCode code) {
     case OpCode::kScanSetMembers: return "scan_set_members";
     case OpCode::kBindFromVar: return "bind_from_var";
     case OpCode::kBindFromSlotRef: return "bind_from_slot_ref";
+    case OpCode::kScanRefOwners: return "scan_ref_owners";
+    case OpCode::kScanSetOwners: return "scan_set_owners";
     case OpCode::kLoadSlot: return "load_slot";
     case OpCode::kTestClass: return "test_class";
     case OpCode::kTestNotClass: return "test_not_class";
@@ -49,6 +51,12 @@ void AppendOp(const CompiledQuery& program, const Op& op, std::string* out) {
     case OpCode::kTestMember:
     case OpCode::kTestNotMember:
       *out += " s" + std::to_string(op.slot_b);
+      break;
+    case OpCode::kScanRefOwners:
+      if (op.var_b == kInvalidVarId) *out += " s" + std::to_string(op.slot_b);
+      [[fallthrough]];
+    case OpCode::kScanSetOwners:
+      *out += " ." + program.probes[op.probe];
       break;
     default:
       break;

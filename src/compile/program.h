@@ -46,6 +46,14 @@ enum class OpCode : uint8_t {
   /// Bind to the single object referenced by slot `slot_a` (atom
   /// `x = y.A`); a Λ or non-ref slot yields zero candidates.
   kBindFromSlotRef,
+  /// Enumerate the owners whose ref slot `probes[probe]` references the
+  /// key (atom `x.A = u` with u bound earlier): the key is register
+  /// `var_b`, or, when var_b is invalid, the ref in slot `slot_b` (atom
+  /// `x.A = y.B`); a Λ or non-ref key slot yields zero candidates.
+  kScanRefOwners,
+  /// Enumerate the owners whose set slot `probes[probe]` contains
+  /// register `var_b` (atom `u in x.A` with u bound earlier).
+  kScanSetOwners,
 
   // ---- Slot loads ----
   /// slot[slot_a] = GetAttribute(reg[var_a], attr of the slot).
@@ -91,6 +99,7 @@ struct Op {
   VarId var_b = kInvalidVarId;
   uint16_t slot_a = 0;
   uint16_t slot_b = 0;
+  uint16_t probe = 0;
   uint32_t const_index = 0;
   std::vector<ClassId> classes;
 };
@@ -106,13 +115,15 @@ struct Level {
 
 /// A compiled terminal conjunctive query. State-independent: the program
 /// depends only on (schema, query), so it is cacheable per session and
-/// reusable across states; the VM specializes extents and interned
-/// constants per execution.
+/// reusable across states; the VM specializes extents, owner postings
+/// and interned constants per execution.
 struct CompiledQuery {
   VarId free_var = kInvalidVarId;
   uint32_t num_vars = 0;
   std::vector<SlotDef> slots;
   std::vector<ConstantValue> constants;
+  /// Attribute names the owner-scan generators probe (Op::probe).
+  std::vector<std::string> probes;
   std::vector<Level> levels;
   /// Per-variable range-atom class disjunction (empty = no range atom,
   /// the variable ranges over the whole active domain). The VM uses this

@@ -1,8 +1,11 @@
 #include "compile/vm.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <string>
 
+#include "state/index.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -38,13 +41,13 @@ struct LevelRt {
   size_t size = 0;
   size_t cursor = 0;
   Oid single = kInvalidOid;  // storage for single-candidate generators
+  const OwnerPostings* postings = nullptr;  // owner-scan generators
 };
 
 }  // namespace
 
 StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
                                            const State& state,
-                                           const StateIndex* index,
                                            const ExecOptions& options,
                                            ExecStats* stats) {
   OOCQ_TRACE_SPAN(span, "ExecuteCompiled");
@@ -59,19 +62,9 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
   }
 
   // ---- Per-execution state specialization -------------------------------
-  // Objects grouped by terminal class (skipped when an index supplies
-  // extents). One O(N) pass replaces the tree walker's per-variable
-  // extent scans.
-  std::vector<std::vector<Oid>> by_class;
-  if (index == nullptr) {
-    by_class.resize(schema.num_classes());
-    for (Oid oid = 0; oid < state.num_objects(); ++oid) {
-      by_class[state.class_of(oid)].push_back(oid);
-    }
-  }
-  auto terminal_extent = [&](ClassId t) -> const std::vector<Oid>& {
-    return index != nullptr ? index->Extent(t) : by_class[t];
-  };
+  // Terminal extents and owner postings come from the state's access
+  // paths, built once per state instead of once per call.
+  const StateIndex& index = state.index();
 
   // The terminal classes of a class disjunction, deduplicated (two classes
   // of one disjunction may share descendants; terminal classes partition
@@ -101,14 +94,15 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
       pool = state.num_objects();
     } else {
       for (ClassId t : terminals_of(program.range_classes[v])) {
-        pool += terminal_extent(t).size();
+        pool += index.TerminalExtent(t).size();
       }
     }
     if (stats != nullptr) stats->candidate_pool += pool;
     if (pool == 0) return std::vector<Oid>{};
   }
 
-  // Static candidate lists for the scan generators.
+  // Static candidate lists for the scan generators; the posting table of
+  // each owner scan, looked up by attribute name once here.
   std::vector<Oid> all_oids;
   std::vector<LevelRt> levels(n);
   std::vector<std::vector<Oid>> owned(n);
@@ -124,17 +118,21 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
     } else if (gen.code == OpCode::kScanExtent) {
       const std::vector<ClassId>& terminals = terminals_of(gen.classes);
       if (terminals.size() == 1) {
-        const std::vector<Oid>& extent = terminal_extent(terminals[0]);
+        const std::vector<Oid>& extent = index.TerminalExtent(terminals[0]);
         levels[d].data = extent.data();
         levels[d].size = extent.size();
       } else {
         for (ClassId t : terminals) {
-          const std::vector<Oid>& extent = terminal_extent(t);
+          const std::vector<Oid>& extent = index.TerminalExtent(t);
           owned[d].insert(owned[d].end(), extent.begin(), extent.end());
         }
         levels[d].data = owned[d].data();
         levels[d].size = owned[d].size();
       }
+    } else if (gen.code == OpCode::kScanRefOwners) {
+      levels[d].postings = &index.RefPostings(program.probes[gen.probe]);
+    } else if (gen.code == OpCode::kScanSetOwners) {
+      levels[d].postings = &index.SetPostings(program.probes[gen.probe]);
     }
   }
 
@@ -250,6 +248,25 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
           rt.size = value->set().size();
         } else {
           rt.size = 0;
+        }
+        break;
+      }
+      case OpCode::kScanRefOwners:
+      case OpCode::kScanSetOwners: {
+        // The probe key: a register, or (ref owners only) a ref slot.
+        std::optional<Oid> key;
+        if (gen.var_b != kInvalidVarId) {
+          key = reg[gen.var_b];
+        } else if (const Value* value = slot[gen.slot_b];
+                   value != nullptr && value->kind() == Value::Kind::kRef) {
+          key = value->ref();
+        }
+        if (key.has_value()) {
+          const std::span<const Oid> owners = rt.postings->Owners(*key);
+          rt.data = owners.data();
+          rt.size = owners.size();
+        } else {
+          rt.size = 0;  // Λ or non-ref key slot: the atom is unknown
         }
         break;
       }

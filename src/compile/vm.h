@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "compile/program.h"
-#include "state/index.h"
 #include "state/state.h"
 #include "support/cancellation.h"
 #include "support/status.h"
@@ -32,14 +31,14 @@ struct ExecStats {
 
 /// Runs a compiled program against a state, producing exactly the sorted
 /// deduplicated answer set — and the same status codes — as the tree
-/// walker Evaluate() on the source query. `index` is optional; when
-/// present, extents come from it instead of a per-call scan of the state.
+/// walker Evaluate() on the source query. Extents and owner postings come
+/// from the state's own access paths (State::index()), built by the first
+/// execution on that state and shared by every later one.
 ///
 /// The program must have been compiled against the same schema the state
 /// borrows (programs are state-independent but schema-specific).
 StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
                                            const State& state,
-                                           const StateIndex* index = nullptr,
                                            const ExecOptions& options = {},
                                            ExecStats* stats = nullptr);
 

@@ -60,7 +60,7 @@ struct EngineOptions {
   CacheOptions cache;
   ObservabilityOptions observability;
   /// Master switch for the query-compilation subsystem (src/compile/):
-  /// the bytecode VM fast path in Evaluate/EvaluateIndexed and the
+  /// the bytecode VM fast path in Evaluate/EvaluateUnion and the
   /// compiled Thm 3.1 subset scan. Propagated into
   /// containment.enable_compilation by WithPropagatedParallelism, and
   /// into EvalOptions by the service layer. `--no-compile` on the CLIs

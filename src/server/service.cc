@@ -755,9 +755,11 @@ StatusOr<ConjunctiveQuery> ResolveQuery(
     const std::map<std::string, ConjunctiveQuery>& named,
     const std::string& text) {
   if (!text.empty() && text[0] == '@') {
-    auto it = named.find(text.substr(1));
+    // Unary verbs pass their payload line on with its trailing newline.
+    const std::string name = text.substr(1, text.find_last_not_of(" \t\r\n"));
+    auto it = named.find(name);
     if (it == named.end()) {
-      return Status::NotFound("no registered query '" + text.substr(1) + "'");
+      return Status::NotFound("no registered query '" + name + "'");
     }
     return it->second;
   }

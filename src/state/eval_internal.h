@@ -1,36 +1,17 @@
 #ifndef OOCQ_STATE_EVAL_INTERNAL_H_
 #define OOCQ_STATE_EVAL_INTERNAL_H_
 
-// Shared 3-valued-logic atom evaluation for the two evaluators
-// (state/evaluation.cc and state/indexed_evaluation.cc). Internal header;
-// not part of the public API.
+// The tree walker's 3-valued-logic atom evaluation (state/evaluation.cc),
+// the reference semantics the compiled VM (compile/vm.h) is pinned to.
+// Internal header; not part of the public API.
 
 #include <optional>
 #include <vector>
 
 #include "query/atom.h"
-#include "state/evaluation.h"
 #include "state/state.h"
 
-namespace oocq {
-class StateIndex;
-}  // namespace oocq
-
 namespace oocq::eval_internal {
-
-/// The shared compiled fast path of Evaluate/EvaluateIndexed: compiles
-/// (or reuses options.program) and runs the register VM. Sets *taken to
-/// false — and returns a meaningless empty vector — when the caller must
-/// run its own interpreted search instead: compilation disabled, the
-/// query shape unsupported, or the compile/exec failpoint forcing a
-/// bailout. When *taken is true the result (answers or a genuine VM
-/// error such as cancellation) is final and must not fall back.
-/// Defined in evaluation.cc.
-StatusOr<std::vector<Oid>> TryCompiledEvaluate(const State& state,
-                                               const StateIndex* index,
-                                               const ConjunctiveQuery& query,
-                                               const EvalOptions& options,
-                                               bool* taken);
 
 /// Three-valued truth.
 enum class Truth { kTrue, kFalse, kUnknown };

@@ -18,17 +18,20 @@ namespace oocq {
 using eval_internal::EvalAtom;
 using eval_internal::Truth;
 
-namespace eval_internal {
+namespace {
 
+/// The compiled fast path: compiles (or reuses options.program) and runs
+/// the register VM. Sets *taken to false — and returns a meaningless
+/// empty vector — when the tree walker must run instead: compilation
+/// disabled, the query shape unsupported, or the compile/exec failpoint
+/// forcing a bailout. When *taken is true the result (answers or a
+/// genuine VM error such as cancellation) is final and must not fall
+/// back.
 StatusOr<std::vector<Oid>> TryCompiledEvaluate(const State& state,
-                                               const StateIndex* index,
                                                const ConjunctiveQuery& query,
                                                const EvalOptions& options,
                                                bool* taken) {
   *taken = false;
-  // The compiled path engages only without a stats sink: EvalStats fields
-  // describe tree-walker work (assignments in its binding order) and keep
-  // their exact meaning for the ablation benches and tests.
   if (!options.enable_compilation) return std::vector<Oid>{};
   // Chaos hook: force a mid-request bailout to the tree walker. The
   // fallback is the behavior under test — never an error to the caller.
@@ -53,10 +56,10 @@ StatusOr<std::vector<Oid>> TryCompiledEvaluate(const State& state,
   compile::ExecOptions exec;
   exec.max_bindings = options.max_assignments;
   exec.cancel = options.cancel;
-  return compile::ExecuteCompiled(*program, state, index, exec);
+  return compile::ExecuteCompiled(*program, state, exec);
 }
 
-}  // namespace eval_internal
+}  // namespace
 
 StatusOr<std::vector<Oid>> Evaluate(const State& state,
                                     const ConjunctiveQuery& query,
@@ -67,10 +70,13 @@ StatusOr<std::vector<Oid>> Evaluate(const State& state,
   if (options.cancel != nullptr) {
     OOCQ_RETURN_IF_ERROR(options.cancel->Check());
   }
+  // The compiled path engages only without a stats sink: EvalStats fields
+  // describe tree-walker work (assignments in its binding order) and keep
+  // their exact meaning for the ablation benches and tests.
   if (stats == nullptr) {
     bool taken = false;
-    StatusOr<std::vector<Oid>> compiled = eval_internal::TryCompiledEvaluate(
-        state, /*index=*/nullptr, query, options, &taken);
+    StatusOr<std::vector<Oid>> compiled =
+        TryCompiledEvaluate(state, query, options, &taken);
     if (taken) return compiled;
   }
   const size_t n = query.num_vars();

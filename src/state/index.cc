@@ -1,43 +1,64 @@
 #include "state/index.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "state/state.h"
+#include "support/metrics.h"
 
 namespace oocq {
 
-StateIndex::StateIndex(const State& state) : state_(&state) {
-  const Schema& schema = state.schema();
-  extents_.resize(schema.num_classes());
+std::span<const Oid> OwnerPostings::Owners(Oid value) const {
+  auto [lo, hi] = std::equal_range(values_.begin(), values_.end(), value);
+  return {owners_.data() + (lo - values_.begin()),
+          static_cast<size_t>(hi - lo)};
+}
+
+StateIndex::StateIndex(const State& state) {
+  OOCQ_METRIC_ADD("state/index_builds", 1);
+  using Pairs = std::map<std::string, std::vector<std::pair<Oid, Oid>>,
+                         std::less<>>;
+  // (value, owner) per slot, in one pass over objects and slots.
+  Pairs refs;
+  Pairs sets;
+  extents_.resize(state.schema().num_classes());
   for (Oid oid = 0; oid < state.num_objects(); ++oid) {
-    ClassId terminal = state.class_of(oid);
-    for (ClassId c = 0; c < schema.num_classes(); ++c) {
-      if (schema.IsSubclassOf(terminal, c)) extents_[c].push_back(oid);
-    }
-    const ClassInfo& info = schema.class_info(terminal);
-    for (const AttributeDef& attr : info.all_attributes) {
-      const Value* value = state.GetAttribute(oid, attr.name);
-      if (value == nullptr) continue;
-      if (value->kind() == Value::Kind::kRef) {
-        ref_owners_[{attr.name, value->ref()}].push_back(oid);
-      } else if (value->kind() == Value::Kind::kSet) {
-        for (Oid member : value->set()) {
-          set_owners_[{attr.name, member}].push_back(oid);
-        }
+    extents_[state.class_of(oid)].push_back(oid);
+    for (const auto& [attr, value] : state.attributes(oid)) {
+      if (value.kind() == Value::Kind::kRef) {
+        refs[attr].emplace_back(value.ref(), oid);
+      } else if (value.kind() == Value::Kind::kSet) {
+        std::vector<std::pair<Oid, Oid>>& list = sets[attr];
+        for (Oid member : value.set()) list.emplace_back(member, oid);
       }
     }
   }
-  // Oids are visited in ascending order, so all postings are sorted.
+  auto finish = [](Pairs& pairs,
+                   std::map<std::string, OwnerPostings, std::less<>>* out) {
+    for (auto& [attr, list] : pairs) {
+      // By value, then owner: each value's owners come out ascending.
+      std::sort(list.begin(), list.end());
+      OwnerPostings& postings = (*out)[attr];
+      postings.values_.reserve(list.size());
+      postings.owners_.reserve(list.size());
+      for (const auto& [value, owner] : list) {
+        postings.values_.push_back(value);
+        postings.owners_.push_back(owner);
+      }
+    }
+  };
+  finish(refs, &ref_postings_);
+  finish(sets, &set_postings_);
 }
 
-const std::vector<Oid>& StateIndex::RefOwners(std::string_view attr,
-                                              Oid value) const {
-  auto it = ref_owners_.find(std::make_pair(std::string(attr), value));
-  return it == ref_owners_.end() ? empty_ : it->second;
+const OwnerPostings& StateIndex::RefPostings(std::string_view attr) const {
+  auto it = ref_postings_.find(attr);
+  return it == ref_postings_.end() ? empty_ : it->second;
 }
 
-const std::vector<Oid>& StateIndex::SetOwners(std::string_view attr,
-                                              Oid element) const {
-  auto it = set_owners_.find(std::make_pair(std::string(attr), element));
-  return it == set_owners_.end() ? empty_ : it->second;
+const OwnerPostings& StateIndex::SetPostings(std::string_view attr) const {
+  auto it = set_postings_.find(attr);
+  return it == set_postings_.end() ? empty_ : it->second;
 }
 
 }  // namespace oocq

@@ -2,48 +2,64 @@
 #define OOCQ_STATE_INDEX_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "state/state.h"
+#include "schema/type.h"
+#include "state/value.h"
 
 namespace oocq {
 
-/// Secondary indexes over one State snapshot, the access paths the
-/// index-nested-loop evaluator (state/indexed_evaluation.h) drives:
+class State;
+
+/// The owners of one attribute's values: for each value oid, the objects
+/// whose slot holds it, ascending. Sorted parallel arrays, so a probe is
+/// one binary search and the owners come back contiguous.
+class OwnerPostings {
+ public:
+  /// Owners whose slot holds `value` (ascending; empty if none).
+  std::span<const Oid> Owners(Oid value) const;
+
+ private:
+  friend class StateIndex;
+  std::vector<Oid> values_;  // ascending, one entry per posting
+  std::vector<Oid> owners_;  // owners_[i] holds values_[i]
+};
+
+/// The access paths of one State, built in one pass over its objects and
+/// slots. The State owns and builds it (State::index()); the compiled
+/// evaluator (compile/vm.h) reads:
 ///
-///  - extent index: class id -> sorted member oids (materializing what
-///    State::Extent computes by scan);
-///  - ref index: (attribute, value oid) -> owners whose slot references
-///    that value (supports `u = x.A` with u bound);
-///  - set index: (attribute, element oid) -> owners whose set contains
-///    the element (supports `u in x.A` with u bound).
+///  - terminal extents: terminal class id -> its objects, ascending;
+///  - ref postings: attribute -> value oid -> owners whose slot
+///    references that value (`u = x.A` with u bound);
+///  - set postings: attribute -> element oid -> owners whose set slot
+///    contains the element (`u in x.A` with u bound).
 ///
-/// Build once; the state must not be mutated afterwards.
+/// Λ slots appear in neither posting family.
 class StateIndex {
  public:
   explicit StateIndex(const State& state);
 
-  const State& state() const { return *state_; }
+  /// The objects of terminal class `terminal`, ascending. Empty for
+  /// non-terminal classes: every object belongs to exactly one terminal.
+  const std::vector<Oid>& TerminalExtent(ClassId terminal) const {
+    return extents_[terminal];
+  }
 
-  /// Sorted extent of class `c`.
-  const std::vector<Oid>& Extent(ClassId c) const { return extents_[c]; }
+  /// The postings of ref-valued slots named `attr` (empty if none).
+  const OwnerPostings& RefPostings(std::string_view attr) const;
 
-  /// Owners o with o.attr referencing `value` (sorted; empty if none).
-  const std::vector<Oid>& RefOwners(std::string_view attr, Oid value) const;
-
-  /// Owners o with `element` a member of o.attr (sorted; empty if none).
-  const std::vector<Oid>& SetOwners(std::string_view attr, Oid element) const;
+  /// The postings of set-valued slots named `attr` (empty if none).
+  const OwnerPostings& SetPostings(std::string_view attr) const;
 
  private:
-  const State* state_;
   std::vector<std::vector<Oid>> extents_;
-  std::map<std::pair<std::string, Oid>, std::vector<Oid>, std::less<>>
-      ref_owners_;
-  std::map<std::pair<std::string, Oid>, std::vector<Oid>, std::less<>>
-      set_owners_;
-  std::vector<Oid> empty_;
+  std::map<std::string, OwnerPostings, std::less<>> ref_postings_;
+  std::map<std::string, OwnerPostings, std::less<>> set_postings_;
+  OwnerPostings empty_;
 };
 
 }  // namespace oocq

@@ -3,6 +3,7 @@
 namespace oocq {
 
 Oid State::AddRaw(ClassId cls) {
+  DropIndex();
   Oid oid = static_cast<Oid>(objects_.size());
   objects_.push_back(ObjectData{cls, {}, std::monostate{}});
   return oid;
@@ -41,6 +42,7 @@ Status State::SetAttribute(Oid oid, std::string_view attr, Value value) {
         "class '" + schema_->class_name(objects_[oid].cls) +
         "' has no attribute '" + std::string(attr) + "'");
   }
+  DropIndex();
   it->second = std::move(value);
   return Status::Ok();
 }
@@ -91,6 +93,21 @@ const Value* State::GetAttribute(Oid oid, std::string_view attr) const {
   if (oid >= objects_.size()) return nullptr;
   auto it = objects_[oid].attributes.find(attr);
   return it == objects_[oid].attributes.end() ? nullptr : &it->second;
+}
+
+const StateIndex& State::index() const {
+  LazyIndex::Holder& holder = *index_.holder;
+  std::call_once(holder.once, [&] {
+    holder.index = std::make_unique<const StateIndex>(*this);
+  });
+  return *holder.index;
+}
+
+void State::DropIndex() {
+  // An unbuilt holder is kept, so bulk loading allocates nothing.
+  if (index_.holder == nullptr || index_.holder->index != nullptr) {
+    index_.holder = std::make_unique<LazyIndex::Holder>();
+  }
 }
 
 std::vector<Oid> State::Extent(ClassId c) const {

@@ -3,12 +3,15 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
 
 #include "schema/schema.h"
+#include "state/index.h"
 #include "state/value.h"
 #include "support/status.h"
 
@@ -60,6 +63,11 @@ class State {
   /// has no such attribute.
   const Value* GetAttribute(Oid oid, std::string_view attr) const;
 
+  /// Every attribute slot of an object, by name (none for primitives).
+  const std::map<std::string, Value, std::less<>>& attributes(Oid oid) const {
+    return objects_[oid].attributes;
+  }
+
   /// The extent of class `c`: all objects whose terminal class is a
   /// descendant-or-self of `c`. Primitive extents contain the interned
   /// values only (active-domain semantics; the conceptual extent is
@@ -80,6 +88,11 @@ class State {
   /// "Auto#3", "Int(42)", ... for diagnostics.
   std::string DebugString(Oid oid) const;
 
+  /// The access paths of this state (state/index.h), built on the first
+  /// call and reused until a mutation (AddObject, SetAttribute, Intern*)
+  /// drops them. Thread-safe: concurrent first calls build one index.
+  const StateIndex& index() const;
+
  private:
   struct ObjectData {
     ClassId cls;
@@ -87,13 +100,35 @@ class State {
     Payload payload;
   };
 
+  /// The lazily built index. Heap-held so State stays movable; a copy
+  /// starts unbuilt, since it may diverge from the original.
+  struct LazyIndex {
+    struct Holder {
+      std::once_flag once;
+      std::unique_ptr<const StateIndex> index;
+    };
+    LazyIndex() = default;
+    LazyIndex(const LazyIndex&) {}
+    LazyIndex& operator=(const LazyIndex&) {
+      holder = std::make_unique<Holder>();
+      return *this;
+    }
+    LazyIndex(LazyIndex&&) = default;
+    LazyIndex& operator=(LazyIndex&&) = default;
+
+    std::unique_ptr<Holder> holder = std::make_unique<Holder>();
+  };
+
   Oid AddRaw(ClassId cls);
+  /// Called by every mutation before it changes the state.
+  void DropIndex();
 
   const Schema* schema_;
   std::vector<ObjectData> objects_;
   std::map<int64_t, Oid> int_pool_;
   std::map<double, Oid> real_pool_;
   std::map<std::string, Oid, std::less<>> string_pool_;
+  LazyIndex index_;
 };
 
 }  // namespace oocq

@@ -1,24 +1,24 @@
 // Differential property suite pinning the compiled paths to the
 // interpreters: for ≥1000 random (query, state) pairs the bytecode VM
-// must produce exactly the answers and status codes of the tree walker,
-// on both Evaluate and EvaluateIndexed — including the budget-exhaustion
-// and cancellation legs — and the compiled Thm 3.1 subset scan must
-// agree with the interpreted scan on random containment pairs. Labeled
-// `concurrency` so the TSan CI job runs it.
+// must produce exactly the answers and status codes of the tree walker —
+// including the budget-exhaustion and cancellation legs, and with the
+// corpus shown to exercise the reverse access paths (owner scans) — and
+// the compiled Thm 3.1 subset scan must agree with the interpreted scan
+// on random containment pairs. Labeled `concurrency` so the TSan CI job
+// runs it.
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
+#include "compile/compiler.h"
 #include "core/containment.h"
 #include "query/printer.h"
 #include "query/well_formed.h"
 #include "random_query.h"
 #include "state/evaluation.h"
 #include "state/generator.h"
-#include "state/index.h"
-#include "state/indexed_evaluation.h"
 #include "support/cancellation.h"
 #include "test_util.h"
 
@@ -49,11 +49,9 @@ RandomQueryParams FullParams() {
   return params;
 }
 
-/// One compiled-vs-interpreted comparison; returns true when the query
-/// was structurally valid enough to evaluate at all.
+/// One compiled-vs-interpreted comparison.
 void CompareOnce(const Schema& schema, const State& state,
-                 const StateIndex& index, const ConjunctiveQuery& query,
-                 uint64_t max_assignments) {
+                 const ConjunctiveQuery& query, uint64_t max_assignments) {
   EvalOptions interpreted;
   interpreted.enable_compilation = false;
   interpreted.max_assignments = max_assignments;
@@ -72,16 +70,18 @@ void CompareOnce(const Schema& schema, const State& state,
     EXPECT_EQ(walker.status().code(), vm.status().code())
         << QueryToString(schema, query);
   }
+}
 
-  // The indexed evaluator's compiled fast path must agree too. (Answer
-  // sets are identical across all four paths; only statuses may differ
-  // between walkers when a budget trips, so compare the indexed pair on
-  // the ok leg only.)
-  StatusOr<std::vector<Oid>> indexed_vm = EvaluateIndexed(index, query, compiled);
-  if (walker.ok()) {
-    ASSERT_TRUE(indexed_vm.ok()) << indexed_vm.status().ToString();
-    EXPECT_EQ(*walker, *indexed_vm) << QueryToString(schema, query);
+/// Whether the compiled program of `query` binds some variable with `code`.
+bool UsesGenerator(const Schema& schema, const ConjunctiveQuery& query,
+                   compile::OpCode code) {
+  StatusOr<compile::CompiledQuery> program =
+      compile::CompileQuery(schema, query);
+  if (!program.ok()) return false;
+  for (const compile::Level& level : program->levels) {
+    if (level.gen.code == code) return true;
   }
+  return false;
 }
 
 TEST(CompileDifferentialTest, ThousandRandomPairsAgreeWithTreeWalker) {
@@ -95,22 +95,51 @@ TEST(CompileDifferentialTest, ThousandRandomPairsAgreeWithTreeWalker) {
   // 10 random states × 100 well-formed random queries each: 1000
   // distinct (query, state) pairs.
   int compared = 0;
+  int ref_owner_programs = 0;
+  int set_owner_programs = 0;
   for (uint64_t state_seed = 1; state_seed <= 10; ++state_seed) {
     state_params.seed = state_seed;
     State state = GenerateRandomState(schema, state_params);
-    StateIndex index(state);
     int in_state = 0;
     while (in_state < 100) {
       ConjunctiveQuery query = GenerateRandomQuery(schema, rng, params);
       if (!CheckWellFormed(schema, query).ok()) continue;
-      CompareOnce(schema, state, index, query,
-                  /*max_assignments=*/100'000'000);
+      CompareOnce(schema, state, query, /*max_assignments=*/100'000'000);
       if (::testing::Test::HasFatalFailure()) return;
+      ref_owner_programs +=
+          UsesGenerator(schema, query, compile::OpCode::kScanRefOwners);
+      set_owner_programs +=
+          UsesGenerator(schema, query, compile::OpCode::kScanSetOwners);
       ++in_state;
       ++compared;
     }
   }
   EXPECT_GE(compared, 1000);
+  // The reverse access paths are exercised, not assumed.
+  EXPECT_GE(ref_owner_programs, 20);
+  EXPECT_GE(set_owner_programs, 20);
+}
+
+TEST(CompileDifferentialTest, NonTerminalRangesAgreeWithTreeWalker) {
+  // Ranges over non-terminal classes and two-class disjunctions, four
+  // variables: extents span several terminals, and an attribute's owner
+  // postings span classes outside a variable's range.
+  Schema schema = MustParseSchema(kSchema);
+  std::mt19937_64 rng(50);
+  RandomQueryParams params = FullParams();
+  params.terminal_only = false;
+  params.max_vars = 4;
+  GeneratorParams state_params;
+  state_params.objects_per_class = 6;
+  for (uint64_t state_seed = 0; state_seed < 10; ++state_seed) {
+    state_params.seed = state_seed;
+    State state = GenerateRandomState(schema, state_params);
+    for (int round = 0; round < 30; ++round) {
+      CompareOnce(schema, state, GenerateRandomQuery(schema, rng, params),
+                  /*max_assignments=*/100'000'000);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(CompileDifferentialTest, BudgetExhaustionStatusesAgree) {

@@ -17,9 +17,8 @@
 #include "core/containment.h"
 #include "core/containment_cache.h"
 #include "state/evaluation.h"
-#include "state/index.h"
-#include "state/indexed_evaluation.h"
 #include "support/cancellation.h"
+#include "support/metrics.h"
 #include "test_util.h"
 
 namespace oocq {
@@ -27,6 +26,31 @@ namespace {
 
 using ::oocq::testing::MustParseQuery;
 using ::oocq::testing::MustParseSchema;
+
+compile::CompiledQuery MustCompile(const Schema& schema,
+                                   const std::string& text) {
+  ConjunctiveQuery query = MustParseQuery(schema, text);
+  StatusOr<compile::CompiledQuery> program =
+      compile::CompileQuery(schema, query);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  return program.ok() ? *std::move(program) : compile::CompiledQuery{};
+}
+
+/// Compiled answers vs. the interpreted tree walker, which must agree.
+std::vector<Oid> BothPaths(const Schema& schema, const State& state,
+                           const std::string& text) {
+  ConjunctiveQuery query = MustParseQuery(schema, text);
+  EvalOptions interpreted;
+  interpreted.enable_compilation = false;
+  StatusOr<std::vector<Oid>> walker = Evaluate(state, query, interpreted);
+  EXPECT_TRUE(walker.ok()) << walker.status().ToString();
+
+  compile::CompiledQuery program = MustCompile(schema, text);
+  StatusOr<std::vector<Oid>> vm = compile::ExecuteCompiled(program, state);
+  EXPECT_TRUE(vm.ok()) << vm.status().ToString();
+  EXPECT_EQ(*walker, *vm) << "compiled/interpreted divergence on " << text;
+  return vm.ok() ? *vm : std::vector<Oid>{};
+}
 
 class CompileTest : public ::testing::Test {
  protected:
@@ -45,36 +69,13 @@ schema Eval {
 })");
   State state_;
   ClassId c_, e_, f_;
-
-  compile::CompiledQuery MustCompile(const std::string& text) {
-    ConjunctiveQuery query = MustParseQuery(schema_, text);
-    StatusOr<compile::CompiledQuery> program =
-        compile::CompileQuery(schema_, query);
-    EXPECT_TRUE(program.ok()) << program.status().ToString();
-    return program.ok() ? *std::move(program) : compile::CompiledQuery{};
-  }
-
-  /// Compiled answers vs. the interpreted tree walker, which must agree.
-  std::vector<Oid> BothPaths(const std::string& text) {
-    ConjunctiveQuery query = MustParseQuery(schema_, text);
-    EvalOptions interpreted;
-    interpreted.enable_compilation = false;
-    StatusOr<std::vector<Oid>> walker = Evaluate(state_, query, interpreted);
-    EXPECT_TRUE(walker.ok()) << walker.status().ToString();
-
-    compile::CompiledQuery program = MustCompile(text);
-    StatusOr<std::vector<Oid>> vm = compile::ExecuteCompiled(program, state_);
-    EXPECT_TRUE(vm.ok()) << vm.status().ToString();
-    EXPECT_EQ(*walker, *vm) << "compiled/interpreted divergence on " << text;
-    return vm.ok() ? *vm : std::vector<Oid>{};
-  }
 };
 
 // ---- Program structure -------------------------------------------------
 
 TEST_F(CompileTest, OneLevelPerVariableAndEmit) {
   compile::CompiledQuery program =
-      MustCompile("{ x | exists u (x in C & u in E & u = x.A) }");
+      MustCompile(schema_, "{ x | exists u (x in C & u in E & u = x.A) }");
   EXPECT_EQ(program.num_vars, 2u);
   ASSERT_EQ(program.levels.size(), 2u);
   std::string listing = program.DebugString();
@@ -86,7 +87,7 @@ TEST_F(CompileTest, EqualityAttributeBecomesBindFromSlot) {
   // u = x.A: once x is bound, u has exactly one candidate — the compiler
   // must emit a bind generator, not a scan + filter.
   compile::CompiledQuery program =
-      MustCompile("{ x | exists u (x in C & u in E & u = x.A) }");
+      MustCompile(schema_, "{ x | exists u (x in C & u in E & u = x.A) }");
   bool has_bind = false;
   for (const compile::Level& level : program.levels) {
     if (level.gen.code == compile::OpCode::kBindFromSlotRef) has_bind = true;
@@ -96,7 +97,7 @@ TEST_F(CompileTest, EqualityAttributeBecomesBindFromSlot) {
 
 TEST_F(CompileTest, MembershipBecomesSetMemberScan) {
   compile::CompiledQuery program =
-      MustCompile("{ x | exists u (x in C & u in E & u in x.S) }");
+      MustCompile(schema_, "{ x | exists u (x in C & u in E & u in x.S) }");
   bool has_set_scan = false;
   for (const compile::Level& level : program.levels) {
     if (level.gen.code == compile::OpCode::kScanSetMembers) {
@@ -109,6 +110,7 @@ TEST_F(CompileTest, MembershipBecomesSetMemberScan) {
 TEST_F(CompileTest, SlotLoadsAreHoistedOncePerOwner) {
   // Two tests dereference x.A; the program must load the slot once.
   compile::CompiledQuery program = MustCompile(
+      schema_,
       "{ x | exists u exists w (x in C & u in E & w in F & u = x.A "
       "& w != x.A) }");
   size_t loads = 0;
@@ -132,34 +134,21 @@ TEST_F(CompileTest, VmMatchesWalkerOnNullSemantics) {
   (void)c2;
 
   // Ex 3.1: null A is unknown, not false.
-  EXPECT_EQ(BothPaths("{ x | exists u (x in C & u in E & u = x.A) }"),
+  EXPECT_EQ(BothPaths(schema_, state_,
+                      "{ x | exists u (x in C & u in E & u = x.A) }"),
             (std::vector<Oid>{c1}));
   // Ex 3.3: null S makes notin unknown; e1 ∈ c1.S makes it false.
-  EXPECT_TRUE(
-      BothPaths("{ x | exists u (x in C & u in E & u notin x.S) }").empty());
+  EXPECT_TRUE(BothPaths(schema_, state_,
+                        "{ x | exists u (x in C & u in E & u notin x.S) }")
+                  .empty());
   // Membership through the set slot.
-  EXPECT_EQ(BothPaths("{ x | exists u (x in C & u in E & u in x.S) }"),
+  EXPECT_EQ(BothPaths(schema_, state_,
+                      "{ x | exists u (x in C & u in E & u in x.S) }"),
             (std::vector<Oid>{c1}));
   // Non-range atoms.
-  BothPaths("{ x | x in D & x notin F }");
+  BothPaths(schema_, state_, "{ x | x in D & x notin F }");
   // Inequality with an unknown operand fails.
-  BothPaths("{ x | exists u (x in C & u in E & x.A != u) }");
-}
-
-TEST_F(CompileTest, VmMatchesWalkerWithIndex) {
-  Oid c1 = *state_.AddObject(c_);
-  Oid e1 = *state_.AddObject(e_);
-  OOCQ_ASSERT_OK(state_.SetAttribute(c1, "A", Value::Ref(e1)));
-  StateIndex index(state_);
-
-  ConjunctiveQuery query = MustParseQuery(
-      schema_, "{ x | exists u (x in C & u in E & u = x.A) }");
-  compile::CompiledQuery program = MustCompile(
-      "{ x | exists u (x in C & u in E & u = x.A) }");
-  StatusOr<std::vector<Oid>> with_index =
-      compile::ExecuteCompiled(program, state_, &index);
-  ASSERT_TRUE(with_index.ok()) << with_index.status().ToString();
-  EXPECT_EQ(*with_index, (std::vector<Oid>{c1}));
+  BothPaths(schema_, state_, "{ x | exists u (x in C & u in E & x.A != u) }");
 }
 
 TEST_F(CompileTest, ConstantAtomsMatchInternedPayloadsExactly) {
@@ -226,15 +215,147 @@ TEST_F(CompileTest, EmptyPoolAnswersBeforeChargingTheBudget) {
 
 TEST_F(CompileTest, CancelledExecutionIsRetryableDeadlineExceeded) {
   *state_.AddObject(e_);
-  compile::CompiledQuery program = MustCompile("{ x | x in E }");
+  compile::CompiledQuery program = MustCompile(schema_, "{ x | x in E }");
   CancellationToken expired = CancellationToken::AfterMillis(0);
   compile::ExecOptions options;
   options.cancel = &expired;
   StatusOr<std::vector<Oid>> result =
-      compile::ExecuteCompiled(program, state_, nullptr, options);
+      compile::ExecuteCompiled(program, state_, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(IsRetryable(result.status().code()));
+}
+
+// ---- Reverse access paths: owner scans ---------------------------------
+
+const char* const kFleetSchema = R"(
+schema Fleet {
+  class Vehicle { Owner: Client; }
+  class Auto under Vehicle { }
+  class Truck under Vehicle { }
+  class Client { Rented: {Vehicle}; }
+  class Regular under Client { }
+  class Premium under Client { }
+})";
+
+/// The two reverse-join shapes of the wire benchmark's eval_join
+/// workload: the free variable binds before the vehicle that owns it.
+const char* const kReverseJoin =
+    "{ c | exists v (c in Client & v in Vehicle & c = v.Owner) }";
+const char* const kReverseJoinRented =
+    "{ c | exists v exists w (c in Client & v in Vehicle & w in Vehicle & "
+    "c = v.Owner & w in c.Rented) }";
+
+class OwnerScanTest : public ::testing::Test {
+ protected:
+  ClassId Cls(const char* name) { return schema_.FindClass(name).value(); }
+
+  /// Two clients, one vehicle of each terminal class; the truck belongs
+  /// to `premium`, the auto to `regular`, the second auto to nobody (Λ).
+  void Populate() {
+    regular_ = *state_.AddObject(Cls("Regular"));
+    premium_ = *state_.AddObject(Cls("Premium"));
+    auto1_ = *state_.AddObject(Cls("Auto"));
+    auto2_ = *state_.AddObject(Cls("Auto"));
+    truck_ = *state_.AddObject(Cls("Truck"));
+    OOCQ_ASSERT_OK(state_.SetAttribute(auto1_, "Owner", Value::Ref(regular_)));
+    OOCQ_ASSERT_OK(state_.SetAttribute(truck_, "Owner", Value::Ref(premium_)));
+    OOCQ_ASSERT_OK(
+        state_.SetAttribute(regular_, "Rented", Value::Set({auto1_, truck_})));
+    OOCQ_ASSERT_OK(state_.SetAttribute(premium_, "Rented", Value::Set({})));
+  }
+
+  Schema schema_ = MustParseSchema(kFleetSchema);
+  State state_{&schema_};
+  Oid regular_ = kInvalidOid, premium_ = kInvalidOid;
+  Oid auto1_ = kInvalidOid, auto2_ = kInvalidOid, truck_ = kInvalidOid;
+};
+
+TEST_F(OwnerScanTest, ReverseJoinPlans) {
+  // The client binds first; the vehicle comes from the Owner postings of
+  // the bound client and keeps its range atom as a class test.
+  EXPECT_EQ(MustCompile(schema_, kReverseJoin).DebugString(),
+            "program vars=2 free=v0 slots=0\n"
+            "L0: scan_extent v0 c6\n"
+            "L1: scan_ref_owners v1 v0 .Owner\n"
+            "    test_class v1 c3\n"
+            "    emit v0\n");
+  EXPECT_EQ(MustCompile(schema_, kReverseJoinRented).DebugString(),
+            "program vars=3 free=v0 slots=1\n"
+            "  slot s0 = v0.Rented\n"
+            "L0: scan_extent v0 c6\n"
+            "    load_slot s0\n"
+            "L1: scan_ref_owners v1 v0 .Owner\n"
+            "    test_class v1 c3\n"
+            "L2: scan_set_members v2 v0 s0\n"
+            "    test_class v2 c3\n"
+            "    emit v0\n");
+}
+
+TEST_F(OwnerScanTest, MembershipWithBoundElementScansSetOwners) {
+  compile::CompiledQuery program = MustCompile(
+      schema_, "{ v | exists c (v in Vehicle & c in Client & v in c.Rented) }");
+  ASSERT_EQ(program.levels.size(), 2u);
+  EXPECT_EQ(program.levels[1].gen.code, compile::OpCode::kScanSetOwners)
+      << program.DebugString();
+}
+
+TEST_F(OwnerScanTest, OwnerScansMatchWalker) {
+  Populate();
+  EXPECT_EQ(BothPaths(schema_, state_, kReverseJoin),
+            (std::vector<Oid>{regular_, premium_}));
+  EXPECT_EQ(BothPaths(schema_, state_, kReverseJoinRented),
+            (std::vector<Oid>{regular_}));
+  // Set owners: the vehicles somebody rents.
+  EXPECT_EQ(BothPaths(schema_, state_,
+                      "{ v | exists c (v in Vehicle & c in Client & "
+                      "v in c.Rented) }"),
+            (std::vector<Oid>{auto1_, truck_}));
+  // The key is a ref slot (v.Owner = w.Owner with v bound first); the Λ
+  // Owner of auto2 yields no owners rather than matching other Λs.
+  EXPECT_EQ(BothPaths(schema_, state_,
+                      "{ v | exists w (v in Vehicle & w in Vehicle & "
+                      "v.Owner = w.Owner) }"),
+            (std::vector<Oid>{auto1_, truck_}));
+}
+
+TEST_F(OwnerScanTest, OwnerSharedByAnOutOfRangeTerminalIsFiltered) {
+  // Auto and Truck share the Owner postings; only Auto is in range, so
+  // premium (who owns just the truck) must not answer.
+  Populate();
+  EXPECT_EQ(BothPaths(schema_, state_,
+                      "{ c | exists v (c in Client & v in Auto & "
+                      "c = v.Owner) }"),
+            (std::vector<Oid>{regular_}));
+}
+
+TEST_F(OwnerScanTest, SetSlotUnderEqualityHasNoRefOwners) {
+  // A set-valued slot is unknown under `=`: Rented holds sets, so no
+  // vehicle is "equal" to c.Rented and the ref postings of Rented are
+  // empty.
+  Populate();
+  EXPECT_TRUE(BothPaths(schema_, state_,
+                        "{ v | exists c (v in Vehicle & c in Client & "
+                        "v = c.Rented) }")
+                  .empty());
+}
+
+TEST_F(OwnerScanTest, MutationAfterFirstEvaluationRebuildsTheIndex) {
+  Populate();
+  MetricsRegistry metrics;
+  MetricsScope scope(&metrics);
+  EXPECT_EQ(BothPaths(schema_, state_, kReverseJoin),
+            (std::vector<Oid>{regular_, premium_}));
+  // auto2 gains an owner and a new client appears: the next execution
+  // must see both, through a rebuilt index.
+  Oid late = *state_.AddObject(Cls("Premium"));
+  OOCQ_ASSERT_OK(state_.SetAttribute(auto2_, "Owner", Value::Ref(late)));
+  OOCQ_ASSERT_OK(state_.SetAttribute(truck_, "Owner", Value::Null()));
+  EXPECT_EQ(BothPaths(schema_, state_, kReverseJoin),
+            (std::vector<Oid>{regular_, late}));
+  if (scope.active()) {
+    EXPECT_EQ(metrics.CounterValue("state/index_builds"), 2u);
+  }
 }
 
 // ---- The compiled Thm 3.1 subset scan ---------------------------------

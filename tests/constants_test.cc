@@ -1,6 +1,6 @@
 // Tests for the constants extension (`x.Name = "Alice"`): parsing,
-// satisfiability, containment, minimization, evaluation (naive and
-// indexed), witnesses, and canonicalization.
+// satisfiability, containment, minimization, evaluation (compiled and
+// tree walker), witnesses, and canonicalization.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "query/printer.h"
 #include "query/well_formed.h"
 #include "state/evaluation.h"
-#include "state/indexed_evaluation.h"
 #include "state/witness.h"
 #include "test_util.h"
 
@@ -238,11 +237,12 @@ TEST_F(ConstantsTest, EvaluationFiltersByConstant) {
       schema_, MustParseQuery(schema_, "{ x | x in Person & x.Age = 99 }"));
   EXPECT_TRUE(Evaluate(state_, no_match)->empty());
 
-  // The indexed evaluator agrees and probes the interning table.
-  StateIndex index(state_);
-  EXPECT_EQ(*EvaluateIndexed(index, by_name), std::vector<Oid>{alice});
-  EXPECT_EQ(EvaluateIndexed(index, by_age)->size(), 2u);
-  EXPECT_TRUE(EvaluateIndexed(index, no_match)->empty());
+  // The tree walker agrees, comparing payloads instead of interned oids.
+  EvalOptions walker;
+  walker.enable_compilation = false;
+  EXPECT_EQ(*Evaluate(state_, by_name, walker), std::vector<Oid>{alice});
+  EXPECT_EQ(Evaluate(state_, by_age, walker)->size(), 2u);
+  EXPECT_TRUE(Evaluate(state_, no_match, walker)->empty());
 }
 
 // --------------------------- witness / canonical ---------------------------

@@ -181,6 +181,32 @@ TEST(ProtocolHandlerTest, MalformedCommandsAreErrNotCrash) {
   EXPECT_EQ(reply.text.rfind("ERR", 0), 0u) << reply.text;
 }
 
+TEST(ProtocolHandlerTest, UnaryVerbsResolveNamedQueries) {
+  // A unary verb's payload line arrives with its newline; `@q` must still
+  // name the registered query, not a query called "q\n".
+  OocqService service;
+  StatusOr<std::string> sid = service.CreateSession(kVehicleRentalSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  ProtocolHandler handler(&service);
+  ProtocolReply defined = handler.Handle(
+      ParseCommandLine("DEFINE " + *sid + " q"), {"{ x | x in Auto }"});
+  ASSERT_EQ(defined.text.rfind("OK", 0), 0u) << defined.text;
+  ProtocolReply loaded = handler.Handle(ParseCommandLine("STATE " + *sid),
+                                        {"state { a1: Auto { } }"});
+  ASSERT_EQ(loaded.text.rfind("OK", 0), 0u) << loaded.text;
+
+  const std::vector<std::pair<std::string, std::string>> verbs = {
+      {"EVAL", "OK nonempty=1"},
+      {"SAT", "OK satisfiable=1"},
+      {"MINIMIZE", "OK exact="},
+  };
+  for (const auto& [verb, expected] : verbs) {
+    ProtocolReply reply =
+        handler.Handle(ParseCommandLine(verb + " " + *sid), {"@q"});
+    EXPECT_EQ(reply.text.rfind(expected, 0), 0u) << verb << ": " << reply.text;
+  }
+}
+
 // ---- TCP-layer framing abuse ------------------------------------------
 
 int ConnectTo(uint16_t port) {
