@@ -1,7 +1,6 @@
-// Open-loop transport load generator — the proof for the event-driven
-// server core. Drives 10k+ concurrent loopback sockets of CONTAIN
-// traffic against each transport and writes BENCH_load.json with
-// p50/p99/p999 against an SLO.
+// Open-loop load generator for the event-driven server core. Drives 10k+
+// concurrent loopback sockets of CONTAIN traffic against an EventServer
+// and writes BENCH_load.json with p50/p99/p999 against an SLO.
 //
 // Open loop means the request schedule is fixed in advance (an
 // aggregate rate spread round-robin over the sockets) and never slows
@@ -14,19 +13,17 @@
 // child for the client half, so the 2x fd cost of N loopback sockets
 // splits across two fd tables (the container caps each process at 20k
 // fds — one process cannot hold both ends of 10k+ connections plus the
-// server's listener). The parent runs OocqService plus the transport
-// under test in-process and reads the child's results from a temp file.
+// server's listener). The parent runs OocqService plus the EventServer
+// in-process and reads the child's results from a temp file.
 //
 // The client half is itself event-driven: one epoll loop owns every
 // socket, non-blocking connects (paced), buffered writes, incremental
 // reply framing — the same discipline the event server uses, because a
 // thread-per-socket client could not reach 10k sockets either.
 //
-// Exit status: non-zero when the event transport misses the SLO
-// (connects refused, p99 over budget, or requests left unanswered), so
-// CI can run this binary as a gate. The thread transport's numbers are
-// reported for comparison but not gated — degrading at this scale is
-// the expected outcome that motivates the event transport.
+// Exit status: non-zero when the server misses the SLO (connects
+// refused, p99 over budget, or requests left unanswered), so CI can run
+// this binary as a gate.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -45,8 +42,6 @@
 #include <deque>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,8 +49,6 @@
 #include "flag_util.h"
 #include "server/event_server.h"
 #include "server/service.h"
-#include "server/tcp_server.h"
-#include "server/transport.h"
 
 namespace oocq::bench {
 namespace {
@@ -64,9 +57,6 @@ using server::EventServer;
 using server::EventServerOptions;
 using server::OocqService;
 using server::ServiceOptions;
-using server::TcpServer;
-using server::TcpServerOptions;
-using server::Transport;
 
 constexpr const char* kSchema = R"(
 schema Bench {
@@ -468,31 +458,15 @@ int RunClientMode(uint16_t port, uint32_t sockets, uint64_t rate,
 // ---------------------------------------------------------------------------
 // Parent half: server in-process, client re-exec'd, results aggregated.
 
-struct TransportResult {
-  std::string transport;
-  bool ran = false;
+struct LoadResult {
   std::map<std::string, uint64_t> client;  // the child's key/value report
   uint64_t accepted = 0;
-  uint64_t thread_refused = 0;
   uint64_t overflow_refused = 0;
   uint64_t backpressure_shed = 0;
 };
 
-std::unique_ptr<Transport> MakeTransport(const std::string& name,
-                                         OocqService* service,
-                                         uint64_t io_threads) {
-  if (name == "thread") {
-    return std::make_unique<TcpServer>(service, TcpServerOptions{});
-  }
-  EventServerOptions options;
-  options.dispatch_threads = static_cast<uint32_t>(io_threads);
-  return std::make_unique<EventServer>(service, options);
-}
-
-int RunTransport(const std::string& name, const char* self, uint32_t sockets,
-                 uint64_t rate, uint64_t duration_s, uint64_t io_threads,
-                 TransportResult* result) {
-  result->transport = name;
+int RunLoad(const char* self, uint32_t sockets, uint64_t rate,
+            uint64_t duration_s, uint64_t io_threads, LoadResult* result) {
   ServiceOptions service_options;
   service_options.max_in_flight = 4;
   service_options.max_queue_depth = 256;
@@ -502,16 +476,16 @@ int RunTransport(const std::string& name, const char* self, uint32_t sockets,
     std::fprintf(stderr, "FAIL: %s\n", sid.status().ToString().c_str());
     return 1;
   }
-  std::unique_ptr<Transport> server =
-      MakeTransport(name, &service, io_threads);
-  if (Status started = server->Start(); !started.ok()) {
+  EventServerOptions server_options;
+  server_options.dispatch_threads = static_cast<uint32_t>(io_threads);
+  EventServer server(&service, server_options);
+  if (Status started = server.Start(); !started.ok()) {
     std::fprintf(stderr, "FAIL: %s\n", started.ToString().c_str());
     return 1;
   }
 
-  std::string out_path = "/tmp/oocq_bench_load." +
-                         std::to_string(::getpid()) + "." + name;
-  std::string port_flag = "--port=" + std::to_string(server->port());
+  std::string out_path = "/tmp/oocq_bench_load." + std::to_string(::getpid());
+  std::string port_flag = "--port=" + std::to_string(server.port());
   std::string sockets_flag = "--sockets=" + std::to_string(sockets);
   std::string rate_flag = "--rate=" + std::to_string(rate);
   std::string duration_flag = "--duration_s=" + std::to_string(duration_s);
@@ -532,10 +506,9 @@ int RunTransport(const std::string& name, const char* self, uint32_t sockets,
   }
   int wait_status = 0;
   ::waitpid(pid, &wait_status, 0);
-  server->Stop();
+  server.Stop();
   if (!WIFEXITED(wait_status) || WEXITSTATUS(wait_status) != 0) {
-    std::fprintf(stderr, "FAIL: client child exited abnormally (%s)\n",
-                 name.c_str());
+    std::fprintf(stderr, "FAIL: client child exited abnormally\n");
     return 1;
   }
 
@@ -545,69 +518,37 @@ int RunTransport(const std::string& name, const char* self, uint32_t sockets,
   while (in >> key >> value) result->client[key] = value;
   ::unlink(out_path.c_str());
   if (result->client.find("p99_us") == result->client.end()) {
-    std::fprintf(stderr, "FAIL: client report unreadable (%s)\n", name.c_str());
+    std::fprintf(stderr, "FAIL: client report unreadable\n");
     return 1;
   }
-  result->accepted = server->connections_accepted();
+  result->accepted = server.connections_accepted();
   const auto& metrics = service.metrics();
-  result->thread_refused = metrics.CounterValue("server/thread_refused");
   result->overflow_refused = metrics.CounterValue("server/overflow_refused");
   result->backpressure_shed = metrics.CounterValue("server/backpressure_shed");
-  result->ran = true;
   std::printf(
-      "%-6s  connected=%llu/%u  completed=%llu/%llu  p50=%llu us  "
-      "p99=%llu us  p999=%llu us  dropped=%llu  unanswered=%llu  "
-      "refused(thread)=%llu\n",
-      name.c_str(), static_cast<unsigned long long>(result->client["connected"]),
-      sockets, static_cast<unsigned long long>(result->client["completed"]),
+      "connected=%llu/%u  completed=%llu/%llu  p50=%llu us  p99=%llu us  "
+      "p999=%llu us  dropped=%llu  unanswered=%llu\n",
+      static_cast<unsigned long long>(result->client["connected"]), sockets,
+      static_cast<unsigned long long>(result->client["completed"]),
       static_cast<unsigned long long>(result->client["sent"]),
       static_cast<unsigned long long>(result->client["p50_us"]),
       static_cast<unsigned long long>(result->client["p99_us"]),
       static_cast<unsigned long long>(result->client["p999_us"]),
       static_cast<unsigned long long>(result->client["dropped_conns"]),
-      static_cast<unsigned long long>(result->client["unanswered"]),
-      static_cast<unsigned long long>(result->thread_refused));
+      static_cast<unsigned long long>(result->client["unanswered"]));
   return 0;
-}
-
-void WriteTransportJson(std::FILE* out, const TransportResult& result,
-                        bool last) {
-  auto get = [&](const char* key) -> unsigned long long {
-    auto it = result.client.find(key);
-    return it == result.client.end() ? 0 : it->second;
-  };
-  std::fprintf(
-      out,
-      "    {\"transport\": \"%s\", \"connected\": %llu, "
-      "\"connect_failures\": %llu, \"dropped_conns\": %llu, "
-      "\"sent\": %llu, \"completed\": %llu, \"err_replies\": %llu, "
-      "\"missed\": %llu, \"unanswered\": %llu, \"p50_us\": %llu, "
-      "\"p99_us\": %llu, \"p999_us\": %llu, \"max_us\": %llu, "
-      "\"accepted\": %llu, \"thread_refused\": %llu, "
-      "\"overflow_refused\": %llu, \"backpressure_shed\": %llu}%s\n",
-      result.transport.c_str(), get("connected"), get("connect_failures"),
-      get("dropped_conns"), get("sent"), get("completed"), get("err_replies"),
-      get("missed"), get("unanswered"), get("p50_us"), get("p99_us"),
-      get("p999_us"), get("max_us"),
-      static_cast<unsigned long long>(result.accepted),
-      static_cast<unsigned long long>(result.thread_refused),
-      static_cast<unsigned long long>(result.overflow_refused),
-      static_cast<unsigned long long>(result.backpressure_shed),
-      last ? "" : ",");
 }
 
 int Run(int argc, char** argv) {
   examples::FlagSet flags(
       "bench_load", "",
-      "Open-loop load generator for the two server transports; writes\n"
-      "BENCH_load.json and exits non-zero when the event transport\n"
-      "misses the SLO.");
+      "Open-loop load generator for the event server; writes\n"
+      "BENCH_load.json and exits non-zero when the server misses the SLO.");
   uint64_t sockets = 10000;
   uint64_t rate = 2000;
   uint64_t duration_s = 10;
   uint64_t io_threads = 4;
   uint64_t slo_p99_ms = 250;
-  std::string transports = "event,thread";
   bool client_mode = false;
   uint64_t port = 0;
   std::string session;
@@ -618,9 +559,7 @@ int Run(int argc, char** argv) {
   flags.Uint("io_threads", &io_threads, "N",
              "event-server dispatch threads (default 4)");
   flags.Uint("slo_p99_ms", &slo_p99_ms, "N",
-             "p99 budget for the event transport (default 250)");
-  flags.Str("transports", &transports, "LIST",
-            "comma list of event,thread (default both)");
+             "p99 budget (default 250)");
   flags.Bool("client_mode", &client_mode,
              "internal: run the re-exec'd client half");
   flags.Uint("port", &port, "N", "internal: server port (client mode)");
@@ -638,63 +577,57 @@ int Run(int argc, char** argv) {
   }
 
   RaiseFdLimit();
-  std::vector<TransportResult> results;
-  std::stringstream names(transports);
-  std::string name;
-  while (std::getline(names, name, ',')) {
-    if (name != "event" && name != "thread") {
-      std::fprintf(stderr, "error: unknown transport '%s'\n", name.c_str());
-      return flags.UsageError();
-    }
-    TransportResult result;
-    std::printf("%s: %llu sockets, %llu req/s for %llu s...\n", name.c_str(),
-                static_cast<unsigned long long>(sockets),
-                static_cast<unsigned long long>(rate),
-                static_cast<unsigned long long>(duration_s));
-    if (int rc = RunTransport(name, "/proc/self/exe",
-                              static_cast<uint32_t>(sockets), rate,
-                              duration_s, io_threads, &result);
-        rc != 0) {
-      if (name == "event") return rc;
-      // A thread-transport collapse at this scale is a result, not a
-      // benchmark failure — record the empty row and keep going.
-      std::printf("%s: did not complete (recorded as degraded)\n",
-                  name.c_str());
-    }
-    results.push_back(std::move(result));
+  std::printf("%llu sockets, %llu req/s for %llu s...\n",
+              static_cast<unsigned long long>(sockets),
+              static_cast<unsigned long long>(rate),
+              static_cast<unsigned long long>(duration_s));
+  LoadResult result;
+  if (int rc = RunLoad("/proc/self/exe", static_cast<uint32_t>(sockets), rate,
+                       duration_s, io_threads, &result);
+      rc != 0) {
+    return rc;
   }
 
-  // The SLO gates the event transport only: every socket served, every
-  // request answered, tail within budget.
-  bool slo_pass = true;
-  for (const TransportResult& result : results) {
-    if (result.transport != "event") continue;
-    slo_pass = result.ran &&
-               result.client.at("connected") == sockets &&
-               result.client.at("unanswered") == 0 &&
-               result.client.at("dropped_conns") == 0 &&
-               result.client.at("p99_us") <= slo_p99_ms * 1000;
-  }
+  // The SLO: every socket served, every request answered, tail within
+  // budget.
+  const bool slo_pass = result.client.at("connected") == sockets &&
+                        result.client.at("unanswered") == 0 &&
+                        result.client.at("dropped_conns") == 0 &&
+                        result.client.at("p99_us") <= slo_p99_ms * 1000;
 
   std::FILE* out = std::fopen("BENCH_load.json", "w");
   if (out == nullptr) {
     std::perror("BENCH_load.json");
     return 1;
   }
+  auto get = [&](const char* key) -> unsigned long long {
+    auto it = result.client.find(key);
+    return it == result.client.end() ? 0 : it->second;
+  };
   BeginBenchJson(out);
   std::fprintf(out,
                "  \"workload\": \"open-loop CONTAIN mix, %llu sockets, "
                "%llu req/s, %llu s\",\n  \"slo_p99_ms\": %llu,\n"
-               "  \"slo_pass\": %s,\n  \"transports\": [\n",
+               "  \"slo_pass\": %s,\n",
                static_cast<unsigned long long>(sockets),
                static_cast<unsigned long long>(rate),
                static_cast<unsigned long long>(duration_s),
                static_cast<unsigned long long>(slo_p99_ms),
                slo_pass ? "true" : "false");
-  for (size_t i = 0; i < results.size(); ++i) {
-    WriteTransportJson(out, results[i], i + 1 == results.size());
-  }
-  std::fprintf(out, "  ]\n}\n");
+  std::fprintf(
+      out,
+      "  \"connected\": %llu, \"connect_failures\": %llu, "
+      "\"dropped_conns\": %llu,\n  \"sent\": %llu, \"completed\": %llu, "
+      "\"err_replies\": %llu, \"missed\": %llu, \"unanswered\": %llu,\n"
+      "  \"p50_us\": %llu, \"p99_us\": %llu, \"p999_us\": %llu, "
+      "\"max_us\": %llu,\n  \"accepted\": %llu, "
+      "\"overflow_refused\": %llu, \"backpressure_shed\": %llu\n}\n",
+      get("connected"), get("connect_failures"), get("dropped_conns"),
+      get("sent"), get("completed"), get("err_replies"), get("missed"),
+      get("unanswered"), get("p50_us"), get("p99_us"), get("p999_us"),
+      get("max_us"), static_cast<unsigned long long>(result.accepted),
+      static_cast<unsigned long long>(result.overflow_refused),
+      static_cast<unsigned long long>(result.backpressure_shed));
   std::fclose(out);
   std::printf("wrote BENCH_load.json (slo_pass=%s)\n",
               slo_pass ? "true" : "false");

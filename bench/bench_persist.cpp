@@ -76,7 +76,7 @@ struct PhaseSample {
 };
 
 /// Runs the mix single-client (closed loop) and reads the hit rate off
-/// the service registry — the same counters the METRICS verb snapshots.
+/// the service registry — the same counters the STATS verb exposes.
 int RunPhase(OocqService* service, const std::string& sid, uint32_t requests,
              PhaseSample* sample) {
   std::vector<uint64_t> latencies;

@@ -51,9 +51,8 @@ struct ClientRequest {
 /// Payload framing mirrors the server's (server/protocol.h): every verb
 /// reads lines until "." except the no-payload control verbs.
 bool VerbHasPayload(const std::string& verb, const std::string& line) {
-  if (verb == "PING" || verb == "QUIT" || verb == "METRICS" ||
-      verb == "HEALTH" || verb == "HELLO" || verb == "STATS" ||
-      verb == "REPL") {
+  if (verb == "PING" || verb == "QUIT" || verb == "HEALTH" ||
+      verb == "HELLO" || verb == "STATS" || verb == "REPL") {
     return false;
   }
   if (verb == "SESSION") {

@@ -2,10 +2,9 @@
 // deadlines, batching and (optionally) a durable catalog over the line
 // protocol of docs/server.md.
 //
-//   oocq_serve [--port=N] [--transport=event|thread] [--workers=N]
-//              [--queue=N] [--threads=N] [--io_threads=N]
-//              [--idle_timeout_ms=N] [--deadline_ms=N] [--data-dir=DIR]
-//              [--snapshot_interval_s=N] [--failpoints=SPEC]
+//   oocq_serve [--port=N] [--workers=N] [--queue=N] [--threads=N]
+//              [--io_threads=N] [--idle_timeout_ms=N] [--deadline_ms=N]
+//              [--data-dir=DIR] [--snapshot_interval_s=N] [--failpoints=SPEC]
 //              [--max_disjuncts=N] [--max_work_units=N]
 //              [--max_resident_bytes=N] [--watchdog_s=N]
 //              [--follow=HOST:PORT] [--promote_after_ms=N]
@@ -13,10 +12,9 @@
 //              [--slow_request_us=N] [--stats-file=FILE]
 //              [--stats_interval_s=N] [--trace=FILE] [--metrics] [--smoke]
 //
-// Two transports serve the same protocol (docs/server.md): the default
-// epoll event loop (--transport=event) scales to tens of thousands of
-// concurrent connections; --transport=thread keeps the reference
-// thread-per-connection model.
+// The socket layer is one epoll event loop (server/event_server.h,
+// docs/server.md) that scales to tens of thousands of concurrent
+// connections.
 //
 // With --data-dir the server opens a DurableCatalog in DIR
 // (docs/persistence.md): restart replays snapshot + WAL, re-registers
@@ -61,7 +59,6 @@
 #include "replicate/peer.h"
 #include "server/event_server.h"
 #include "server/service.h"
-#include "server/tcp_server.h"
 #include "support/log.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -113,6 +110,14 @@ std::string RunScript(uint16_t port, const char* script) {
   return all;
 }
 
+/// True when the STATS exposition `stats` reports counter `name` above 0.
+bool CounterPositive(const std::string& stats, const std::string& name) {
+  const size_t at = stats.find("\n" + name + " ");
+  if (at == std::string::npos) return false;
+  const size_t digit = at + name.size() + 2;
+  return digit < stats.size() && stats[digit] != '0';
+}
+
 /// One scripted client conversation over a real socket — the --smoke
 /// self-test and a template for writing clients.
 bool RunSmokeConversation(uint16_t port) {
@@ -134,15 +139,15 @@ bool RunSmokeConversation(uint16_t port) {
       "MINIMIZE s1\n"
       "{ x | x in Auto & x in Vehicle }\n"
       ".\n"
-      "METRICS\n"
+      "STATS\n"
       "QUIT\n";
   std::string all = RunScript(port, script);
   std::printf("%s", all.c_str());
-  // Seven replies (PING, SESSION NEW, DEFINE, CONTAIN, MINIMIZE, METRICS,
+  // Seven replies (PING, SESSION NEW, DEFINE, CONTAIN, MINIMIZE, STATS,
   // QUIT), the containment verdict among them.
   return all.find("session=s1") != std::string::npos &&
          all.find("contained=1") != std::string::npos &&
-         all.find("server/requests") != std::string::npos;
+         CounterPositive(all, "oocq_server_requests");
 }
 
 /// The warm half of the persistence smoke: the restarted server must
@@ -155,13 +160,13 @@ bool RunWarmConversation(uint16_t port) {
       "@q1\n"
       "{ x | x in Vehicle }\n"
       ".\n"
-      "METRICS\n"
+      "STATS\n"
       "QUIT\n";
   std::string all = RunScript(port, script);
   std::printf("%s", all.c_str());
   return all.find("contained=1") != std::string::npos &&
-         all.find("sessions_restored") != std::string::npos &&
-         all.find("cache/hit") != std::string::npos;
+         CounterPositive(all, "oocq_server_sessions_restored") &&
+         CounterPositive(all, "oocq_cache_hit");
 }
 
 /// Samples the service's progress counters: requests pending while no
@@ -351,7 +356,6 @@ int main(int argc, char** argv) {
   uint64_t slow_request_us = 0, stats_interval_s = 10;
   uint64_t promote_after_ms = 0;
   std::string follow;
-  std::string transport = "event";
   std::string failpoints;
   std::string trace_path;
   std::string data_dir;
@@ -366,8 +370,6 @@ int main(int argc, char** argv) {
       "graceful drain.");
   flags.Uint("port", &port, "N",
              "listen port (default 7733; 0 = ephemeral, printed on startup)");
-  flags.Str("transport", &transport, "event|thread",
-            "epoll event loop or thread-per-connection (default event)");
   flags.Uint("workers", &workers, "N",
              "requests executing concurrently (default 4)");
   flags.Uint("queue", &queue, "N",
@@ -376,10 +378,10 @@ int main(int argc, char** argv) {
   flags.Uint("threads", &threads, "N",
              "engine threads per request (default 1)");
   flags.Uint("io_threads", &io_threads, "N",
-             "event transport: request dispatch pool size (default 8; "
+             "request dispatch pool size (default 8; "
              "0 = one per hardware thread)");
   flags.Uint("idle_timeout_ms", &idle_timeout_ms, "N",
-             "event transport: close idle connections after N ms "
+             "close idle connections after N ms "
              "(default 0 = never)");
   flags.Uint("deadline_ms", &deadline_ms, "N",
              "default per-request deadline (default 0 = unbounded)");
@@ -437,11 +439,6 @@ int main(int argc, char** argv) {
   }
   if (port > 65535) {
     std::fprintf(stderr, "error: --port out of range\n");
-    return flags.UsageError();
-  }
-  if (transport != "event" && transport != "thread") {
-    std::fprintf(stderr,
-                 "error: --transport must be 'event' or 'thread'\n");
     return flags.UsageError();
   }
   std::string follow_host;
@@ -524,7 +521,7 @@ int main(int argc, char** argv) {
       });
 
   // The replication tail, when this node is a follower. Started after the
-  // transport below so clients can probe REPL STATUS during the initial
+  // server below so clients can probe REPL STATUS during the initial
   // sync; stopped before the service dies so no apply races teardown.
   std::unique_ptr<replicate::Follower> follower;
   if (!follow.empty()) {
@@ -541,22 +538,14 @@ int main(int argc, char** argv) {
         .With("promote_after_ms", promote_after_ms);
   }
 
-  // Both transports implement server/transport.h's Transport contract;
-  // everything below (smoke, signals, graceful drain) is transport-
-  // agnostic.
-  auto make_server = [&](uint16_t listen_port) -> std::unique_ptr<Transport> {
-    if (transport == "thread") {
-      TcpServerOptions options;
-      options.port = listen_port;
-      return std::make_unique<TcpServer>(service.get(), options);
-    }
+  auto make_server = [&](uint16_t listen_port) {
     EventServerOptions options;
     options.port = listen_port;
     options.dispatch_threads = static_cast<uint32_t>(io_threads);
     options.idle_timeout_ms = idle_timeout_ms;
     return std::make_unique<EventServer>(service.get(), options);
   };
-  std::unique_ptr<Transport> server =
+  std::unique_ptr<EventServer> server =
       make_server(smoke ? 0 : static_cast<uint16_t>(port));
   Status started = server->Start();
   if (!started.ok()) {
@@ -566,7 +555,6 @@ int main(int argc, char** argv) {
   OOCQ_LOG(Info, "serve")
       .Msg("listening on 127.0.0.1")
       .With("port", static_cast<uint64_t>(server->port()))
-      .With("transport", transport)
       .With("workers", static_cast<uint64_t>(service_options.max_in_flight))
       .With("queue", static_cast<uint64_t>(service_options.max_queue_depth))
       .With("threads",

@@ -1,5 +1,6 @@
 #include "server/event_server.h"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -49,6 +50,46 @@ uint64_t NowUs() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// Opens the non-blocking listening IPv4 socket per `options`
+/// (SO_REUSEADDR, SOMAXCONN backlog), returning the fd and writing the
+/// resolved port to *port.
+StatusOr<int> OpenListener(const EventServerOptions& options, uint16_t* port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) {
+    return Status::Internal(std::string("socket: ") + std::strerror(errno));
+  }
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(options.port);
+  addr.sin_addr.s_addr =
+      htonl(options.loopback_only ? INADDR_LOOPBACK : INADDR_ANY);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    Status failed = Status::Internal(std::string("bind: ") +
+                                     std::strerror(errno));
+    ::close(fd);
+    return failed;
+  }
+  // SOMAXCONN, not a small constant: an open-loop connect burst (10k+
+  // sockets from bench_load) must land in the kernel backlog, not be
+  // refused while the accept path catches up.
+  if (::listen(fd, SOMAXCONN) < 0) {
+    Status failed = Status::Internal(std::string("listen: ") +
+                                     std::strerror(errno));
+    ::close(fd);
+    return failed;
+  }
+  sockaddr_in bound{};
+  socklen_t bound_len = sizeof(bound);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) ==
+      0) {
+    *port = ntohs(bound.sin_port);
+  }
+  return fd;
 }
 
 }  // namespace
@@ -281,8 +322,7 @@ struct EventServer::Loop {
         completion.conn_id = id;
         ProtocolReply reply = ProtocolHandler(service).Handle(command, payload);
         // Chaos hook: an injected `tcp/write` failure drops the reply
-        // and the connection, exactly like a failed send() on the
-        // thread-per-connection transport.
+        // and the connection, exactly like a failed send().
         if (!Failpoints::Hit("tcp/write")) {
           completion.drop = true;
         } else {
@@ -309,8 +349,7 @@ struct EventServer::Loop {
           return false;
         case ConnectionHandler::FrameResult::kNeedMore:
           if (conn->read_off && conn->framing.mid_frame()) {
-            // EOF mid-payload: the frame can never complete; no reply
-            // (TcpServer parity for dropped-mid-payload clients).
+            // EOF mid-payload: the frame can never complete; no reply.
             Close(conn);
             return false;
           }
@@ -456,8 +495,7 @@ struct EventServer::Loop {
       }
       Append(conn, completion.text);
       if (completion.close) {
-        // QUIT: anything pipelined after it would not be answered by the
-        // reference transport either.
+        // QUIT: anything pipelined after it goes unanswered.
         conn->quit = true;
         conn->requests.clear();
       }
@@ -546,7 +584,7 @@ Status EventServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::Internal("server already started");
   }
-  StatusOr<int> listener = OpenListener(options_, /*nonblocking=*/true, &port_);
+  StatusOr<int> listener = OpenListener(options_, &port_);
   if (!listener.ok()) return listener.status();
   listen_fd_ = *listener;
 
@@ -588,9 +626,6 @@ Status EventServer::Start() {
 
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  // Transport marker: lets a METRICS/STATS scrape tell which transport
-  // served this process (the flat dumps are otherwise identical).
-  OOCQ_METRIC_ADD("server/transport/event", 1);
   loop_thread_ = std::thread([this] { Run(); });
   return Status::Ok();
 }

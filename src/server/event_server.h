@@ -1,10 +1,35 @@
 #ifndef OOCQ_SERVER_EVENT_SERVER_H_
 #define OOCQ_SERVER_EVENT_SERVER_H_
 
-/// Event-driven transport: one epoll(7) readiness loop owning every
+/// The server's socket layer: one epoll(7) readiness loop owning every
 /// connection, scaling concurrent sessions with sockets instead of OS
-/// threads (the thread-per-connection TcpServer caps out at thread
-/// scale; see docs/server.md for when to pick which).
+/// threads. It puts the line protocol (server/protocol.h) on a TCP port;
+/// all engine work, admission control and deadlines stay in the
+/// OocqService it wraps.
+///
+///   OocqService service(service_options);
+///   EventServer server(&service, {.port = 0});  // 0 = ephemeral
+///   OOCQ_RETURN_IF_ERROR(server.Start());       // loop running
+///   uint16_t port = server.port();              // resolved port
+///   ...
+///   server.Stop();  // graceful: stop accepting, drain, join
+///
+/// Wire contract (pinned by server_e2e_test, server_protocol_test and
+/// event_server_test):
+///
+///  * Start() binds, listens and begins accepting; port() then reports
+///    the resolved port.
+///  * Requests on one connection are answered in arrival order; clients
+///    may pipeline.
+///  * A framing violation (oversized line, EOF mid-payload) drops that
+///    connection and only that connection.
+///  * Stop() is graceful and idempotent: the listener closes, read sides
+///    are shut down, requests already received finish and their replies
+///    are flushed, then the service drains. Safe to call from a
+///    signal-handling thread; the destructor runs it.
+///  * The `tcp/accept`, `tcp/read` and `tcp/write` failpoints
+///    (support/failpoint.h) fire after accept() returns, before each
+///    recv(), and before each reply is queued.
 ///
 /// Architecture — one loop thread, `dispatch_threads` workers:
 ///
@@ -23,20 +48,16 @@
 ///
 /// Per-connection invariants:
 ///
-///  * Requests are answered in arrival order; at most one request per
-///    connection executes at a time (pipelined frames queue on the
-///    connection, bounded by `max_pipeline_depth` — beyond it, requests
-///    are shed with a retryable ERR UNAVAILABLE instead of queued).
+///  * At most one request per connection executes at a time (pipelined
+///    frames queue on the connection, bounded by `max_pipeline_depth` —
+///    beyond it, requests are shed with a retryable ERR UNAVAILABLE
+///    instead of queued).
 ///  * The output buffer is bounded: once a slow reader lets it exceed
 ///    `max_output_buffer_bytes`, further requests are shed with
 ///    UNAVAILABLE (cheap, constant-size replies); a reader so slow that
 ///    even sheds accumulate past 4x the bound is dropped.
 ///  * An idle connection (no request in flight, nothing buffered) that
 ///    stays silent for `idle_timeout_ms` is closed by the timer wheel.
-///
-/// Stop() mirrors TcpServer's graceful drain: the listener closes, read
-/// sides are shut down, requests already received finish and their
-/// replies are flushed, then the service drains.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -46,20 +67,23 @@
 #include <vector>
 
 #include "server/service.h"
-#include "server/transport.h"
 #include "support/status.h"
 #include "support/thread_pool.h"
 
 namespace oocq::server {
 
-struct EventServerOptions : TransportOptions {
+struct EventServerOptions {
+  /// Port to bind; 0 picks an ephemeral port (read it back via port()).
+  uint16_t port = 0;
+  /// Bind only the loopback interface (the safe default for a local
+  /// decision-procedure service); false binds all interfaces.
+  bool loopback_only = true;
   /// Workers executing parsed requests (each blocks in
   /// OocqService::Execute for its request's duration, so this bounds
-  /// transport-side concurrency the way connection threads do for
-  /// TcpServer). 0 = one per hardware thread.
+  /// server-side concurrency). 0 = one per hardware thread.
   uint32_t dispatch_threads = 8;
   /// Close a connection with no traffic, no queued request and nothing
-  /// to flush after this long. 0 = never (TcpServer parity).
+  /// to flush after this long. 0 = never.
   uint64_t idle_timeout_ms = 0;
   /// Pending unflushed reply bytes tolerated per connection before new
   /// requests on it are shed with UNAVAILABLE (slow-reader
@@ -78,22 +102,25 @@ struct EventServerOptions : TransportOptions {
   uint32_t so_sndbuf_bytes = 0;
 };
 
-class EventServer : public Transport {
+class EventServer {
  public:
   EventServer(OocqService* service, EventServerOptions options = {});
-  ~EventServer() override;  // runs Stop()
+  ~EventServer();  // runs Stop()
 
   EventServer(const EventServer&) = delete;
   EventServer& operator=(const EventServer&) = delete;
 
-  Status Start() override;
-  void Stop() override;
+  /// Binds, listens and starts serving. Fails (kInternal) if the port is
+  /// taken or sockets are unavailable.
+  Status Start();
+  /// Graceful shutdown; see the wire contract above. Idempotent.
+  void Stop();
 
-  uint16_t port() const override { return port_; }
-  bool running() const override {
-    return running_.load(std::memory_order_acquire);
-  }
-  uint64_t connections_accepted() const override {
+  /// The bound port (resolved when options.port == 0). 0 before Start().
+  uint16_t port() const { return port_; }
+  bool running() const { return running_.load(std::memory_order_acquire); }
+  /// Connections accepted over the server's lifetime.
+  uint64_t connections_accepted() const {
     return accepted_.load(std::memory_order_relaxed);
   }
 

@@ -293,8 +293,8 @@ ProtocolReply ProtocolHandler::HandleInner(
     return OkReply(
         "protocol=" + std::to_string(kProtocolVersion) +
         " server=oocq max_line_bytes=" + std::to_string(kMaxLineBytes) +
-        " caps=sessions,define,state,batch,deadlines,metrics,health,"
-        "explain,ucontain,stats,request_ids,replication,fencing" +
+        " caps=sessions,define,state,batch,deadlines,health,explain,"
+        "ucontain,stats,request_ids,replication,fencing" +
         " draining=" + std::string(service_->draining() ? "1" : "0") +
         " readonly=" + std::string(service_->read_only() ? "1" : "0") +
         " term=" + std::to_string(service_->term()));
@@ -304,13 +304,9 @@ ProtocolReply ProtocolHandler::HandleInner(
     reply.close = true;
     return reply;
   }
-  if (verb == "METRICS") {
-    return OkReply("", service_->metrics().JsonString() + "\n");
-  }
   if (verb == "STATS") {
     // Machine-readable exposition (docs/observability.md#stats):
-    // Prometheus-style text with counters and p50/p90/p99 summaries,
-    // superseding the flat METRICS JSON (kept above for old tooling).
+    // Prometheus-style text with counters and p50/p90/p99 summaries.
     return OkReply("", service_->StatsText());
   }
   if (verb == "HEALTH") {

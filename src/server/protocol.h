@@ -60,10 +60,9 @@ CommandLine ParseCommandLine(const std::string& line);
 bool VerbHasPayload(const std::string& verb);
 
 /// Incremental framing state machine for the request side of the wire
-/// protocol, shared by every transport: raw bytes go in via Feed() (from
-/// a blocking read or an epoll readiness callback — the handler does not
-/// care), complete request frames come out of Next() with the payload
-/// already dot-unstuffed. Frame state survives across Feed() calls, so a
+/// protocol: raw bytes go in via Feed() as the EventServer reads them,
+/// complete request frames come out of Next() with the payload already
+/// dot-unstuffed. Frame state survives across Feed() calls, so a
 /// request split over arbitrarily many TCP segments parses identically
 /// to one delivered whole.
 class ConnectionHandler {

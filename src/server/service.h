@@ -20,9 +20,9 @@
 /// Concurrency model: Execute() admits the request (bounded queue +
 /// max-in-flight — beyond capacity it sheds immediately with retryable
 /// kUnavailable), runs it on the service's support/thread_pool, and
-/// blocks the calling thread until the response is ready. Transports
-/// call Execute() from one thread per connection; the pool bounds the
-/// engine work actually running. ExecuteBatch() fans a batch out onto
+/// blocks the calling thread until the response is ready. The
+/// EventServer calls Execute() from its dispatch workers; the pool bounds
+/// the engine work actually running. ExecuteBatch() fans a batch out onto
 /// the same pool and returns responses in request order.
 ///
 /// Each request gets a CancellationToken from its deadline, threaded
@@ -72,7 +72,7 @@ struct ServiceOptions {
   uint64_t default_deadline_ms = 0;
   /// Collect service counters/histograms into metrics() (server/requests,
   /// server/shed, server/latency_us, …). The registry is the one the
-  /// `METRICS` protocol command snapshots.
+  /// `STATS` protocol command exposes.
   bool metrics = true;
   /// Service-wide resource ceilings (docs/robustness.md). Work limits
   /// (disjuncts, subset work units) cap the *aggregate* of all in-flight

@@ -214,9 +214,9 @@ const std::vector<std::string>& Failpoints::KnownNames() {
       "core/subset_scan",  // core/containment.cc: per Thm 3.1 chunk
       "cache/lookup",      // core/containment_cache.cc: on entry
       "service/execute",   // server/service.cc: before the request body
-      "tcp/accept",        // server/tcp_server.cc: after accept() returns
-      "tcp/read",          // server/tcp_server.cc: before each recv()
-      "tcp/write",         // server/tcp_server.cc: before each send()
+      "tcp/accept",        // server/event_server.cc: after accept() returns
+      "tcp/read",          // server/event_server.cc: before each recv()
+      "tcp/write",         // server/event_server.cc: before a reply is queued
       "repl/ship",         // server/protocol.cc: before serving REPL STATE/SUBSCRIBE
       "repl/apply",        // server/service.cc: before applying a shipped record
       "repl/promote",      // server/service.cc: before a follower promotes

@@ -124,7 +124,10 @@ class StatusOr {
   }
 
   bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
+  const Status& status() const& { return status_; }
+  /// On a temporary (`f().status()`) the status is moved out by value, so
+  /// no reference into the dying StatusOr escapes the full-expression.
+  Status status() && { return std::move(status_); }
 
   const T& value() const& {
     if (!ok()) internal_status::DieBadAccess(status_);

@@ -20,8 +20,8 @@
 #include "core/optimizer.h"
 #include "persist/catalog.h"
 #include "replicate/fence.h"
+#include "server/event_server.h"
 #include "server/service.h"
-#include "server/tcp_server.h"
 #include "support/failpoint.h"
 #include "support/file.h"
 #include "support/resource_budget.h"
@@ -159,7 +159,7 @@ TEST_F(ChaosTest, EveryKnownFailpointFiresAcrossTheStack) {
     ServiceOptions service_options;
     service_options.catalog = MustOpen(dir);  // fires snapshot/load
     OocqService service(service_options);
-    TcpServer server(&service);
+    EventServer server(&service);
     OOCQ_ASSERT_OK(server.Start());
 
     TestClient client(server.port());  // fires tcp/accept
@@ -380,7 +380,7 @@ TEST_F(ChaosTest, OversizedBatchIsShedItemByItem) {
   EXPECT_TRUE(responses[1].verdict);
   EXPECT_EQ(responses[2].status.code(), StatusCode::kResourceExhausted);
   OOCQ_EXPECT_OK(responses[3].status);
-  // The shed requests count on the retryable metrics the METRICS verb
+  // The shed requests count on the retryable metrics the STATS verb
   // (and the BATCH retryable= field) surface.
   EXPECT_GE(service.metrics().CounterValue("server/resource_exhausted"), 2u);
 }
@@ -391,7 +391,7 @@ TEST_F(ChaosTest, HealthVerbReportsProgressAndBudget) {
   ServiceOptions service_options;
   service_options.budget.max_resident_bytes = 1 << 20;
   OocqService service(service_options);
-  TcpServer server(&service);
+  EventServer server(&service);
   OOCQ_ASSERT_OK(server.Start());
 
   TestClient client(server.port());

@@ -1,5 +1,5 @@
 // Replication end to end, in one process (docs/replication.md): a
-// primary service behind a real transport, a follower service tailing it
+// primary service behind an EventServer, a follower service tailing it
 // through replicate::Follower over real sockets. Asserts the acceptance
 // flow of the subsystem: the follower converges on the primary's catalog
 // and serves the identical CONTAIN verdict read-only; mutations on the
@@ -19,7 +19,6 @@
 #include "replicate/follower.h"
 #include "server/event_server.h"
 #include "server/service.h"
-#include "server/transport.h"
 #include "support/file.h"
 #include "test_util.h"
 

@@ -1,9 +1,7 @@
-// End-to-end tests for the TCP front ends: an in-process server on an
-// ephemeral port, real sockets, 8 concurrent client conversations, and a
-// graceful shutdown that drains in-flight requests instead of severing
-// them. The whole suite is parameterized over both Transport
-// implementations (thread-per-connection and epoll event loop) — the
-// wire contract must be indistinguishable.
+// End-to-end tests for the EventServer front end: an in-process server
+// on an ephemeral port, real sockets, 8 concurrent client conversations,
+// and a graceful shutdown that drains in-flight requests instead of
+// severing them.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +23,6 @@
 #include "support/metrics.h"
 #include "support/trace.h"
 #include "test_util.h"
-#include "transport_test_util.h"
 
 namespace oocq::server {
 namespace {
@@ -91,6 +88,12 @@ constexpr const char* kSchemaPayload =
     "}\n"
     ".\n";
 
+EventServerOptions TestServerOptions() {
+  EventServerOptions options;
+  options.dispatch_threads = 4;
+  return options;
+}
+
 // The heavy Cor 3.2 workload of server_service_test, as wire payload.
 std::string HeavySchemaPayload(int k) {
   std::string text = "schema Heavy {\n  class D { }\n  class C { ";
@@ -106,14 +109,32 @@ std::string HeavyContainPayload(int k) {
   return q1 + "\n{ x | exists y (x in D & y in C & x notin y.S0) }\n.\n";
 }
 
-class ServerE2eTest : public ::testing::TestWithParam<const char*> {};
+// Options for the heavy workload at k=40: the candidate cap admits the 39
+// membership atoms, so the compiled subset scan (the production path)
+// runs 2^39 masks — far longer than any test deadline.
+ServiceOptions HeavyServiceOptions() {
+  ServiceOptions options;
+  options.engine.containment.max_membership_candidates = 40;
+  return options;
+}
 
-TEST_P(ServerE2eTest, EightConcurrentClients) {
+// Deadline for a heavy request that must expire inside the compiled scan:
+// long enough for the work before the scan (parse, normalization, the
+// candidate pool; ~10 ms under ThreadSanitizer) to finish first.
+constexpr uint64_t kHeavyDeadlineMs = 50;
+
+// The request ran on the compiled scan and never fell back to the
+// interpreted one.
+void ExpectCompiledScan(const OocqService& service) {
+  EXPECT_GE(service.metrics().CounterValue("compile/mask_scans"), 1u);
+  EXPECT_EQ(service.metrics().CounterValue("compile/mask_fallbacks"), 0u);
+}
+
+TEST(ServerE2eTest, EightConcurrentClients) {
   ServiceOptions service_options;
   service_options.max_in_flight = 4;
   OocqService service(service_options);
-  auto server_ptr = oocq::testing::MakeTransport(GetParam(), &service);
-  Transport& server = *server_ptr;
+  EventServer server(&service, TestServerOptions());
   OOCQ_ASSERT_OK(server.Start());
   ASSERT_NE(server.port(), 0);
 
@@ -231,47 +252,23 @@ TEST(RequestTraceE2eTest, TaggedRequestLinksSpansAcrossLayers) {
   }
 }
 
-TEST_P(ServerE2eTest, TransportLabelCounterIdentifiesTransport) {
-  // Dashboards tell deployments apart by the transport label: starting a
-  // transport bumps exactly its own server/transport/<name> counter, so a
-  // scrape can always answer "event loop or thread-per-connection?".
-  MetricsRegistry registry;
-  MetricsScope scope(&registry);
-  ASSERT_TRUE(scope.active());
-
-  OocqService service;
-  auto server_ptr = oocq::testing::MakeTransport(GetParam(), &service);
-  OOCQ_ASSERT_OK(server_ptr->Start());
-  server_ptr->Stop();
-
-  const bool is_event = std::string(GetParam()) == "event";
-  EXPECT_EQ(registry.CounterValue("server/transport/event"),
-            is_event ? 1u : 0u);
-  EXPECT_EQ(registry.CounterValue("server/transport/thread"),
-            is_event ? 0u : 1u);
-}
-
-TEST_P(ServerE2eTest, DeadlineEnforcedOverTheWire) {
-  // Interpreted scan only: the compiled subset scan decides k=20 in
-  // microseconds and the 10 ms deadline would never trip.
-  ServiceOptions service_options;
-  service_options.engine.enable_compilation = false;
-  OocqService service(service_options);
-  auto server_ptr = oocq::testing::MakeTransport(GetParam(), &service);
-  Transport& server = *server_ptr;
+TEST(ServerE2eTest, DeadlineEnforcedOverTheWire) {
+  OocqService service(HeavyServiceOptions());
+  EventServer server(&service, TestServerOptions());
   OOCQ_ASSERT_OK(server.Start());
 
   TestClient client(server.port());
   ASSERT_TRUE(client.connected());
-  client.Send(std::string("SESSION NEW\n") + HeavySchemaPayload(20));
+  client.Send(std::string("SESSION NEW\n") + HeavySchemaPayload(40));
   ASSERT_EQ(client.ReadReply().rfind("OK session=", 0), 0u);
 
-  // The 10 ms deadline trips inside the 2^19-mask subset scan; the client
-  // gets a distinct retryable status — not a hang, not a dropped
-  // connection.
-  client.Send("CONTAIN s1 deadline_ms=10\n" + HeavyContainPayload(20));
+  // The deadline trips inside the 2^39-mask subset scan; the client gets a
+  // distinct retryable status — not a hang, not a dropped connection.
+  client.Send("CONTAIN s1 deadline_ms=" + std::to_string(kHeavyDeadlineMs) +
+              "\n" + HeavyContainPayload(40));
   std::string expired = client.ReadReply();
   EXPECT_EQ(expired.rfind("ERR DEADLINE_EXCEEDED", 0), 0u) << expired;
+  ExpectCompiledScan(service);
 
   // Same connection still serves: deadline errors are per-request.
   client.Send("PING\n");
@@ -279,26 +276,22 @@ TEST_P(ServerE2eTest, DeadlineEnforcedOverTheWire) {
   server.Stop();
 }
 
-TEST_P(ServerE2eTest, GracefulShutdownDrainsInFlightRequest) {
-  ServiceOptions service_options;
+TEST(ServerE2eTest, GracefulShutdownDrainsInFlightRequest) {
+  ServiceOptions service_options = HeavyServiceOptions();
   service_options.max_in_flight = 2;
-  // Interpreted scan only: the in-flight request must still be running
-  // when Stop() lands.
-  service_options.engine.enable_compilation = false;
   OocqService service(service_options);
-  auto server_ptr = oocq::testing::MakeTransport(GetParam(), &service);
-  Transport& server = *server_ptr;
+  EventServer server(&service, TestServerOptions());
   OOCQ_ASSERT_OK(server.Start());
 
   TestClient client(server.port());
   ASSERT_TRUE(client.connected());
-  client.Send(std::string("SESSION NEW\n") + HeavySchemaPayload(20));
+  client.Send(std::string("SESSION NEW\n") + HeavySchemaPayload(40));
   ASSERT_EQ(client.ReadReply().rfind("OK session=", 0), 0u);
 
   // Launch a request bounded at 250 ms and shut the server down while it
   // runs. Graceful drain means the reply still arrives before the
   // connection closes.
-  client.Send("CONTAIN s1 deadline_ms=250\n" + HeavyContainPayload(20));
+  client.Send("CONTAIN s1 deadline_ms=250\n" + HeavyContainPayload(40));
   while (service.metrics().CounterValue("server/started") < 1) {
     std::this_thread::yield();
   }
@@ -307,6 +300,7 @@ TEST_P(ServerE2eTest, GracefulShutdownDrainsInFlightRequest) {
   stopper.join();
   EXPECT_EQ(reply.rfind("ERR DEADLINE_EXCEEDED", 0), 0u) << reply;
   EXPECT_TRUE(service.draining());
+  ExpectCompiledScan(service);
 
   // After the drain, new work is refused...
   Request request;
@@ -321,12 +315,6 @@ TEST_P(ServerE2eTest, GracefulShutdownDrainsInFlightRequest) {
     EXPECT_EQ(late.ReadReply(), "");
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Transports, ServerE2eTest,
-                         ::testing::ValuesIn(oocq::testing::kTransportNames),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 }  // namespace
 }  // namespace oocq::server

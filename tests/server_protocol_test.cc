@@ -1,8 +1,8 @@
-// ProtocolHandler behavior the e2e smoke doesn't pin down: the METRICS
-// verb's reply framing, and malformed dot-stuffed frames at the TCP layer
-// (a line over the reader's cap, a payload whose "." terminator never
-// arrives) — both must drop the connection, never hang or crash the
-// server, and never corrupt a neighboring connection.
+// ProtocolHandler behavior the e2e smoke doesn't pin down: the STATS
+// exposition, malformed commands, and malformed dot-stuffed frames at the
+// TCP layer. A line over the reader's cap and a payload whose "."
+// terminator never arrives must both drop the connection, never hang or
+// crash the server, and never corrupt a neighboring connection.
 
 #include <gtest/gtest.h>
 
@@ -12,37 +12,23 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "server/event_server.h"
 #include "server/protocol.h"
 #include "server/service.h"
 #include "test_util.h"
-#include "transport_test_util.h"
 
 namespace oocq::server {
 namespace {
 
 using ::oocq::testing::kVehicleRentalSchema;
 
-TEST(ProtocolHandlerTest, MetricsReplyIsFramedJson) {
-  OocqService service;
-  OOCQ_ASSERT_OK(service.CreateSession(kVehicleRentalSchema).status());
-  ProtocolHandler handler(&service);
-
-  ProtocolReply reply = handler.Handle(ParseCommandLine("METRICS"), {});
-  EXPECT_FALSE(reply.close);
-  EXPECT_EQ(reply.text.rfind("OK", 0), 0u) << reply.text;
-  EXPECT_NE(reply.text.find("\"counters\""), std::string::npos) << reply.text;
-  EXPECT_NE(reply.text.find("server/sessions_created"), std::string::npos);
-  // Every reply is "."-framed so clients can stream them.
-  ASSERT_GE(reply.text.size(), 2u);
-  EXPECT_EQ(reply.text.substr(reply.text.size() - 2), ".\n");
-}
-
 TEST(ProtocolHandlerTest, MetricsSeesCacheEvictionCounter) {
   // A cache capped at one entry per shard evicts on the second distinct
-  // decision; the eviction must surface in the METRICS registry.
+  // decision; the eviction must surface in the STATS exposition.
   ServiceOptions options;
   options.engine.cache.max_entries = 1;
   options.engine.cache.num_shards = 1;
@@ -61,9 +47,9 @@ TEST(ProtocolHandlerTest, MetricsSeesCacheEvictionCounter) {
         handler.Handle(ParseCommandLine("CONTAIN " + *sid), {q1, q2});
     EXPECT_EQ(reply.text.rfind("OK contained=1", 0), 0u) << reply.text;
   }
-  ProtocolReply metrics = handler.Handle(ParseCommandLine("METRICS"), {});
-  EXPECT_NE(metrics.text.find("cache/evictions"), std::string::npos)
-      << metrics.text;
+  ProtocolReply stats = handler.Handle(ParseCommandLine("STATS"), {});
+  EXPECT_NE(stats.text.find("\noocq_cache_evictions "), std::string::npos)
+      << stats.text;
 }
 
 TEST(ProtocolHandlerTest, RequestIdPrefixParses) {
@@ -166,6 +152,7 @@ TEST(ProtocolHandlerTest, MalformedCommandsAreErrNotCrash) {
       {"CONTAIN s999", {"{ x | x in Auto }", "{ x | x in Vehicle }"}},
       {"DEFINE s1", {"{ x | x in Auto }"}},
       {"MINIMIZE s1", {}},
+      {"METRICS", {}},
   };
   for (const Case& test_case : cases) {
     ProtocolReply reply =
@@ -242,14 +229,14 @@ std::string RecvAll(int fd) {
   return all;
 }
 
-/// Runs against both transports: framing abuse must be handled
-/// identically by the blocking reader and the epoll state machine.
-class TcpFramingTest : public ::testing::TestWithParam<const char*> {
+class TcpFramingTest : public ::testing::Test {
  protected:
   void SetUp() override {
     service_ = std::make_unique<OocqService>();
     OOCQ_ASSERT_OK(service_->CreateSession(kVehicleRentalSchema).status());
-    server_ = oocq::testing::MakeTransport(GetParam(), service_.get());
+    EventServerOptions options;
+    options.dispatch_threads = 4;
+    server_ = std::make_unique<EventServer>(service_.get(), options);
     OOCQ_ASSERT_OK(server_->Start());
   }
   void TearDown() override {
@@ -259,10 +246,10 @@ class TcpFramingTest : public ::testing::TestWithParam<const char*> {
   }
 
   std::unique_ptr<OocqService> service_;
-  std::unique_ptr<Transport> server_;
+  std::unique_ptr<EventServer> server_;
 };
 
-TEST_P(TcpFramingTest, OversizedLineDropsConnectionButNotServer) {
+TEST_F(TcpFramingTest, OversizedLineDropsConnectionButNotServer) {
   int fd = ConnectTo(server_->port());
   // > 1 MiB without a newline: the reader must give up, not buffer
   // forever.
@@ -280,7 +267,7 @@ TEST_P(TcpFramingTest, OversizedLineDropsConnectionButNotServer) {
   ::close(fd2);
 }
 
-TEST_P(TcpFramingTest, MissingPayloadTerminatorIsCleanDisconnect) {
+TEST_F(TcpFramingTest, MissingPayloadTerminatorIsCleanDisconnect) {
   int fd = ConnectTo(server_->port());
   // CONTAIN opens a payload frame; the client dies before sending ".".
   ASSERT_TRUE(SendString(fd, "CONTAIN s1\n{ x | x in Auto }\n"));
@@ -295,7 +282,7 @@ TEST_P(TcpFramingTest, MissingPayloadTerminatorIsCleanDisconnect) {
   ::close(fd2);
 }
 
-TEST_P(TcpFramingTest, DotStuffedPayloadLinesAreUnstuffed) {
+TEST_F(TcpFramingTest, DotStuffedPayloadLinesAreUnstuffed) {
   int fd = ConnectTo(server_->port());
   // A payload line starting with "." must be sent dot-stuffed ("..");
   // the server unstuffs it before parsing. "." alone still terminates.
@@ -307,12 +294,6 @@ TEST_P(TcpFramingTest, DotStuffedPayloadLinesAreUnstuffed) {
   EXPECT_NE(reply.find("OK"), std::string::npos) << reply;  // the QUIT
   ::close(fd);
 }
-
-INSTANTIATE_TEST_SUITE_P(Transports, TcpFramingTest,
-                         ::testing::ValuesIn(oocq::testing::kTransportNames),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 }  // namespace
 }  // namespace oocq::server

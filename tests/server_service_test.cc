@@ -24,9 +24,9 @@ using ::oocq::testing::MustParseSchema;
 
 // ---- Heavy workload: a containment whose Thm 3.1 subset scan is 2^(k-1)
 // masks (the Cor 3.2 axis; bench_containment_general measures the same
-// shape). At k around 20 the full scan takes far longer than any test
-// deadline, and cancellation is polled per mask, so a deadline trips
-// mid-scan deterministically.
+// shape). At k=40 even the compiled scan (the production path) takes far
+// longer than any test deadline, and cancellation is polled inside it,
+// so a deadline trips mid-scan deterministically.
 
 std::string HeavySchemaText(int k) {
   std::string text = "schema Heavy {\n  class D { }\n  class C { ";
@@ -51,6 +51,26 @@ std::string HeavyQ1(int k) {
 
 const char* HeavyQ2() {
   return "{ x | exists y (x in D & y in C & x notin y.S0) }";
+}
+
+// Service options for the heavy workload at k=40: the candidate cap admits
+// its 39 membership atoms (the default cap of 24 would refuse them).
+ServiceOptions HeavyServiceOptions() {
+  ServiceOptions options;
+  options.engine.containment.max_membership_candidates = 40;
+  return options;
+}
+
+// Deadline for a heavy request that must expire inside the compiled scan:
+// long enough for the work before the scan (parse, normalization, the
+// candidate pool; ~10 ms under ThreadSanitizer) to finish first.
+constexpr uint64_t kHeavyDeadlineMs = 50;
+
+// The heavy request ran on the compiled scan and never fell back to the
+// interpreted one.
+void ExpectCompiledScan(const OocqService& service) {
+  EXPECT_GE(service.metrics().CounterValue("compile/mask_scans"), 1u);
+  EXPECT_EQ(service.metrics().CounterValue("compile/mask_fallbacks"), 0u);
 }
 
 Request MakeContain(const std::string& session_id, const std::string& q1,
@@ -146,14 +166,17 @@ TEST(ServiceDeadlineTest, PreExpiredTokenAbortsContainment) {
 }
 
 TEST(ServiceDeadlineTest, DeadlineExpiresMidContainment) {
-  // The interpreted subset scan is the slow workload under test; the
-  // compiled scan decides k=20 in microseconds and the deadline would
-  // never trip.
-  ServiceOptions options;
-  options.engine.enable_compilation = false;
-  OocqService service(options);
-  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(20));
+  OocqService service(HeavyServiceOptions());
+  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(40));
   OOCQ_ASSERT_OK(sid.status());
+
+  // At k=40 the scan is 2^39 masks — the deadline trips inside it.
+  Response expired = service.Execute(
+      MakeContain(*sid, HeavyQ1(40), HeavyQ2(), kHeavyDeadlineMs));
+  EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded)
+      << expired.status.ToString();
+  EXPECT_TRUE(IsRetryable(expired.status.code()));
+  ExpectCompiledScan(service);
 
   // Sanity: the same query shape at a small k decides quickly.
   StatusOr<std::string> small = service.CreateSession(HeavySchemaText(6));
@@ -163,13 +186,6 @@ TEST(ServiceDeadlineTest, DeadlineExpiresMidContainment) {
   OOCQ_ASSERT_OK(quick.status);
   EXPECT_TRUE(quick.verdict);
 
-  // At k=20 the scan is ~2^19 masks — the 10 ms deadline trips inside it.
-  Response expired = service.Execute(
-      MakeContain(*sid, HeavyQ1(20), HeavyQ2(), /*deadline_ms=*/10));
-  EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded)
-      << expired.status.ToString();
-  EXPECT_TRUE(IsRetryable(expired.status.code()));
-
   // The expired decision was not memoized: the session still answers.
   Response after =
       service.Execute(MakeContain(*sid, HeavyQ1(6), HeavyQ2()));
@@ -177,21 +193,18 @@ TEST(ServiceDeadlineTest, DeadlineExpiresMidContainment) {
 }
 
 TEST(ServiceDeadlineTest, QueuedRequestExpiresBeforeStarting) {
-  ServiceOptions options;
+  ServiceOptions options = HeavyServiceOptions();
   options.max_in_flight = 1;
   options.max_queue_depth = 4;
-  // Interpreted scan only: the occupant must stay busy past the queued
-  // request's 1 ms deadline.
-  options.engine.enable_compilation = false;
   OocqService service(options);
-  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(20));
+  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(40));
   OOCQ_ASSERT_OK(sid.status());
 
   // Occupy the only worker with a heavy request whose own 250 ms deadline
   // bounds the test's runtime.
   std::thread occupant([&service, &sid] {
     Response heavy = service.Execute(
-        MakeContain(*sid, HeavyQ1(20), HeavyQ2(), /*deadline_ms=*/250));
+        MakeContain(*sid, HeavyQ1(40), HeavyQ2(), /*deadline_ms=*/250));
     EXPECT_EQ(heavy.status.code(), StatusCode::kDeadlineExceeded);
   });
   AwaitStarted(service, 1);
@@ -203,22 +216,20 @@ TEST(ServiceDeadlineTest, QueuedRequestExpiresBeforeStarting) {
       MakeContain(*sid, HeavyQ1(6), HeavyQ2(), /*deadline_ms=*/1));
   EXPECT_EQ(queued.status.code(), StatusCode::kDeadlineExceeded);
   occupant.join();
+  ExpectCompiledScan(service);
 }
 
 TEST(ServiceAdmissionTest, ShedsUnderOverloadAndRecovers) {
-  ServiceOptions options;
+  ServiceOptions options = HeavyServiceOptions();
   options.max_in_flight = 1;
   options.max_queue_depth = 0;  // capacity: exactly one admitted request
-  // Interpreted scan only: the occupant must hold the worker long enough
-  // for the second request to be shed.
-  options.engine.enable_compilation = false;
   OocqService service(options);
-  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(20));
+  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(40));
   OOCQ_ASSERT_OK(sid.status());
 
   std::thread occupant([&service, &sid] {
     Response heavy = service.Execute(
-        MakeContain(*sid, HeavyQ1(20), HeavyQ2(), /*deadline_ms=*/250));
+        MakeContain(*sid, HeavyQ1(40), HeavyQ2(), /*deadline_ms=*/250));
     EXPECT_EQ(heavy.status.code(), StatusCode::kDeadlineExceeded);
   });
   AwaitStarted(service, 1);
@@ -230,6 +241,7 @@ TEST(ServiceAdmissionTest, ShedsUnderOverloadAndRecovers) {
   EXPECT_TRUE(IsRetryable(shed.status.code()));
   EXPECT_GE(service.metrics().CounterValue("server/shed"), 1u);
   occupant.join();
+  ExpectCompiledScan(service);
 
   // Capacity freed: the retry the status promised now succeeds.
   Response retry =
@@ -330,7 +342,7 @@ TEST(ProtocolTest, ParseCommandLineSplitsVerbArgsParams) {
   EXPECT_TRUE(VerbHasPayload("CONTAIN"));
   EXPECT_TRUE(VerbHasPayload("BATCH"));
   EXPECT_FALSE(VerbHasPayload("PING"));
-  EXPECT_FALSE(VerbHasPayload("METRICS"));
+  EXPECT_FALSE(VerbHasPayload("STATS"));
 }
 
 TEST(ProtocolTest, FullConversation) {
@@ -366,8 +378,8 @@ TEST(ProtocolTest, FullConversation) {
                "SAT\t{ x | x in A1 }"}));
   EXPECT_EQ(batch.text, "OK n=3 retryable=0\n101\n.\n");
 
-  ProtocolReply metrics = handler.Handle(ParseCommandLine("METRICS"), {});
-  EXPECT_NE(metrics.text.find("server/requests"), std::string::npos);
+  ProtocolReply stats = handler.Handle(ParseCommandLine("STATS"), {});
+  EXPECT_NE(stats.text.find("\noocq_server_requests "), std::string::npos);
 
   ProtocolReply parse_error = handler.Handle(
       ParseCommandLine("CONTAIN s1"), Payload({"{ not a query", "x }"}));
@@ -385,20 +397,19 @@ TEST(ProtocolTest, FullConversation) {
 }
 
 TEST(ProtocolTest, DeadlineParamSurfacesRetryableError) {
-  // Interpreted scan only, so the 10 ms deadline trips mid-scan.
-  ServiceOptions options;
-  options.engine.enable_compilation = false;
-  OocqService service(options);
+  OocqService service(HeavyServiceOptions());
   ProtocolHandler handler(&service);
   ProtocolReply created =
       handler.Handle(ParseCommandLine("SESSION NEW"),
-                     Payload({HeavySchemaText(20).c_str()}));
+                     Payload({HeavySchemaText(40).c_str()}));
   ASSERT_EQ(created.text, "OK session=s1\n.\n");
   ProtocolReply expired = handler.Handle(
-      ParseCommandLine("CONTAIN s1 deadline_ms=10"),
-      {HeavyQ1(20), HeavyQ2()});
+      ParseCommandLine("CONTAIN s1 deadline_ms=" +
+                       std::to_string(kHeavyDeadlineMs)),
+      {HeavyQ1(40), HeavyQ2()});
   EXPECT_EQ(expired.text.rfind("ERR DEADLINE_EXCEEDED", 0), 0u)
       << expired.text;
+  ExpectCompiledScan(service);
 }
 
 }  // namespace

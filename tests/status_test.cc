@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "support/status_macros.h"
 
 namespace oocq {
@@ -78,6 +81,14 @@ TEST(StatusOr, OkStatusConstructionBecomesInternalError) {
   EXPECT_FALSE(value.ok());
   EXPECT_EQ(value.status().code(), StatusCode::kInternal);
 }
+
+// status() on a temporary returns the Status by value: a reference into
+// the temporary would dangle once the full-expression ends (as in
+// `OOCQ_ASSERT_OK(f().status())`), while lvalues keep the cheap reference.
+static_assert(std::is_same_v<decltype(std::declval<StatusOr<int>>().status()),
+                             Status>);
+static_assert(std::is_same_v<decltype(std::declval<StatusOr<int>&>().status()),
+                             const Status&>);
 
 namespace macros {
 
