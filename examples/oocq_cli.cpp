@@ -6,7 +6,8 @@
 //   oocq_cli SCHEMA.oocq equiv    '<query1>' '<query2>'
 //   oocq_cli SCHEMA.oocq satisfiable '<terminal query>'
 //   oocq_cli SCHEMA.oocq eval STATE.oocq '<query>'   (answers on a state)
-//   oocq_cli SCHEMA.oocq explain '<terminal q1>' '<terminal q2>'
+//   oocq_cli SCHEMA.oocq explain '<query1>' '<query2>'  (terminal once
+//                                                      normalized)
 //
 // Observability flags (must precede SCHEMA):
 //   --trace=FILE   record the command's engine spans and write a Chrome
@@ -199,8 +200,8 @@ int Dispatch(const Schema& schema, const MinimizationOptions& options,
   if (command == "explain" && argc == 3) {
     ConjunctiveQuery q1 = Must(ParseQuery(schema, argv[1]));
     ConjunctiveQuery q2 = Must(ParseQuery(schema, argv[2]));
-    ContainmentExplanation explanation =
-        Must(ExplainContainment(schema, q1, q2));
+    ContainmentExplanation explanation = Must(ExplainContainment(
+        schema, q1, q2, WithPropagatedParallelism(options).containment));
     std::printf("%s", explanation.text.c_str());
     return explanation.contained ? 0 : 1;
   }

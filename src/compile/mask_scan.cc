@@ -341,6 +341,7 @@ MaskScanResult RunCompiledMaskScan(const Schema& schema,
     result.masks_tested += tested_here;
     if (uncovered != 0) {
       result.contained = false;
+      result.refuting_mask = begin + tested_here - 1;
       result.masks_skipped = total - result.masks_tested;
       span.Arg("contained", "false");
       return result;

@@ -42,6 +42,9 @@ struct MaskScanResult {
   /// When decided and ok: the Thm 3.1 subset condition — true iff every
   /// mask W ⊆ T admits a non-contradictory mapping of q2 into base+W.
   bool contained = false;
+  /// When decided, ok and not contained: the first uncovered mask — the
+  /// smallest refuting W, the same one the interpreted scan stops at.
+  uint64_t refuting_mask = 0;
 
   // Work counters, unit-compatible with ContainmentStats:
   /// masks actually decided (maps to membership_subsets),
@@ -72,7 +75,8 @@ struct MaskScanResult {
 ///
 /// `base` must be well-formed, terminal, normalized and satisfiable (it is
 /// the augmented Q1 of the containment dispatch); `pool` must be the
-/// MembershipCandidatePool of `base`; `q2` the normalized RHS.
+/// candidate pool T that Contained() builds for `base`; `q2` the
+/// normalized RHS.
 MaskScanResult RunCompiledMaskScan(const Schema& schema,
                                    const ConjunctiveQuery& base,
                                    const std::vector<Atom>& pool,

@@ -54,8 +54,10 @@ void AtomicMin(std::atomic<T>& target, T value) {
   }
 }
 
-}  // namespace
-
+/// The pool T of Thm 3.1 for a (possibly augmented) satisfiable terminal
+/// target query: one candidate membership atom per (element equivalence
+/// class, set-term equivalence class) pair that keeps the query
+/// satisfiable when added, excluding already-derivable ones.
 StatusOr<std::vector<Atom>> MembershipCandidatePool(
     const Schema& schema, const ConjunctiveQuery& base,
     const ContainmentOptions& options) {
@@ -121,16 +123,15 @@ StatusOr<std::vector<Atom>> MembershipCandidatePool(
   return candidates;
 }
 
-
-namespace {
-
 /// The Thm 3.1 decision procedure proper; the public Contained() wraps it
-/// with a trace span and metrics. `tinfo` receives the dispatch outcome.
+/// with a trace span and metrics. `tinfo` receives the dispatch outcome;
+/// `decision` (nullable) the unsatisfiability reason or refutation.
 StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
                              const ConjunctiveQuery& q2,
                              const ContainmentOptions& options,
                              ContainmentStats* stats,
-                             ContainedTraceInfo* tinfo) {
+                             ContainedTraceInfo* tinfo,
+                             ContainmentDecision* decision) {
   if (options.cancel != nullptr) {
     OOCQ_RETURN_IF_ERROR(options.cancel->Check());
   }
@@ -142,8 +143,16 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
         "ExpandToTerminalQueries first");
   }
 
-  if (!CheckSatisfiable(schema, q1).satisfiable) return true;
-  if (!CheckSatisfiable(schema, q2).satisfiable) return false;
+  if (SatisfiabilityResult sat = CheckSatisfiable(schema, q1);
+      !sat.satisfiable) {
+    if (decision != nullptr) decision->q1_unsatisfiable = std::move(sat.reason);
+    return true;
+  }
+  if (SatisfiabilityResult sat = CheckSatisfiable(schema, q2);
+      !sat.satisfiable) {
+    if (decision != nullptr) decision->q2_unsatisfiable = std::move(sat.reason);
+    return false;
+  }
 
   OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n1, NormalizeTerminalQuery(schema, q1));
   OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n2, NormalizeTerminalQuery(schema, q2));
@@ -163,6 +172,19 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
   MappingConstraints constraints;
   constraints.free_target = n1.free_var();
   constraints.max_steps = options.max_mapping_steps;
+
+  // Records the refuting configuration Q1&S&W — S the equalities `base`
+  // appends to n1, W the pool atoms of `mask` — into the decision record.
+  auto record_refutation = [&](const ConjunctiveQuery& base,
+                               const std::vector<Atom>& pool, uint64_t mask) {
+    if (decision == nullptr) return;
+    decision->refuting_s.assign(base.atoms().begin() + n1.atoms().size(),
+                                base.atoms().end());
+    decision->refuting_w.clear();
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (mask & (uint64_t{1} << i)) decision->refuting_w.push_back(pool[i]);
+    }
+  };
 
   // Checks the Thm 3.1 condition against one consistent augmentation
   // Q1&S, enumerating the subsets W of T when Q2 has non-membership atoms.
@@ -208,6 +230,9 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
           stats->mapping_steps += scan.mapping_steps;
         }
         if (!scan.error.ok()) return scan.error;
+        if (!scan.contained) {
+          record_refutation(base, membership_pool, scan.refuting_mask);
+        }
         return scan.contained;
       }
       OOCQ_METRIC_ADD("compile/mask_fallbacks", 1);
@@ -330,6 +355,7 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
     for (const ChunkResult& chunk : chunks) {
       if (chunk.event_mask == kNoEvent) continue;
       if (chunk.is_error) return chunk.error;
+      record_refutation(base, membership_pool, chunk.event_mask);
       return false;
     }
     return true;
@@ -375,13 +401,15 @@ std::string SpecializationCounterName(const char* specialization) {
 StatusOr<bool> Contained(const Schema& schema, const ConjunctiveQuery& q1,
                          const ConjunctiveQuery& q2,
                          const ContainmentOptions& options,
-                         ContainmentStats* stats) {
+                         ContainmentStats* stats,
+                         ContainmentDecision* decision) {
   OOCQ_TRACE_SPAN(span, "Contained");
   ContainedTraceInfo tinfo;
   ContainmentStats local;
   StatusOr<bool> verdict =
-      ContainedImpl(schema, q1, q2, options, &local, &tinfo);
+      ContainedImpl(schema, q1, q2, options, &local, &tinfo, decision);
   if (stats != nullptr) stats->Add(local);
+  if (decision != nullptr) decision->spec = tinfo.specialization;
   if (MetricsRegistry* metrics = ActiveMetrics()) {
     metrics->Add("containment/calls", 1);
     metrics->Add(SpecializationCounterName(tinfo.specialization), 1);

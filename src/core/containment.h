@@ -2,6 +2,8 @@
 #define OOCQ_CORE_CONTAINMENT_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "query/query.h"
 #include "schema/schema.h"
@@ -94,27 +96,41 @@ struct ContainmentStats {
   }
 };
 
+/// Why one Contained() call decided as it did — filled only when the
+/// caller passes one (ExplainContainment narrates it, core/explain.h).
+struct ContainmentDecision {
+  /// The Thm 3.1 specialization that ran ("Cor3.4", "Cor3.3", "Cor3.2",
+  /// "Thm3.1"), or "trivial" when a satisfiability shortcut decided — the
+  /// label of the Contained span and its containment/<spec> counter.
+  const char* spec = "trivial";
+  /// The Thm 2.2 reason when Q1 (resp. Q2) is unsatisfiable; empty
+  /// otherwise. Only the first unsatisfiable side is reported.
+  std::string q1_unsatisfiable;
+  std::string q2_unsatisfiable;
+  /// On a refutation with both sides satisfiable: the refuting
+  /// configuration Q1&S&W — the equalities S of the consistent
+  /// augmentation and the membership subset W ⊆ T, as atoms over the
+  /// variables of NormalizeTerminalQuery(Q1). The first refuting
+  /// configuration in enumeration order, on either subset scan.
+  std::vector<Atom> refuting_s;
+  std::vector<Atom> refuting_w;
+};
+
 /// Decides Q1 ⊆ Q2 for well-formed terminal conjunctive queries over
 /// `schema`. Implements Thm 3.1, automatically specializing by Q2's atom
 /// kinds: positive Q2 → single mapping search (Cor 3.4); Q2 without
 /// non-membership atoms → augmentations only (Cor 3.3); Q2 without
 /// inequality atoms → membership subsets only (Cor 3.2). An unsatisfiable
 /// Q1 is contained in everything; a satisfiable Q1 is never contained in
-/// an unsatisfiable Q2.
+/// an unsatisfiable Q2. Thm 3.1's pool T holds one candidate membership
+/// atom per (element class, set-term class) pair of the augmented Q1 that
+/// keeps it satisfiable and is not already derivable; all 2^|T| subsets W
+/// are checked. `decision` (optional) receives the decision record.
 StatusOr<bool> Contained(const Schema& schema, const ConjunctiveQuery& q1,
                          const ConjunctiveQuery& q2,
                          const ContainmentOptions& options = {},
-                         ContainmentStats* stats = nullptr);
-
-/// The pool T of Thm 3.1 for a (possibly augmented) satisfiable terminal
-/// target query: one candidate membership atom per (element equivalence
-/// class, set-term equivalence class) pair that keeps the query
-/// satisfiable when added, excluding already-derivable ones. Exposed for
-/// the explanation tooling and the benches; Contained() enumerates all
-/// 2^|T| subsets of this pool.
-StatusOr<std::vector<Atom>> MembershipCandidatePool(
-    const Schema& schema, const ConjunctiveQuery& base,
-    const ContainmentOptions& options = {});
+                         ContainmentStats* stats = nullptr,
+                         ContainmentDecision* decision = nullptr);
 
 /// Q1 ≡ Q2: containment in both directions.
 StatusOr<bool> EquivalentQueries(const Schema& schema,

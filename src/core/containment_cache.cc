@@ -29,6 +29,16 @@ ContainmentCache::ContainmentCache(const Schema* schema,
                                    ContainmentOptions containment)
     : ContainmentCache(schema, Options{.containment = containment}) {}
 
+std::unique_ptr<ContainmentCache> MakeContainmentCache(
+    const Schema* schema, const EngineOptions& options) {
+  if (!options.cache.enabled) return nullptr;
+  ContainmentCache::Options cache_options;
+  cache_options.containment = WithPropagatedParallelism(options).containment;
+  cache_options.max_entries = options.cache.max_entries;
+  cache_options.num_shards = options.cache.num_shards;
+  return std::make_unique<ContainmentCache>(schema, cache_options);
+}
+
 ContainmentCache::Shard& ContainmentCache::ShardFor(const std::string& key) {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/containment.h"
+#include "core/engine_options.h"
 #include "query/query.h"
 #include "schema/schema.h"
 #include "support/status.h"
@@ -121,6 +122,14 @@ class ContainmentCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
 };
+
+/// The memo table an engine run (or a server session) shares, built from
+/// `options`: its decisions compute under options.containment with
+/// `parallel` and `enable_compilation` propagated
+/// (WithPropagatedParallelism), and options.cache sizes it. Null when
+/// options.cache.enabled is false.
+std::unique_ptr<ContainmentCache> MakeContainmentCache(
+    const Schema* schema, const EngineOptions& options);
 
 }  // namespace oocq
 

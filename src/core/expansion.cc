@@ -119,4 +119,12 @@ StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
   return result;
 }
 
+StatusOr<UnionQuery> NormalizeAndExpand(const Schema& schema,
+                                        const ConjunctiveQuery& query,
+                                        const ExpansionOptions& options) {
+  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery well_formed,
+                        NormalizeToWellFormed(schema, query));
+  return ExpandToTerminalQueries(schema, well_formed, options);
+}
+
 }  // namespace oocq

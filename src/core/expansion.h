@@ -48,6 +48,13 @@ StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
                                              const ExpansionOptions& options = {},
                                              ExpansionStats* stats = nullptr);
 
+/// Normalizes an arbitrary conjunctive query to well-formed
+/// (NormalizeToWellFormed, §2) and expands it (Prop 2.1): the union of
+/// terminal queries every decision verb works on.
+StatusOr<UnionQuery> NormalizeAndExpand(const Schema& schema,
+                                        const ConjunctiveQuery& query,
+                                        const ExpansionOptions& options = {});
+
 }  // namespace oocq
 
 #endif  // OOCQ_CORE_EXPANSION_H_

@@ -1,6 +1,5 @@
 #include "core/explain.h"
 
-#include "core/augmentation.h"
 #include "core/derivability.h"
 #include "core/mapping.h"
 #include "core/satisfiability.h"
@@ -12,10 +11,9 @@ namespace oocq {
 
 namespace {
 
-std::string DescribeMapping(const Schema& schema, const ConjunctiveQuery& from,
+std::string DescribeMapping(const ConjunctiveQuery& from,
                             const ConjunctiveQuery& to,
                             const std::vector<VarId>& image) {
-  (void)schema;
   std::string out = "  witness mapping: ";
   for (VarId v = 0; v < from.num_vars(); ++v) {
     if (v > 0) out += ", ";
@@ -25,19 +23,37 @@ std::string DescribeMapping(const Schema& schema, const ConjunctiveQuery& from,
   return out;
 }
 
-std::string DescribeAddedAtoms(const Schema& schema,
-                               const ConjunctiveQuery& base,
-                               size_t original_atom_count,
-                               const char* label) {
-  if (base.atoms().size() <= original_atom_count) {
-    return std::string("  ") + label + ": (none)\n";
-  }
-  std::string out = std::string("  ") + label + ":";
-  for (size_t i = original_atom_count; i < base.atoms().size(); ++i) {
-    out += " " + AtomToString(schema, base, base.atoms()[i]) + ";";
+std::string DescribeAtoms(const Schema& schema, const ConjunctiveQuery& query,
+                          const std::vector<Atom>& atoms, const char* label) {
+  std::string out = "  ";
+  out += label;
+  out += ":";
+  if (atoms.empty()) out += " (none)";
+  for (const Atom& atom : atoms) {
+    out += ' ';
+    out += AtomToString(schema, query, atom);
+    out += ';';
   }
   out += "\n";
   return out;
+}
+
+/// The dispatch line for Contained()'s specialization label.
+const char* DescribeDispatch(std::string_view spec) {
+  if (spec == "Thm3.1") {
+    return "dispatch: full Theorem 3.1 (Q2 has inequality and "
+           "non-membership atoms)\n";
+  }
+  if (spec == "Cor3.3") {
+    return "dispatch: Corollary 3.3 (Q2 has inequality atoms; enumerating "
+           "consistent augmentations of Q1)\n";
+  }
+  if (spec == "Cor3.2") {
+    return "dispatch: Corollary 3.2 (Q2 has non-membership atoms; "
+           "enumerating membership subsets W)\n";
+  }
+  return "dispatch: Corollary 3.4 (Q2 positive; single non-contradictory "
+         "mapping search)\n";
 }
 
 }  // namespace
@@ -45,131 +61,68 @@ std::string DescribeAddedAtoms(const Schema& schema,
 StatusOr<ContainmentExplanation> ExplainContainment(
     const Schema& schema, const ConjunctiveQuery& q1,
     const ConjunctiveQuery& q2, const ContainmentOptions& options) {
-  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, q1));
-  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, q2));
-  if (!q1.IsTerminal(schema) || !q2.IsTerminal(schema)) {
+  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery w1, NormalizeToWellFormed(schema, q1));
+  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery w2, NormalizeToWellFormed(schema, q2));
+  if (!w1.IsTerminal(schema) || !w2.IsTerminal(schema)) {
     return Status::FailedPrecondition(
-        "ExplainContainment requires terminal conjunctive queries");
+        "ExplainContainment requires queries that are terminal once "
+        "normalized to well-formed");
   }
+  ContainmentDecision decision;
+  OOCQ_ASSIGN_OR_RETURN(bool contained,
+                        Contained(schema, w1, w2, options, nullptr, &decision));
 
   ContainmentExplanation result;
-  result.text = "Q1 = " + QueryToString(schema, q1) + "\nQ2 = " +
-                QueryToString(schema, q2) + "\n";
-
-  SatisfiabilityResult sat1 = CheckSatisfiable(schema, q1);
-  if (!sat1.satisfiable) {
-    result.contained = true;
-    result.text += "CONTAINED: Q1 is unsatisfiable (" + sat1.reason +
+  result.contained = contained;
+  result.text = "Q1 = " + QueryToString(schema, w1) + "\nQ2 = " +
+                QueryToString(schema, w2) + "\n";
+  if (!decision.q1_unsatisfiable.empty()) {
+    result.text += "CONTAINED: Q1 is unsatisfiable (" +
+                   decision.q1_unsatisfiable +
                    "), so Q1(s) is empty on every state.\n";
     return result;
   }
-  SatisfiabilityResult sat2 = CheckSatisfiable(schema, q2);
-  if (!sat2.satisfiable) {
-    result.contained = false;
-    result.text += "NOT CONTAINED: Q2 is unsatisfiable (" + sat2.reason +
-                   ") while Q1 is satisfiable.\n";
+  if (!decision.q2_unsatisfiable.empty()) {
+    result.text += "NOT CONTAINED: Q2 is unsatisfiable (" +
+                   decision.q2_unsatisfiable + ") while Q1 is satisfiable.\n";
+    return result;
+  }
+  result.text += DescribeDispatch(decision.spec);
+
+  // The atoms of the decision record range over normalized Q1.
+  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n1,
+                        NormalizeTerminalQuery(schema, w1));
+  if (!contained) {
+    result.text += "refuted on this adversarial configuration of Q1:\n";
+    result.text += DescribeAtoms(schema, n1, decision.refuting_s,
+                                 "augmentation S (added equalities)");
+    result.text += DescribeAtoms(schema, n1, decision.refuting_w,
+                                 "membership subset W (added atoms)");
+    result.text +=
+        "  no non-contradictory mapping from Q2 into Q1&S&W exists; a state "
+        "realizing exactly this configuration answers Q1 but not Q2.\n"
+        "NOT CONTAINED.\n";
     return result;
   }
 
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n1, NormalizeTerminalQuery(schema, q1));
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n2, NormalizeTerminalQuery(schema, q2));
-
-  bool has_inequality = false;
-  bool has_non_membership = false;
-  for (const Atom& atom : n2.atoms()) {
-    has_inequality |= atom.kind() == AtomKind::kInequality;
-    has_non_membership |= atom.kind() == AtomKind::kNonMembership;
-  }
-  if (has_inequality && has_non_membership) {
-    result.text += "dispatch: full Theorem 3.1 (Q2 has inequality and "
-                   "non-membership atoms)\n";
-  } else if (has_inequality) {
-    result.text += "dispatch: Corollary 3.3 (Q2 has inequality atoms; "
-                   "enumerating consistent augmentations of Q1)\n";
-  } else if (has_non_membership) {
-    result.text += "dispatch: Corollary 3.2 (Q2 has non-membership atoms; "
-                   "enumerating membership subsets W)\n";
-  } else {
-    result.text += "dispatch: Corollary 3.4 (Q2 positive; single "
-                   "non-contradictory mapping search)\n";
-  }
-
+  // Containment covers the configuration S = W = ∅, so a mapping of Q2
+  // into Q1 itself exists; show it.
+  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n2,
+                        NormalizeTerminalQuery(schema, w2));
+  OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
+                        QueryAnalysis::Create(schema, n1));
   MappingConstraints constraints;
   constraints.free_target = n1.free_var();
   constraints.max_steps = options.max_mapping_steps;
-
-  const size_t base_atoms = n1.atoms().size();
-  bool witness_reported = false;
-
-  // Returns true if this augmentation passes; fills result.text on the
-  // first success (witness) or on the refuting case.
-  auto check_augmentation =
-      [&](const ConjunctiveQuery& augmented) -> StatusOr<bool> {
-    std::vector<Atom> pool;
-    if (has_non_membership) {
-      OOCQ_ASSIGN_OR_RETURN(pool,
-                            MembershipCandidatePool(schema, augmented, options));
-    }
-    for (uint64_t mask = 0; mask < (uint64_t{1} << pool.size()); ++mask) {
-      ConjunctiveQuery target = augmented;
-      for (size_t i = 0; i < pool.size(); ++i) {
-        if (mask & (uint64_t{1} << i)) target.AddAtom(pool[i]);
-      }
-      if (!CheckSatisfiable(schema, target).satisfiable) continue;
-      OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
-                            QueryAnalysis::Create(schema, target));
-      MappingResult mapping =
-          FindNonContradictoryMapping(schema, n2, analysis, constraints);
-      if (mapping.exhausted) {
-        return Status::ResourceExhausted("mapping search exceeded budget");
-      }
-      if (!mapping.found()) {
-        result.text += "refuted on this adversarial configuration of Q1:\n";
-        result.text += DescribeAddedAtoms(schema, augmented, base_atoms,
-                                          "augmentation S (added equalities)");
-        result.text += DescribeAddedAtoms(schema, target,
-                                          augmented.atoms().size(),
-                                          "membership subset W (added atoms)");
-        result.text +=
-            "  no non-contradictory mapping from Q2 into Q1&S&W exists; a "
-            "state realizing exactly this configuration answers Q1 but not "
-            "Q2.\n";
-        return false;
-      }
-      if (!witness_reported) {
-        witness_reported = true;
-        result.text += DescribeMapping(schema, n2, target, *mapping.image);
-      }
-    }
-    return true;
-  };
-
-  StatusOr<bool> outcome = true;
-  if (!has_inequality) {
-    outcome = check_augmentation(n1);
-  } else {
-    AugmentationOptions augmentation_options;
-    augmentation_options.max_augmentations = options.max_augmentations;
-    Status inner = Status::Ok();
-    outcome = ForEachConsistentAugmentation(
-        schema, n1, augmentation_options,
-        [&](const ConjunctiveQuery& augmented) -> bool {
-          StatusOr<bool> ok = check_augmentation(augmented);
-          if (!ok.ok()) {
-            inner = ok.status();
-            return false;
-          }
-          return *ok;
-        });
-    if (!inner.ok()) return inner;
+  MappingResult witness =
+      FindNonContradictoryMapping(schema, n2, analysis, constraints);
+  if (witness.exhausted) {
+    return Status::ResourceExhausted("mapping search exceeded budget");
   }
-  if (!outcome.ok()) return outcome.status();
-
-  result.contained = *outcome;
-  result.text += result.contained
-                     ? "CONTAINED: every adversarial configuration admits a "
-                       "non-contradictory mapping (Thm 3.1).\n"
-                     : "NOT CONTAINED.\n";
+  if (witness.found()) result.text += DescribeMapping(n2, n1, *witness.image);
+  result.text +=
+      "CONTAINED: every adversarial configuration admits a "
+      "non-contradictory mapping (Thm 3.1).\n";
   return result;
 }
 

@@ -21,8 +21,12 @@ struct ContainmentExplanation {
   std::string text;
 };
 
-/// Decides Q1 ⊆ Q2 exactly like Contained() and narrates the decision.
-/// Preconditions match Contained(): well-formed terminal queries.
+/// Normalizes both queries to well-formed (NormalizeToWellFormed), decides
+/// Q1 ⊆ Q2 with Contained() under `options` — so its deadline, budget and
+/// subset scans govern the explanation too — and narrates the decision
+/// record. The normalized queries must be terminal (FailedPrecondition
+/// otherwise). The only work beyond Contained() is one mapping search of
+/// Q2 into Q1 for the witness line.
 StatusOr<ContainmentExplanation> ExplainContainment(
     const Schema& schema, const ConjunctiveQuery& q1,
     const ConjunctiveQuery& q2, const ContainmentOptions& options = {});

@@ -38,6 +38,10 @@ StatusOr<ConjunctiveQuery> FoldTerminalQueryVerified(
     OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
                           QueryAnalysis::Create(schema, current));
     for (VarId v = 0; v < current.num_vars() && !progress; ++v) {
+      // One poll per candidate variable, as in MinimizeTerminalPositive.
+      if (options.containment.cancel != nullptr) {
+        OOCQ_RETURN_IF_ERROR(options.containment.cancel->Check());
+      }
       MappingConstraints constraints;
       constraints.forbidden_target = v;
       constraints.free_target = current.free_var();

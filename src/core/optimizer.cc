@@ -169,6 +169,52 @@ std::string OptimizeReport::Summary(const Schema& schema) const {
   return out;
 }
 
+StatusOr<bool> QueryContained(const Schema& schema, const ConjunctiveQuery& q1,
+                              const ConjunctiveQuery& q2,
+                              const EngineOptions& options,
+                              ContainmentCache* cache,
+                              ContainmentStats* stats) {
+  OOCQ_TRACE_SPAN(span, "IsContained");
+  OOCQ_ASSIGN_OR_RETURN(UnionQuery m,
+                        NormalizeAndExpand(schema, q1, options.expansion));
+  OOCQ_ASSIGN_OR_RETURN(UnionQuery n,
+                        NormalizeAndExpand(schema, q2, options.expansion));
+  if (n.disjuncts.size() == 1) {
+    const ContainmentOptions& containment = options.containment;
+    for (const ConjunctiveQuery& qi : m.disjuncts) {
+      OOCQ_ASSIGN_OR_RETURN(
+          bool contained,
+          cache != nullptr
+              ? cache->Contained(qi, n.disjuncts[0], stats,
+                                 containment.cancel, containment.budget)
+              : Contained(schema, qi, n.disjuncts[0], containment, stats));
+      if (!contained) return false;
+    }
+    return true;
+  }
+  if (n.disjuncts.empty()) return m.disjuncts.empty();
+  return UnionContained(schema, m, n, options.containment, stats, cache);
+}
+
+StatusOr<MinimizationReport> MinimizeWellFormedQuery(
+    const Schema& schema, const ConjunctiveQuery& well_formed,
+    const EngineOptions& options, ContainmentCache* cache) {
+  if (well_formed.IsPositive()) {
+    return MinimizePositiveQuery(schema, well_formed, options, cache);
+  }
+  OOCQ_ASSIGN_OR_RETURN(
+      GeneralMinimizationReport general,
+      MinimizeConjunctiveQuery(schema, well_formed, options, cache));
+  MinimizationReport report;
+  report.minimized = std::move(general.minimized);
+  report.raw_disjuncts = general.raw_disjuncts;
+  report.satisfiable_disjuncts = general.satisfiable_disjuncts;
+  report.nonredundant_disjuncts = general.nonredundant_disjuncts;
+  report.variables_removed = general.variables_removed;
+  report.containment = general.containment;
+  return report;
+}
+
 StatusOr<OptimizeReport> QueryOptimizer::Optimize(
     const ConjunctiveQuery& query) const {
   EngineOptions opts = WithPropagatedParallelism(options_);
@@ -205,41 +251,17 @@ StatusOr<OptimizeReport> QueryOptimizer::Optimize(
   // One memo table per run: every containment the fan-out performs lands
   // in the same sharded cache, so repeated pairs (matrix symmetry,
   // re-checks after folding) are computed once.
-  std::unique_ptr<ContainmentCache> cache;
-  if (opts.cache.enabled) {
-    ContainmentCache::Options cache_options;
-    cache_options.containment = opts.containment;
-    cache_options.max_entries = opts.cache.max_entries;
-    cache_options.num_shards = opts.cache.num_shards;
-    cache = std::make_unique<ContainmentCache>(&schema_, cache_options);
-  }
+  std::unique_ptr<ContainmentCache> cache =
+      MakeContainmentCache(&schema_, opts);
 
   OptimizeReport report;
   report.original_cost = SearchSpaceCostOf(schema_, well_formed);
-
-  if (well_formed.IsPositive()) {
-    OOCQ_ASSIGN_OR_RETURN(
-        report.details,
-        MinimizePositiveQuery(schema_, well_formed, opts, cache.get()));
-    report.optimized = report.details.minimized;
-    report.containment = report.details.containment;
-    report.exact = true;
-  } else {
-    // General conjunctive queries: the equivalent reduced union of
-    // core/general_minimization.h — sound, but without the §4 optimality
-    // guarantee.
-    OOCQ_ASSIGN_OR_RETURN(
-        GeneralMinimizationReport general,
-        MinimizeConjunctiveQuery(schema_, well_formed, opts, cache.get()));
-    report.optimized = std::move(general.minimized);
-    report.details.raw_disjuncts = general.raw_disjuncts;
-    report.details.satisfiable_disjuncts = general.satisfiable_disjuncts;
-    report.details.nonredundant_disjuncts = general.nonredundant_disjuncts;
-    report.details.variables_removed = general.variables_removed;
-    report.details.containment = general.containment;
-    report.containment = general.containment;
-    report.exact = false;
-  }
+  OOCQ_ASSIGN_OR_RETURN(
+      report.details,
+      MinimizeWellFormedQuery(schema_, well_formed, opts, cache.get()));
+  report.optimized = report.details.minimized;
+  report.containment = report.details.containment;
+  report.exact = well_formed.IsPositive();
   if (cache != nullptr) {
     report.cache_hits = cache->hits();
     report.cache_misses = cache->misses();
@@ -263,70 +285,15 @@ StatusOr<OptimizeReport> QueryOptimizer::OptimizeText(
   return Optimize(query);
 }
 
-StatusOr<UnionQuery> QueryOptimizer::ExpandToUnion(
-    const ConjunctiveQuery& query) const {
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery well_formed,
-                        NormalizeToWellFormed(schema_, query));
-  const EngineOptions opts = WithPropagatedParallelism(options_);
-  return ExpandToTerminalQueries(schema_, well_formed, opts.expansion);
-}
-
-namespace {
-
-/// The per-call memo table of the IsContained/IsEquivalent entry points
-/// (their disjunct fan-outs hit it for renamed duplicates, and
-/// IsEquivalent's two directions share one). Null when caching is off.
-std::unique_ptr<ContainmentCache> MakeCallCache(const Schema* schema,
-                                                const EngineOptions& opts) {
-  if (!opts.cache.enabled) return nullptr;
-  ContainmentCache::Options cache_options;
-  cache_options.containment = opts.containment;
-  cache_options.max_entries = opts.cache.max_entries;
-  cache_options.num_shards = opts.cache.num_shards;
-  return std::make_unique<ContainmentCache>(schema, cache_options);
-}
-
-}  // namespace
-
-StatusOr<bool> QueryOptimizer::IsContainedWithCache(
-    const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
-    ContainmentStats* stats, const EngineOptions& opts,
-    ContainmentCache* cache) const {
-  OOCQ_TRACE_SPAN(span, "IsContained");
-  OOCQ_ASSIGN_OR_RETURN(UnionQuery m, ExpandToUnion(q1));
-  OOCQ_ASSIGN_OR_RETURN(UnionQuery n, ExpandToUnion(q2));
-  // When Q2 expands to a single disjunct, M ⊆ N iff every disjunct of M
-  // is contained in it — exact for arbitrary atom kinds, so general
-  // queries are decided here; Thm 4.1 handles multi-disjunct positive N.
-  if (n.disjuncts.size() == 1) {
-    for (const ConjunctiveQuery& qi : m.disjuncts) {
-      OOCQ_ASSIGN_OR_RETURN(
-          bool contained,
-          cache != nullptr
-              ? cache->Contained(qi, n.disjuncts[0], stats,
-                                 opts.containment.cancel,
-                                 opts.containment.budget)
-              : Contained(schema_, qi, n.disjuncts[0], opts.containment,
-                          stats));
-      if (!contained) return false;
-    }
-    return true;
-  }
-  if (n.disjuncts.empty()) {
-    // N is unsatisfiable: containment iff M is too.
-    return m.disjuncts.empty();
-  }
-  return UnionContained(schema_, m, n, opts.containment, stats, cache);
-}
-
 StatusOr<bool> QueryOptimizer::IsContained(const ConjunctiveQuery& q1,
                                            const ConjunctiveQuery& q2,
                                            ContainmentStats* stats) const {
   EngineOptions opts = WithPropagatedParallelism(options_);
   RunBudget run_budget(opts);
   TraceSession trace_session(opts.observability.trace);
-  std::unique_ptr<ContainmentCache> cache = MakeCallCache(&schema_, opts);
-  return IsContainedWithCache(q1, q2, stats, opts, cache.get());
+  std::unique_ptr<ContainmentCache> cache =
+      MakeContainmentCache(&schema_, opts);
+  return QueryContained(schema_, q1, q2, opts, cache.get(), stats);
 }
 
 StatusOr<bool> QueryOptimizer::IsEquivalent(const ConjunctiveQuery& q1,
@@ -337,11 +304,12 @@ StatusOr<bool> QueryOptimizer::IsEquivalent(const ConjunctiveQuery& q1,
   TraceSession trace_session(opts.observability.trace);
   // One cache across both directions: the backward test reuses every
   // decision the forward test computed on shared disjunct pairs.
-  std::unique_ptr<ContainmentCache> cache = MakeCallCache(&schema_, opts);
-  OOCQ_ASSIGN_OR_RETURN(bool forward,
-                        IsContainedWithCache(q1, q2, stats, opts, cache.get()));
+  std::unique_ptr<ContainmentCache> cache =
+      MakeContainmentCache(&schema_, opts);
+  OOCQ_ASSIGN_OR_RETURN(bool forward, QueryContained(schema_, q1, q2, opts,
+                                                     cache.get(), stats));
   if (!forward) return false;
-  return IsContainedWithCache(q2, q1, stats, opts, cache.get());
+  return QueryContained(schema_, q2, q1, opts, cache.get(), stats);
 }
 
 }  // namespace oocq

@@ -73,6 +73,32 @@ struct OptimizeReport {
   std::string Summary(const Schema& schema) const;
 };
 
+class ContainmentCache;
+
+/// Q1 ⊆ Q2 for arbitrary conjunctive queries — the decision behind
+/// QueryOptimizer::IsContained and the server's CONTAIN/EQUIV verbs. Both
+/// sides go through NormalizeAndExpand. When Q2 expands to one terminal
+/// query, M ⊆ N iff every disjunct of M is contained in it (Contained(),
+/// exact for any atom kinds, so general queries are decided here); an
+/// empty N (unsatisfiable Q2) contains M iff M is empty too; otherwise
+/// Thm 4.1 (UnionContained) decides. `options` must already carry the
+/// propagated parallelism and budget; per-disjunct decisions route
+/// through `cache` when non-null. `stats` accumulates the work counters.
+StatusOr<bool> QueryContained(const Schema& schema, const ConjunctiveQuery& q1,
+                              const ConjunctiveQuery& q2,
+                              const EngineOptions& options,
+                              ContainmentCache* cache = nullptr,
+                              ContainmentStats* stats = nullptr);
+
+/// The MINIMIZE dispatch for a well-formed query: a positive query gets
+/// the exact §4 minimization (MinimizePositiveQuery), a general one the
+/// equivalent reduced union of core/general_minimization.h — sound, but
+/// without the §4 optimality guarantee. The result is exact iff
+/// `well_formed.IsPositive()`.
+StatusOr<MinimizationReport> MinimizeWellFormedQuery(
+    const Schema& schema, const ConjunctiveQuery& well_formed,
+    const EngineOptions& options, ContainmentCache* cache = nullptr);
+
 /// The library facade: owns a schema and drives the full pipeline
 /// (well-forming, expansion, satisfiability pruning, redundancy removal,
 /// variable minimization) for user queries. Configure parallel fan-out
@@ -95,30 +121,19 @@ class QueryOptimizer {
   /// Parses and optimizes a query written in the calculus-like syntax.
   StatusOr<OptimizeReport> OptimizeText(std::string_view text) const;
 
-  /// Containment Q1 ⊆ Q2 of two (arbitrary) conjunctive queries whose
-  /// terminal expansions are positive: both sides are normalized, expanded
-  /// and compared with Thm 4.1. For terminal queries with negative atoms
-  /// use Contained() directly. `stats` (optional) accumulates the work
-  /// counters of the underlying containment tests.
+  /// Containment Q1 ⊆ Q2 of two (arbitrary) conjunctive queries, decided
+  /// by QueryContained with a per-call containment cache. `stats`
+  /// (optional) accumulates the work counters of the underlying tests.
   StatusOr<bool> IsContained(const ConjunctiveQuery& q1,
                              const ConjunctiveQuery& q2,
                              ContainmentStats* stats = nullptr) const;
 
-  /// IsContained in both directions.
+  /// IsContained in both directions, sharing one per-call cache.
   StatusOr<bool> IsEquivalent(const ConjunctiveQuery& q1,
                               const ConjunctiveQuery& q2,
                               ContainmentStats* stats = nullptr) const;
 
  private:
-  StatusOr<UnionQuery> ExpandToUnion(const ConjunctiveQuery& query) const;
-  /// IsContained body sharing one per-call containment cache, so
-  /// IsEquivalent's two directions reuse each other's decisions.
-  StatusOr<bool> IsContainedWithCache(const ConjunctiveQuery& q1,
-                                      const ConjunctiveQuery& q2,
-                                      ContainmentStats* stats,
-                                      const EngineOptions& opts,
-                                      ContainmentCache* cache) const;
-
   Schema schema_;
   MinimizationOptions options_;
 };

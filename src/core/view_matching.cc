@@ -2,7 +2,6 @@
 
 #include "core/containment.h"
 #include "core/expansion.h"
-#include "query/well_formed.h"
 #include "support/status_macros.h"
 
 namespace oocq {
@@ -21,27 +20,18 @@ const char* ViewUsabilityToString(ViewUsability usability) {
   return "?";
 }
 
-namespace {
-
-StatusOr<UnionQuery> Expand(const Schema& schema, const ConjunctiveQuery& q,
-                            const MinimizationOptions& options) {
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery well_formed,
-                        NormalizeToWellFormed(schema, q));
-  return ExpandToTerminalQueries(schema, well_formed, options.expansion);
-}
-
-}  // namespace
-
 StatusOr<std::vector<ViewMatch>> MatchViews(
     const Schema& schema, const std::vector<ViewDefinition>& views,
     const ConjunctiveQuery& query, const MinimizationOptions& options) {
   const EngineOptions opts = WithPropagatedParallelism(options);
-  OOCQ_ASSIGN_OR_RETURN(UnionQuery q, Expand(schema, query, opts));
+  OOCQ_ASSIGN_OR_RETURN(UnionQuery q,
+                        NormalizeAndExpand(schema, query, opts.expansion));
 
   std::vector<ViewMatch> matches;
   matches.reserve(views.size());
   for (const ViewDefinition& view : views) {
-    OOCQ_ASSIGN_OR_RETURN(UnionQuery v, Expand(schema, view.query, opts));
+    OOCQ_ASSIGN_OR_RETURN(
+        UnionQuery v, NormalizeAndExpand(schema, view.query, opts.expansion));
     OOCQ_ASSIGN_OR_RETURN(
         bool query_in_view,
         UnionContained(schema, q, v, opts.containment));

@@ -121,6 +121,8 @@ struct EventServer::Loop {
     /// Timer wheel membership (kNotScheduled when off the wheel).
     size_t wheel_bucket = kNotScheduled;
     std::list<uint64_t>::iterator wheel_it;
+    /// NowMs() of the last traffic; the wheel only hints when to look.
+    uint64_t last_active_ms = 0;
 
     static constexpr size_t kNotScheduled = static_cast<size_t>(-1);
 
@@ -131,9 +133,11 @@ struct EventServer::Loop {
   };
 
   /// Hashed timing wheel for idle-session timeouts: one bucket per tick
-  /// across slightly more than one timeout's worth of ticks, so every
-  /// entry in the bucket the cursor reaches is due. Activity reschedules
-  /// the connection into the bucket one full timeout ahead.
+  /// across slightly more than one timeout's worth of ticks. Activity
+  /// reschedules the connection into the bucket one full timeout ahead.
+  /// A bucket the cursor reaches is only a hint — a lagging loop sweeps
+  /// several ticks at once, including buckets just scheduled into — so
+  /// ExpireIdle checks each connection's last activity before closing.
   struct TimerWheel {
     uint64_t tick_ms = 0;
     uint64_t timeout_ticks = 0;
@@ -184,7 +188,9 @@ struct EventServer::Loop {
   }
 
   void Touch(Connection* conn) {
-    if (wheel.enabled()) wheel.Schedule(conn, NowTick());
+    if (!wheel.enabled()) return;
+    conn->last_active_ms = NowMs();
+    wheel.Schedule(conn, NowTick());
   }
 
   void ArmListener(bool arm) {
@@ -505,9 +511,10 @@ struct EventServer::Loop {
   }
 
   /// Advances the timer wheel to `now`, closing connections idle past
-  /// the timeout (busy connections are rescheduled, not closed).
+  /// the timeout (busy or recently active ones are rescheduled instead).
   void ExpireIdle() {
     if (!wheel.enabled()) return;
+    const uint64_t now_ms = NowMs();
     uint64_t now_tick = NowTick();
     uint64_t steps = now_tick - wheel.last_tick;
     steps = std::min<uint64_t>(steps, wheel.buckets.size());
@@ -519,8 +526,10 @@ struct EventServer::Loop {
         Connection* conn = Find(id);
         if (conn == nullptr) continue;
         conn->wheel_bucket = Connection::kNotScheduled;
-        if (!conn->idle()) {
-          wheel.Schedule(conn, now_tick);  // mid-request: not idle
+        if (!conn->idle() ||
+            now_ms - conn->last_active_ms <
+                server->options_.idle_timeout_ms) {
+          wheel.Schedule(conn, now_tick);  // mid-request, or not yet due
           continue;
         }
         OOCQ_METRIC_ADD("server/idle_closed", 1);

@@ -4,13 +4,12 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <utility>
 
 #include "core/containment.h"
+#include "core/expansion.h"
 #include "core/explain.h"
-#include "core/general_minimization.h"
-#include "core/minimization.h"
+#include "core/optimizer.h"
 #include "core/satisfiability.h"
 #include "parser/parser.h"
 #include "parser/state_parser.h"
@@ -151,18 +150,7 @@ StatusOr<std::shared_ptr<OocqService::Session>> OocqService::MakeSession(
   session->schema_text = schema_text;
   // The cache binds to the Session-owned schema, whose address is stable
   // for the session's lifetime (sessions are held by shared_ptr).
-  ContainmentCache::Options cache_options;
-  cache_options.containment = options_.engine.containment;
-  // The engine-level master switch governs cached decisions too: the
-  // cache's baked options are the ones its misses compute under.
-  cache_options.containment.enable_compilation =
-      options_.engine.enable_compilation;
-  cache_options.max_entries = options_.engine.cache.max_entries;
-  cache_options.num_shards = options_.engine.cache.num_shards;
-  if (options_.engine.cache.enabled) {
-    session->cache =
-        std::make_unique<ContainmentCache>(&session->schema, cache_options);
-  }
+  session->cache = MakeContainmentCache(&session->schema, options_.engine);
   // Compiled programs live and die with the session's decision caches:
   // they depend only on the schema (stable for the session) and the
   // query text, so LoadState never invalidates them.
@@ -747,9 +735,8 @@ void OocqService::Drain() {
 
 namespace {
 
-/// Resolution + pipeline helpers shared by the request kinds. They all
-/// take the session under its shared lock (held by the caller).
-
+/// Resolves a request's query field: `@name` reads a registered query,
+/// anything else is parsed. The caller holds the session's shared lock.
 StatusOr<ConjunctiveQuery> ResolveQuery(
     const OocqService& /*service*/, const Schema& schema,
     const std::map<std::string, ConjunctiveQuery>& named,
@@ -766,43 +753,6 @@ StatusOr<ConjunctiveQuery> ResolveQuery(
   return ParseQuery(schema, text);
 }
 
-/// Expands an arbitrary conjunctive query to its union of terminal
-/// queries — the normal form every decision kind works on.
-StatusOr<UnionQuery> ExpandForRequest(const Schema& schema,
-                                      const ConjunctiveQuery& query,
-                                      const EngineOptions& opts) {
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery well_formed,
-                        NormalizeToWellFormed(schema, query));
-  return ExpandToTerminalQueries(schema, well_formed, opts.expansion);
-}
-
-/// The QueryOptimizer::IsContained decision with the *session's* shared
-/// cache: expand both sides, use the exact single-disjunct path when N is
-/// one terminal query, else Thm 4.1.
-StatusOr<bool> ContainedViaPipeline(const Schema& schema,
-                                    const ConjunctiveQuery& q1,
-                                    const ConjunctiveQuery& q2,
-                                    const EngineOptions& opts,
-                                    ContainmentCache* cache) {
-  OOCQ_ASSIGN_OR_RETURN(UnionQuery m, ExpandForRequest(schema, q1, opts));
-  OOCQ_ASSIGN_OR_RETURN(UnionQuery n, ExpandForRequest(schema, q2, opts));
-  if (n.disjuncts.size() == 1) {
-    for (const ConjunctiveQuery& qi : m.disjuncts) {
-      OOCQ_ASSIGN_OR_RETURN(
-          bool contained,
-          cache != nullptr
-              ? cache->Contained(qi, n.disjuncts[0], nullptr,
-                                 opts.containment.cancel,
-                                 opts.containment.budget)
-              : Contained(schema, qi, n.disjuncts[0], opts.containment));
-      if (!contained) return false;
-    }
-    return true;
-  }
-  if (n.disjuncts.empty()) return m.disjuncts.empty();
-  return UnionContained(schema, m, n, opts.containment, nullptr, cache);
-}
-
 }  // namespace
 
 Response OocqService::Run(const Request& request, Session& session,
@@ -816,8 +766,6 @@ Response OocqService::Run(const Request& request, Session& session,
   // request's cancellation token on every containment path.
   EngineOptions opts = WithPropagatedParallelism(options_.engine);
   opts.containment.cancel = cancel;
-  // The per-run cache below is the session's, not a fresh one.
-  opts.cache.enabled = false;
   // Per-request budget (engine.limits) chained under the service-wide one,
   // so both the per-request and the aggregate ceilings hold; the work it
   // charged is returned to the service budget when this request finishes.
@@ -850,28 +798,14 @@ Response OocqService::Run(const Request& request, Session& session,
         response.status = well_formed.status();
         return response;
       }
-      UnionQuery minimized;
-      bool exact = false;
-      if (well_formed->IsPositive()) {
-        StatusOr<MinimizationReport> report =
-            MinimizePositiveQuery(schema, *well_formed, opts, cache);
-        if (!report.ok()) {
-          response.status = report.status();
-          return response;
-        }
-        minimized = std::move(report->minimized);
-        exact = true;
-      } else {
-        StatusOr<GeneralMinimizationReport> report =
-            MinimizeConjunctiveQuery(schema, *well_formed, opts, cache);
-        if (!report.ok()) {
-          response.status = report.status();
-          return response;
-        }
-        minimized = std::move(report->minimized);
+      StatusOr<MinimizationReport> report =
+          MinimizeWellFormedQuery(schema, *well_formed, opts, cache);
+      if (!report.ok()) {
+        response.status = report.status();
+        return response;
       }
-      response.verdict = exact;
-      response.body = UnionQueryToString(schema, minimized);
+      response.verdict = well_formed->IsPositive();  // §4 exact
+      response.body = UnionQueryToString(schema, report->minimized);
       return response;
     }
     case RequestKind::kContained:
@@ -882,8 +816,7 @@ Response OocqService::Run(const Request& request, Session& session,
         response.status = !q1.ok() ? q1.status() : q2.status();
         return response;
       }
-      StatusOr<bool> forward =
-          ContainedViaPipeline(schema, *q1, *q2, opts, cache);
+      StatusOr<bool> forward = QueryContained(schema, *q1, *q2, opts, cache);
       if (!forward.ok()) {
         response.status = forward.status();
         return response;
@@ -892,8 +825,7 @@ Response OocqService::Run(const Request& request, Session& session,
         response.verdict = *forward;
         return response;
       }
-      StatusOr<bool> backward =
-          ContainedViaPipeline(schema, *q2, *q1, opts, cache);
+      StatusOr<bool> backward = QueryContained(schema, *q2, *q1, opts, cache);
       if (!backward.ok()) {
         response.status = backward.status();
         return response;
@@ -911,7 +843,8 @@ Response OocqService::Run(const Request& request, Session& session,
             response.status = q.status();
             return response;
           }
-          StatusOr<UnionQuery> expanded = ExpandForRequest(schema, *q, opts);
+          StatusOr<UnionQuery> expanded =
+              NormalizeAndExpand(schema, *q, opts.expansion);
           if (!expanded.ok()) {
             response.status = expanded.status();
             return response;
@@ -1016,83 +949,99 @@ Response OocqService::Run(const Request& request, Session& session,
   return response;
 }
 
-Response OocqService::Execute(const Request& request) {
+std::unique_ptr<OocqService::Admission> OocqService::Submit(
+    const Request& request, Response* out, bool batch) {
   const uint64_t admitted_us = NowUs();
   requests_total_->Add(1);
-  Response response;
-
   Status admitted = AdmitOne();
   if (!admitted.ok()) {
-    response.status = std::move(admitted);
-    response.latency_us = NowUs() - admitted_us;
-    return response;
+    out->status = std::move(admitted);
+    out->latency_us = NowUs() - admitted_us;
+    return nullptr;
   }
-
   StatusOr<std::shared_ptr<Session>> session = FindSession(request.session_id);
   if (!session.ok()) {
     FinishOne();
-    response.status = session.status();
-    response.latency_us = NowUs() - admitted_us;
-    return response;
+    out->status = session.status();
+    out->latency_us = NowUs() - admitted_us;
+    return nullptr;
   }
-
+  auto admission = std::make_unique<Admission>();
+  admission->admitted_us = admitted_us;
+  admission->session = *std::move(session);
   const uint64_t deadline_ms = request.deadline_ms != 0
                                    ? request.deadline_ms
                                    : options_.default_deadline_ms;
-  std::optional<CancellationToken> token;
   if (deadline_ms != 0) {
-    token.emplace(std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(deadline_ms));
+    admission->token.emplace(std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(deadline_ms));
   }
-  const CancellationToken* cancel = token.has_value() ? &*token : nullptr;
+  Admission* a = admission.get();
+  admission->done = pool_->Submit(
+      [this, &request, out, a, batch] { Serve(request, *a, batch, out); });
+  return admission;
+}
 
-  std::future<void> done = pool_->Submit([&] {
-    queue_wait_us_->Record(NowUs() - admitted_us);
-    // Slow-request diagnostics: capture this thread's span tree so a
-    // request over the threshold can be logged with its full breakdown
-    // (engine phases, WAL appends) even when no TraceSession is active.
-    std::optional<ThreadSpanCapture> capture;
-    if (options_.slow_request_us != 0) capture.emplace();
-    {
-      OOCQ_TRACE_SPAN(span, "Request");
-      span.Arg("kind", RequestKindName(request.kind));
-      if (!request.request_id.empty()) span.Arg("id", request.request_id);
-      started_total_->Add(1);
-      // A request that out-waited its deadline in the queue is answered
-      // without touching the engine.
-      Status live = cancel != nullptr ? cancel->Check() : Status::Ok();
-      if (!live.ok()) {
-        response.status = std::move(live);
-      } else {
-        response = Run(request, **session, cancel);
-      }
-      if (span.recording()) {
-        span.Arg("status", StatusCodeToString(response.status.code()));
-      }
+void OocqService::Serve(const Request& request, const Admission& admission,
+                        bool batch, Response* out) {
+  queue_wait_us_->Record(NowUs() - admission.admitted_us);
+  const CancellationToken* cancel =
+      admission.token.has_value() ? &*admission.token : nullptr;
+  // Slow-request diagnostics: capture this thread's span tree so a
+  // request over the threshold can be logged with its full breakdown
+  // (engine phases, WAL appends) even when no TraceSession is active.
+  std::optional<ThreadSpanCapture> capture;
+  if (options_.slow_request_us != 0) capture.emplace();
+  {
+    OOCQ_TRACE_SPAN(span, "Request");
+    span.Arg("kind", RequestKindName(request.kind));
+    if (batch) span.Arg("batch", "true");
+    if (!request.request_id.empty()) span.Arg("id", request.request_id);
+    started_total_->Add(1);
+    // A request that out-waited its deadline in the queue is answered
+    // without touching the engine.
+    Status live = cancel != nullptr ? cancel->Check() : Status::Ok();
+    if (!live.ok()) {
+      out->status = std::move(live);
+    } else {
+      *out = Run(request, *admission.session, cancel);
     }
-    if (capture.has_value()) {
-      const uint64_t elapsed_us = NowUs() - admitted_us;
-      if (elapsed_us >= options_.slow_request_us) {
-        registry_.Add("server/slow_requests", 1);
-        OOCQ_LOG(Warn, "server")
-            .Msg("slow request")
-            .With("kind", RequestKindName(request.kind))
-            .With("id", request.request_id)
-            .With("session", request.session_id)
-            .With("status", StatusCodeToString(response.status.code()))
-            .With("latency_us", elapsed_us)
-            .With("spans", capture->Render());
-      }
+    if (span.recording()) {
+      span.Arg("status", StatusCodeToString(out->status.code()));
     }
-  });
-  done.wait();
+  }
+  if (capture.has_value()) {
+    const uint64_t elapsed_us = NowUs() - admission.admitted_us;
+    if (elapsed_us >= options_.slow_request_us) {
+      registry_.Add("server/slow_requests", 1);
+      OOCQ_LOG(Warn, "server")
+          .Msg("slow request")
+          .With("kind", RequestKindName(request.kind))
+          .With("id", request.request_id)
+          .With("session", request.session_id)
+          .With("status", StatusCodeToString(out->status.code()))
+          .With("latency_us", elapsed_us)
+          .With("spans", capture->Render());
+    }
+  }
+}
+
+void OocqService::Await(const Request& request, Admission& admission,
+                        Response* out) {
+  admission.done.wait();
   FinishOne();
+  out->latency_us = NowUs() - admission.admitted_us;
+  latency_us_->Record(out->latency_us);
+  verb_latency_us_[static_cast<int>(request.kind)]->Record(out->latency_us);
+  CountOutcome(registry_, out->status);
+}
 
-  response.latency_us = NowUs() - admitted_us;
-  latency_us_->Record(response.latency_us);
-  verb_latency_us_[static_cast<int>(request.kind)]->Record(
-      response.latency_us);
-  CountOutcome(registry_, response.status);
+Response OocqService::Execute(const Request& request) {
+  Response response;
+  if (std::unique_ptr<Admission> admission =
+          Submit(request, &response, /*batch=*/false)) {
+    Await(request, *admission, &response);
+  }
   return response;
 }
 
@@ -1100,76 +1049,17 @@ std::vector<Response> OocqService::ExecuteBatch(
     const std::vector<Request>& requests) {
   registry_.Add("server/batches", 1);
   // Each request is admitted and submitted independently; the pool is the
-  // fan-out. Blocking here on all futures keeps the caller's thread as
-  // the single completion point, so responses come back in order.
+  // fan-out. Awaiting in order keeps the caller's thread the single
+  // completion point, so responses come back in request order.
   std::vector<Response> responses(requests.size());
-  struct Pending {
-    size_t index = 0;
-    std::shared_ptr<Session> session;
-    std::optional<CancellationToken> token;  // address-stable: heap slot
-    std::future<void> done;
-    uint64_t admitted_us = 0;
-  };
-  std::vector<std::unique_ptr<Pending>> pending;
-  pending.reserve(requests.size());
-
+  std::vector<std::unique_ptr<Admission>> admissions(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    const Request& request = requests[i];
-    const uint64_t admitted_us = NowUs();
-    requests_total_->Add(1);
-    Status admitted = AdmitOne();
-    if (!admitted.ok()) {
-      responses[i].status = std::move(admitted);
-      continue;
-    }
-    StatusOr<std::shared_ptr<Session>> session =
-        FindSession(request.session_id);
-    if (!session.ok()) {
-      FinishOne();
-      responses[i].status = session.status();
-      continue;
-    }
-    auto p = std::make_unique<Pending>();
-    p->index = i;
-    p->session = *std::move(session);
-    p->admitted_us = admitted_us;
-    const uint64_t deadline_ms = request.deadline_ms != 0
-                                     ? request.deadline_ms
-                                     : options_.default_deadline_ms;
-    if (deadline_ms != 0) {
-      p->token.emplace(std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(deadline_ms));
-    }
-    const CancellationToken* cancel =
-        p->token.has_value() ? &*p->token : nullptr;
-    Response* out = &responses[i];
-    Session* sess = p->session.get();
-    p->done = pool_->Submit([this, &request, out, sess, cancel] {
-      OOCQ_TRACE_SPAN(span, "Request");
-      span.Arg("kind", RequestKindName(request.kind)).Arg("batch", "true");
-      if (!request.request_id.empty()) span.Arg("id", request.request_id);
-      started_total_->Add(1);
-      Status live = cancel != nullptr ? cancel->Check() : Status::Ok();
-      if (!live.ok()) {
-        out->status = std::move(live);
-      } else {
-        *out = Run(request, *sess, cancel);
-      }
-      if (span.recording()) {
-        span.Arg("status", StatusCodeToString(out->status.code()));
-      }
-    });
-    pending.push_back(std::move(p));
+    admissions[i] = Submit(requests[i], &responses[i], /*batch=*/true);
   }
-
-  for (std::unique_ptr<Pending>& p : pending) {
-    p->done.wait();
-    FinishOne();
-    responses[p->index].latency_us = NowUs() - p->admitted_us;
-    latency_us_->Record(responses[p->index].latency_us);
-    verb_latency_us_[static_cast<int>(requests[p->index].kind)]->Record(
-        responses[p->index].latency_us);
-    CountOutcome(registry_, responses[p->index].status);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (admissions[i] != nullptr) {
+      Await(requests[i], *admissions[i], &responses[i]);
+    }
   }
   return responses;
 }

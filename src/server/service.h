@@ -34,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -348,6 +349,27 @@ class OocqService {
   /// The request body, run on a pool worker. `cancel` may be null.
   Response Run(const Request& request, Session& session,
                const CancellationToken* cancel) const;
+
+  /// One request between admission and completion. Heap-held: the pool
+  /// task reads its token and session while the submitter waits.
+  struct Admission {
+    uint64_t admitted_us = 0;
+    std::shared_ptr<Session> session;
+    std::optional<CancellationToken> token;  // from the request deadline
+    std::future<void> done;
+  };
+  /// The per-request front half Execute and ExecuteBatch share: admission
+  /// control, session lookup, the deadline token, and submission of Serve
+  /// to the pool. Null when the request never reached the pool (shed or
+  /// unknown session); `out` then carries the status.
+  std::unique_ptr<Admission> Submit(const Request& request, Response* out,
+                                    bool batch);
+  /// The pool-side body: queue-wait sample, Request span, queue-expiry
+  /// precheck, Run, and the slow-request log.
+  void Serve(const Request& request, const Admission& admission, bool batch,
+             Response* out);
+  /// Waits for a submitted request and books its latency and outcome.
+  void Await(const Request& request, Admission& admission, Response* out);
 
   ServiceOptions options_;
   MetricsRegistry registry_;

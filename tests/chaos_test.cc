@@ -24,6 +24,7 @@
 #include "server/service.h"
 #include "support/failpoint.h"
 #include "support/file.h"
+#include "support/metrics.h"
 #include "support/resource_budget.h"
 #include "test_util.h"
 
@@ -338,6 +339,9 @@ TEST_F(ChaosTest, BudgetCapsTheExponentialSubsetScan) {
   ConjunctiveQuery q1 = MustParseQuery(schema, HeavyQ1(k));
   ConjunctiveQuery q2 = MustParseQuery(schema, HeavyQ2());
 
+  MetricsRegistry registry;
+  MetricsScope scope(&registry);
+  ASSERT_TRUE(scope.active());
   EngineOptions options;
   options.limits.max_subset_work_units = 1 << 10;
   QueryOptimizer optimizer(schema, options);
@@ -347,6 +351,9 @@ TEST_F(ChaosTest, BudgetCapsTheExponentialSubsetScan) {
   EXPECT_TRUE(IsRetryable(refused.status().code()));
   EXPECT_NE(refused.status().message().find("max_subset_work_units"),
             std::string::npos);
+  // The budget capped the production (compiled) scan, not the fallback.
+  EXPECT_GE(registry.CounterValue("compile/mask_scans"), 1u);
+  EXPECT_EQ(registry.CounterValue("compile/mask_fallbacks"), 0u);
 }
 
 // The same cap through the service: every over-budget item of a BATCH is
@@ -383,6 +390,9 @@ TEST_F(ChaosTest, OversizedBatchIsShedItemByItem) {
   // The shed requests count on the retryable metrics the STATS verb
   // (and the BATCH retryable= field) surface.
   EXPECT_GE(service.metrics().CounterValue("server/resource_exhausted"), 2u);
+  // Both heavy items were capped inside the compiled scan.
+  EXPECT_GE(service.metrics().CounterValue("compile/mask_scans"), 1u);
+  EXPECT_EQ(service.metrics().CounterValue("compile/mask_fallbacks"), 0u);
 }
 
 // HEALTH over the wire: pending/completed/draining/sessions plus the

@@ -104,6 +104,35 @@ TEST(EventServerTest, IdleConnectionsTimeOutActiveOnesSurvive) {
   server.Stop();
 }
 
+TEST(EventServerTest, LaggingLoopDoesNotReapFreshConnections) {
+  // The tcp/accept delay stalls the loop thread for four 25 ms wheel
+  // ticks, so the same iteration's idle sweep covers several ticks at
+  // once — including the bucket the just-accepted connection was
+  // scheduled into. The connection is not idle_timeout_ms old, so its
+  // first request must still be answered.
+  OocqService service;
+  EventServerOptions options;
+  options.idle_timeout_ms = 200;
+  EventServer server(&service, options);
+  OOCQ_ASSERT_OK(server.Start());
+  OOCQ_ASSERT_OK(Failpoints::Configure("tcp/accept=delay:100"));
+
+  for (int i = 0; i < 3; ++i) {
+    int fd = ConnectTo(server.port());
+    ASSERT_TRUE(SendString(fd, "PING\n"));
+    char chunk[256];
+    ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+    EXPECT_GT(got, 0) << "connection " << i << " reaped before its first reply";
+    if (got > 0) {
+      EXPECT_EQ(std::string(chunk, static_cast<size_t>(got)), "OK\n.\n");
+    }
+    ::close(fd);
+  }
+  Failpoints::Reset();
+  EXPECT_EQ(service.metrics().CounterValue("server/idle_closed"), 0u);
+  server.Stop();
+}
+
 TEST(EventServerTest, SlowReaderIsShedWithRetryableUnavailable) {
   OocqService service;
   OOCQ_ASSERT_OK(service.CreateSession(::oocq::testing::kVehicleRentalSchema)

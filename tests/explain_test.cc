@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/containment.h"
+#include "support/metrics.h"
 #include "test_util.h"
 
 namespace oocq {
@@ -89,6 +90,52 @@ TEST_F(ExplainTest, NonMembershipDispatchAndRefutingSubset) {
   EXPECT_NE(explanation.text.find("Corollary 3.2"), std::string::npos);
   EXPECT_NE(explanation.text.find("membership subset W"), std::string::npos);
   EXPECT_NE(explanation.text.find("x in y.S"), std::string::npos);
+}
+
+// Q2's y can dodge either of Q1's sets y.S and z.S alone, so only the
+// mask putting x into both refutes: the first uncovered mask is 3, not 0.
+// The compiled scan reports it as its first uncovered mask, the
+// interpreted oracle as the first mask its search fails on; both must
+// narrate the same W.
+TEST_F(ExplainTest, RefutingSubsetMatchesOnCompiledAndInterpretedScans) {
+  ConjunctiveQuery q1 = MustParseQuery(
+      schema_,
+      "{ x | exists y exists z exists u (x in E & y in C & z in C & "
+      "u in E & u in y.S & u in z.S) }");
+  ConjunctiveQuery q2 = MustParseQuery(
+      schema_, "{ x | exists y (x in E & y in C & x notin y.S) }");
+  MetricsRegistry registry;
+  MetricsScope scope(&registry);
+  ASSERT_TRUE(scope.active());
+  std::string subset_lines[2];
+  for (bool compiled : {true, false}) {
+    ContainmentOptions options;
+    options.enable_compilation = compiled;
+    StatusOr<ContainmentExplanation> explained =
+        ExplainContainment(schema_, q1, q2, options);
+    OOCQ_ASSERT_OK(explained.status());
+    EXPECT_FALSE(explained->contained);
+    EXPECT_NE(explained->text.find("Corollary 3.2"), std::string::npos);
+    const size_t at = explained->text.find("membership subset W");
+    ASSERT_NE(at, std::string::npos) << explained->text;
+    subset_lines[compiled ? 0 : 1] =
+        explained->text.substr(at, explained->text.find('\n', at) - at);
+    // Only the first pass took the compiled scan.
+    EXPECT_EQ(registry.CounterValue("compile/mask_scans"), 1u);
+  }
+  EXPECT_EQ(registry.CounterValue("compile/mask_fallbacks"), 0u);
+  EXPECT_EQ(subset_lines[0], subset_lines[1]);
+  EXPECT_NE(subset_lines[0].find("x in y.S"), std::string::npos);
+  EXPECT_NE(subset_lines[0].find("x in z.S"), std::string::npos);
+}
+
+TEST_F(ExplainTest, NormalizesToWellFormedFirst) {
+  // x carries two range atoms; NormalizeToWellFormed moves the second
+  // onto a fresh variable equated with x, as for every decision verb.
+  ContainmentExplanation explanation =
+      Explain("{ x | x in E & x in E }", "{ x | x in E }");
+  EXPECT_TRUE(explanation.contained);
+  EXPECT_NE(explanation.text.find("witness mapping"), std::string::npos);
 }
 
 TEST_F(ExplainTest, FullTheoremDispatch) {

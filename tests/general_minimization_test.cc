@@ -9,6 +9,7 @@
 #include "query/printer.h"
 #include "state/evaluation.h"
 #include "state/generator.h"
+#include "support/cancellation.h"
 #include "test_util.h"
 
 namespace oocq {
@@ -269,6 +270,38 @@ TEST_F(GeneralMinimizationTest, AtomRemovalSoundOnStates) {
     State state = GenerateRandomState(schema_, params);
     EXPECT_EQ(*Evaluate(state, query), *Evaluate(state, *reduced));
   }
+}
+
+// Folding polls the deadline once per candidate variable, as
+// MinimizeTerminalPositive does: an expired token aborts both the folding
+// step alone and the general pipeline whose only work is folding (D is
+// terminal here, so the query expands to a single disjunct and no
+// redundancy test runs).
+TEST_F(GeneralMinimizationTest, ExpiredDeadlineAbortsFolding) {
+  Schema schema = MustParseSchema(R"(
+schema Fold {
+  class D { }
+  class C { S: {D}; }
+})");
+  CancellationToken expired = CancellationToken::AfterMillis(0);
+  MinimizationOptions options;
+  options.containment.cancel = &expired;
+
+  ConjunctiveQuery positive = MustParseQuery(
+      schema,
+      "{ x | exists u exists v (x in C & u in D & v in D & u in x.S & "
+      "v in x.S) }");
+  StatusOr<ConjunctiveQuery> folded =
+      FoldTerminalQueryVerified(schema, positive, options);
+  EXPECT_EQ(folded.status().code(), StatusCode::kDeadlineExceeded);
+
+  ConjunctiveQuery general = MustParseQuery(
+      schema,
+      "{ x | exists y exists w (x in C & y in D & w in D & y in x.S & "
+      "w notin x.S) }");
+  StatusOr<GeneralMinimizationReport> report =
+      MinimizeConjunctiveQuery(schema, general, options);
+  EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

@@ -84,6 +84,25 @@ Request MakeContain(const std::string& session_id, const std::string& q1,
   return request;
 }
 
+Request MakeExplain(const std::string& session_id, const std::string& q1,
+                    const std::string& q2, uint64_t deadline_ms = 0) {
+  Request request = MakeContain(session_id, q1, q2, deadline_ms);
+  request.kind = RequestKind::kExplain;
+  return request;
+}
+
+// Samples recorded into one of the service's histograms.
+uint64_t HistogramCount(const OocqService& service, const std::string& name) {
+  for (const auto& histogram : service.metrics().Snap().histograms) {
+    if (histogram.name == name) return histogram.count;
+  }
+  return 0;
+}
+
+std::vector<std::string> Payload(std::initializer_list<const char*> lines) {
+  return std::vector<std::string>(lines.begin(), lines.end());
+}
+
 // Spins until `count` requests have entered the pool (server/started).
 void AwaitStarted(const OocqService& service, uint64_t count) {
   while (service.metrics().CounterValue("server/started") < count) {
@@ -219,6 +238,69 @@ TEST(ServiceDeadlineTest, QueuedRequestExpiresBeforeStarting) {
   ExpectCompiledScan(service);
 }
 
+// ---- EXPLAIN narrates the production decision: Contained() under the
+// request's options, so budgets, deadlines and the compiled scan apply.
+
+TEST(ServiceExplainTest, BudgetCapsExplain) {
+  ServiceOptions options;
+  options.budget.max_subset_work_units = 1 << 10;
+  OocqService service(options);
+  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(14));
+  OOCQ_ASSERT_OK(sid.status());
+  // 2^13 masks against a 2^10 budget.
+  Response capped =
+      service.Execute(MakeExplain(*sid, HeavyQ1(14), HeavyQ2()));
+  EXPECT_EQ(capped.status.code(), StatusCode::kResourceExhausted)
+      << capped.status.ToString();
+}
+
+TEST(ServiceExplainTest, ExplainNormalizesLikeContain) {
+  OocqService service;
+  ProtocolHandler handler(&service);
+  ProtocolReply created = handler.Handle(
+      ParseCommandLine("SESSION NEW"),
+      Payload({"schema S {", "  class D { }", "  class C { A: D; }", "}"}));
+  ASSERT_EQ(created.text, "OK session=s1\n.\n");
+  // y has no range atom until NormalizeToWellFormed infers y in D.
+  const std::vector<std::string> pair = {"{ x | exists y (x in C & y = x.A) }",
+                                         "{ x | x in C }"};
+  ProtocolReply contained =
+      handler.Handle(ParseCommandLine("CONTAIN s1"), pair);
+  EXPECT_EQ(contained.text, "OK contained=1\n.\n");
+  ProtocolReply explained =
+      handler.Handle(ParseCommandLine("EXPLAIN s1"), pair);
+  EXPECT_EQ(explained.text.rfind("OK contained=1\n", 0), 0u) << explained.text;
+}
+
+TEST(ServiceExplainTest, ExplainRunsTheCompiledScanAndCountsItsSpec) {
+  OocqService service;
+  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(14));
+  OOCQ_ASSERT_OK(sid.status());
+  Response explained =
+      service.Execute(MakeExplain(*sid, HeavyQ1(14), HeavyQ2()));
+  OOCQ_ASSERT_OK(explained.status);
+  EXPECT_TRUE(explained.verdict);
+  EXPECT_NE(explained.body.find("Corollary 3.2"), std::string::npos);
+  ExpectCompiledScan(service);
+  // The same containment/<spec> counter CONTAIN's decision increments.
+  EXPECT_EQ(service.metrics().CounterValue("containment/cor32"), 1u);
+  Response contained =
+      service.Execute(MakeContain(*sid, HeavyQ1(14), HeavyQ2()));
+  OOCQ_ASSERT_OK(contained.status);
+  EXPECT_EQ(service.metrics().CounterValue("containment/cor32"), 2u);
+}
+
+TEST(ServiceExplainTest, DeadlineExpiresMidExplain) {
+  OocqService service(HeavyServiceOptions());
+  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(40));
+  OOCQ_ASSERT_OK(sid.status());
+  Response expired = service.Execute(
+      MakeExplain(*sid, HeavyQ1(40), HeavyQ2(), kHeavyDeadlineMs));
+  EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded)
+      << expired.status.ToString();
+  ExpectCompiledScan(service);
+}
+
 TEST(ServiceAdmissionTest, ShedsUnderOverloadAndRecovers) {
   ServiceOptions options = HeavyServiceOptions();
   options.max_in_flight = 1;
@@ -310,6 +392,24 @@ TEST(ServiceBatchTest, BatchMatchesSequentialExecution) {
   }
 }
 
+// Batch items run the same per-request body as Execute: each records its
+// queue wait and reaches the slow-request log.
+TEST(ServiceBatchTest, BatchItemsGetPerRequestTelemetry) {
+  ServiceOptions options;
+  options.slow_request_us = 1;
+  OocqService service(options);
+  StatusOr<std::string> sid = service.CreateSession(kVehicleRentalSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  std::vector<Response> responses = service.ExecuteBatch(
+      {MakeContain(*sid, "{ x | x in Auto }", "{ x | x in Vehicle }"),
+       MakeContain(*sid, "{ x | x in Vehicle }", "{ x | x in Auto }")});
+  ASSERT_EQ(responses.size(), 2u);
+  OOCQ_EXPECT_OK(responses[0].status);
+  OOCQ_EXPECT_OK(responses[1].status);
+  EXPECT_EQ(service.metrics().CounterValue("server/slow_requests"), 2u);
+  EXPECT_EQ(HistogramCount(service, "server/queue_wait_us"), 2u);
+}
+
 TEST(ServiceDrainTest, DrainRefusesNewWork) {
   OocqService service;
   StatusOr<std::string> sid = service.CreateSession(kVehicleRentalSchema);
@@ -322,10 +422,6 @@ TEST(ServiceDrainTest, DrainRefusesNewWork) {
 }
 
 // ---- The protocol layer over the same service, no sockets involved ----
-
-std::vector<std::string> Payload(std::initializer_list<const char*> lines) {
-  return std::vector<std::string>(lines.begin(), lines.end());
-}
 
 TEST(ProtocolTest, ParseCommandLineSplitsVerbArgsParams) {
   CommandLine command =
