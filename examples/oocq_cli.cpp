@@ -14,7 +14,7 @@
 //                  tracing JSON to FILE (load in chrome://tracing or
 //                  https://ui.perfetto.dev); implies --metrics
 //   --metrics      collect engine metrics; Summary() gains the per-phase
-//                  table and the full registry is printed as JSON
+//                  table and the full registry is printed as STATS text
 //
 // Example:
 //   oocq_cli rental.oocq minimize
@@ -56,7 +56,7 @@ examples::FlagSet MakeFlagSet(std::string* trace_path, bool* want_metrics,
   flags.Str("trace", trace_path, "FILE",
             "write a Chrome trace of the run to FILE (implies --metrics)");
   flags.Bool("metrics", want_metrics,
-             "print the engine metrics registry as JSON");
+             "print the engine metrics registry as STATS text");
   flags.Uint("threads", num_threads, "N",
              "engine worker threads (1 = serial, 0 = one per hardware "
              "thread)");
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
                  trace_log.events().size(), trace_path.c_str());
   }
   if (want_metrics) {
-    std::printf("%s\n", registry.JsonString().c_str());
+    std::printf("%s", PrometheusString(registry.Snap()).c_str());
   }
   return rc;
 }

@@ -14,7 +14,7 @@
 //   trace FILE | trace off   record engine spans; 'off' (or quit) writes
 //                            the Chrome tracing JSON to FILE
 //   metrics on|off|show      collect engine metrics; 'show'/'off' print
-//                            the registry as JSON
+//                            the registry as STATS text
 //   show schema | state      print the loaded artifacts
 //   QUERY                    evaluate on the loaded state (default)
 //   help, quit
@@ -104,7 +104,9 @@ void StopTrace(Session& session) {
 void StopMetrics(Session& session, bool print) {
   if (session.metrics_scope == nullptr) return;
   session.metrics_scope.reset();
-  if (print) std::printf("%s\n", session.registry->JsonString().c_str());
+  if (print) {
+    std::printf("%s", PrometheusString(session.registry->Snap()).c_str());
+  }
   session.registry.reset();
 }
 
@@ -206,7 +208,7 @@ void HandleLine(Session& session, const std::string& raw) {
         std::printf("metrics: not collecting; 'metrics on' first\n");
         return;
       }
-      std::printf("%s\n", session.registry->JsonString().c_str());
+      std::printf("%s", PrometheusString(session.registry->Snap()).c_str());
     } else if (mode == "off") {
       if (session.metrics_scope == nullptr) {
         std::printf("metrics: not collecting\n");

@@ -429,7 +429,7 @@ int main(int argc, char** argv) {
   flags.Str("trace", &trace_path, "FILE",
             "write a Chrome trace of all request spans on shutdown");
   flags.Bool("metrics", &want_metrics,
-             "print the metrics registry JSON on shutdown");
+             "print the STATS text on shutdown");
   flags.Bool("smoke", &smoke,
              "self-test: ephemeral port, one scripted conversation, "
              "exit 0/1");
@@ -595,7 +595,7 @@ int main(int argc, char** argv) {
       server.reset();
     }
     if (want_metrics) {
-      std::printf("%s\n", service->metrics().JsonString().c_str());
+      std::printf("%s", service->StatsText().c_str());
     }
     stats_dumper.reset();
     watchdog.reset();
@@ -620,7 +620,7 @@ int main(int argc, char** argv) {
         .With("connections", server->connections_accepted());
     server->Stop();  // graceful: in-flight requests finish and respond
     if (want_metrics) {
-      std::printf("%s\n", service->metrics().JsonString().c_str());
+      std::printf("%s", service->StatsText().c_str());
     }
     server.reset();
     coordinator.Shutdown();  // stops the tail before the service drains

@@ -92,7 +92,6 @@ StatusOr<std::unique_ptr<DurableCatalog>> DurableCatalog::Open(
   // 3. Open the WAL for appending; new mutations land after the replayed
   // (and tail-truncated) history.
   WalOptions wal_options;
-  wal_options.group_commit_window_us = catalog->options_.group_commit_window_us;
   wal_options.fail_after_bytes = catalog->options_.wal_fail_after_bytes;
   OOCQ_ASSIGN_OR_RETURN(catalog->wal_,
                         WriteAheadLog::Open(WalPath(dir), wal_options));

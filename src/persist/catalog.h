@@ -48,7 +48,7 @@ struct DurableCatalogOptions {
   /// Background snapshot cadence in seconds; 0 disables the thread
   /// (snapshots then happen only via SnapshotNow(), e.g. on shutdown).
   uint32_t snapshot_interval_s = 60;
-  /// WAL group-commit window (persist/wal.h).
+  /// Ignored, like WalOptions::group_commit_window_us (persist/wal.h).
   uint32_t group_commit_window_us = 200;
   /// Cap on containment-cache entries persisted per snapshot, across all
   /// sessions (0 = unlimited). Oldest-first within each session's cache.

@@ -56,13 +56,15 @@ enum class RecordType : uint8_t {
 const char* RecordTypeName(RecordType type);
 
 /// One catalog record. Which fields are meaningful depends on `type`;
-/// unused fields encode as empty and decode back as empty.
+/// unused fields encode as empty and decode back as empty. Every field
+/// has an initializer, so a designated initializer names only the fields
+/// its type uses.
 struct Record {
   RecordType type = RecordType::kCreateSession;
-  std::string session_id;
-  std::string name;      // kDefineQuery: the @name being defined
-  std::string text;      // schema / query / state text, or the cache key
-  bool verdict = false;  // kCacheEntry: the memoized containment verdict
+  std::string session_id = {};
+  std::string name = {};  // kDefineQuery: the @name being defined
+  std::string text = {};  // schema / query / state text, or the cache key
+  bool verdict = false;   // kCacheEntry: the memoized containment verdict
 
   friend bool operator==(const Record& a, const Record& b) {
     return a.type == b.type && a.session_id == b.session_id &&

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "support/failpoint.h"
@@ -145,19 +144,17 @@ Status WriteAheadLog::SyncCovering(uint64_t seq) {
   while (true) {
     if (synced_seq_ >= seq) return Status::Ok();
     if (!sync_in_flight_) break;
-    // A leader is (or just was) syncing; wait for its result and
-    // re-check coverage.
-    sync_cv_.wait(lock, [this] { return !sync_in_flight_; });
+    // A leader is syncing; wait until its round (or a later one) covers
+    // this append, or until no round is in flight. Waking on coverage
+    // matters: a covered appender must not sit out the next round too.
+    sync_cv_.wait(lock,
+                  [&] { return synced_seq_ >= seq || !sync_in_flight_; });
   }
   // This thread leads the next sync round.
   sync_in_flight_ = true;
   const uint64_t epoch_at_start = epoch_;
   lock.unlock();
 
-  if (options_.group_commit_window_us > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.group_commit_window_us));
-  }
   uint64_t covered;
   uint64_t covered_bytes;
   {
@@ -179,7 +176,7 @@ Status WriteAheadLog::SyncCovering(uint64_t seq) {
   if (synced.ok() && epoch_ == epoch_at_start) {
     if (covered > synced_seq_) {
       // Appends this round durably covered beyond the ones already
-      // synced: the group-commit amplification the sleep window buys.
+      // synced: those that arrived during the previous round's fsync.
       OOCQ_METRIC_RECORD("persist/group_commit_batch", covered - synced_seq_);
     }
     // Guarded on the epoch: a Reset() racing this round already rewound

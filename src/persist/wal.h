@@ -7,12 +7,13 @@
 /// last snapshot. Snapshots compact the log by resetting it to a bare
 /// header (DurableCatalog holds its mutation gate across both steps).
 ///
-/// fsync batching: with `group_commit_window_us` > 0 an Append first
-/// publishes its frame under the log mutex, then joins a *group commit* —
-/// one appender becomes the sync leader, sleeps the window so concurrent
-/// appends pile in behind it, and issues a single fsync covering all of
-/// them; the rest just wait for the leader's sync to cover their
-/// sequence number. Window 0 degenerates to fsync-per-append.
+/// fsync batching: an Append first publishes its frame under the log
+/// mutex, then joins a *group commit* — one appender becomes the sync
+/// leader and at once issues a single fsync covering every frame written
+/// so far; the rest just wait for a sync to cover their sequence number.
+/// Appends that arrive during a leader's fsync queue behind it and share
+/// the next one, so the batch grows with the load and a lone appender
+/// never waits.
 ///
 /// Replay tolerates exactly the failure a torn append leaves behind: the
 /// first frame that is short or fails its CRC ends the replay and the
@@ -44,8 +45,8 @@
 namespace oocq::persist {
 
 struct WalOptions {
-  /// How long a sync leader waits for concurrent appends to share its
-  /// fsync. 0 = every append fsyncs immediately.
+  /// Ignored: a sync leader never waits for co-travellers (see the
+  /// fsync-batching note above). Kept so existing callers still build.
   uint32_t group_commit_window_us = 200;
   /// Test-only fault injection: after this many total bytes the file
   /// "dies" — a frame crossing the limit is written only up to it (a

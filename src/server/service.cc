@@ -143,84 +143,33 @@ OocqService::~OocqService() {
   pool_.reset();
 }
 
-StatusOr<std::shared_ptr<OocqService::Session>> OocqService::MakeSession(
-    const std::string& schema_text) const {
-  OOCQ_ASSIGN_OR_RETURN(Schema schema, ParseSchema(schema_text));
-  auto session = std::make_shared<Session>(std::move(schema));
-  session->schema_text = schema_text;
-  // The cache binds to the Session-owned schema, whose address is stable
-  // for the session's lifetime (sessions are held by shared_ptr).
-  session->cache = MakeContainmentCache(&session->schema, options_.engine);
-  // Compiled programs live and die with the session's decision caches:
-  // they depend only on the schema (stable for the session) and the
-  // query text, so LoadState never invalidates them.
-  if (options_.engine.enable_compilation) {
-    session->programs = std::make_unique<compile::ProgramCache>();
-  }
-  return session;
-}
-
 StatusOr<std::string> OocqService::CreateSession(
     const std::string& schema_text) {
   if (read_only()) return fenced() ? FencedError(term()) : ReadonlyError();
-  OOCQ_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                        MakeSession(schema_text));
-  OOCQ_RETURN_IF_ERROR(ChargeResident(*session, schema_text.size()));
-  // Persistence gate (shared): the catalog's snapshotter cannot cut
-  // between this mutation's in-memory commit and its WAL append.
-  std::shared_lock<std::shared_mutex> guard;
-  if (options_.catalog != nullptr) guard = options_.catalog->MutationGuard();
-  std::string id;
-  uint64_t allocated = 0;
+  uint64_t minted;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    allocated = next_session_++;
-    id = "s" + std::to_string(allocated);
-    sessions_.emplace(id, session);
+    minted = next_session_++;
+  }
+  persist::Record record{.type = persist::RecordType::kCreateSession,
+                         .session_id = "s" + std::to_string(minted),
+                         .text = schema_text};
+  if (Status committed = Commit(record, Origin::kClient); !committed.ok()) {
+    // A refused create consumes no id (unless a concurrent create already
+    // claimed the next one), so a scripted retry lands on the same name.
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    if (next_session_ == minted + 1) next_session_ = minted;
+    return committed;
   }
   registry_.Add("server/sessions_created", 1);
-  persist::Record record;
-  record.type = persist::RecordType::kCreateSession;
-  record.session_id = id;
-  record.text = schema_text;
-  Status logged = LogMutation(std::move(record));
-  if (!logged.ok()) {
-    // Unlogged sessions are never acked: roll back so the client can
-    // retry (or fail over) with a consistent view. The id is released
-    // too (unless a concurrent create already claimed the next one), so
-    // a scripted retry lands on the same session name.
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      sessions_.erase(id);
-      if (next_session_ == allocated + 1) next_session_ = allocated;
-    }
-    ReleaseResident(*session, session->resident_bytes);
-    return logged;
-  }
-  return id;
+  return record.session_id;
 }
 
 Status OocqService::DropSession(const std::string& session_id) {
   if (read_only()) return fenced() ? FencedError(term()) : ReadonlyError();
-  std::shared_lock<std::shared_mutex> guard;
-  if (options_.catalog != nullptr) guard = options_.catalog->MutationGuard();
-  std::shared_ptr<Session> dropped;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    // In-flight requests keep the Session alive through their shared_ptr;
-    // dropping only unregisters the id.
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) {
-      return Status::NotFound("no session '" + session_id + "'");
-    }
-    dropped = it->second;
-    sessions_.erase(it);
-  }
-  ReleaseResident(*dropped, dropped->resident_bytes);
-  persist::Record record;
-  record.type = persist::RecordType::kDropSession;
-  record.session_id = session_id;
-  return LogMutation(std::move(record));
+  return Commit({.type = persist::RecordType::kDropSession,
+                 .session_id = session_id},
+                Origin::kClient);
 }
 
 StatusOr<std::shared_ptr<OocqService::Session>> OocqService::FindSession(
@@ -237,63 +186,22 @@ Status OocqService::DefineQuery(const std::string& session_id,
                                 const std::string& name,
                                 const std::string& query_text) {
   if (read_only()) return fenced() ? FencedError(term()) : ReadonlyError();
-  OOCQ_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                        FindSession(session_id));
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery query,
-                        ParseQuery(session->schema, query_text));
-  std::shared_lock<std::shared_mutex> guard;
-  if (options_.catalog != nullptr) guard = options_.catalog->MutationGuard();
-  {
-    std::unique_lock<std::shared_mutex> lock(session->mu);
-    auto old = session->named_text.find(name);
-    const uint64_t old_bytes =
-        old != session->named_text.end() ? old->second.size() : 0;
-    if (query_text.size() > old_bytes) {
-      OOCQ_RETURN_IF_ERROR(
-          ChargeResident(*session, query_text.size() - old_bytes));
-    } else {
-      ReleaseResident(*session, old_bytes - query_text.size());
-    }
-    session->named.insert_or_assign(name, std::move(query));
-    session->named_text.insert_or_assign(name, query_text);
-  }
-  persist::Record record;
-  record.type = persist::RecordType::kDefineQuery;
-  record.session_id = session_id;
-  record.name = name;
-  record.text = query_text;
   // A failed append leaves the definition live in memory; redefinition is
   // idempotent, so the client's retry converges.
-  return LogMutation(std::move(record));
+  return Commit({.type = persist::RecordType::kDefineQuery,
+                 .session_id = session_id,
+                 .name = name,
+                 .text = query_text},
+                Origin::kClient);
 }
 
 Status OocqService::LoadState(const std::string& session_id,
                               const std::string& state_text) {
   if (read_only()) return fenced() ? FencedError(term()) : ReadonlyError();
-  OOCQ_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                        FindSession(session_id));
-  OOCQ_ASSIGN_OR_RETURN(State state,
-                        ParseState(&session->schema, state_text));
-  std::shared_lock<std::shared_mutex> guard;
-  if (options_.catalog != nullptr) guard = options_.catalog->MutationGuard();
-  {
-    std::unique_lock<std::shared_mutex> lock(session->mu);
-    const uint64_t old_bytes =
-        session->state_text.has_value() ? session->state_text->size() : 0;
-    if (state_text.size() > old_bytes) {
-      OOCQ_RETURN_IF_ERROR(
-          ChargeResident(*session, state_text.size() - old_bytes));
-    } else {
-      ReleaseResident(*session, old_bytes - state_text.size());
-    }
-    session->state.emplace(std::move(state));
-    session->state_text = state_text;
-  }
-  persist::Record record;
-  record.type = persist::RecordType::kSetState;
-  record.session_id = session_id;
-  record.text = state_text;
-  return LogMutation(std::move(record));
+  return Commit({.type = persist::RecordType::kSetState,
+                 .session_id = session_id,
+                 .text = state_text},
+                Origin::kClient);
 }
 
 size_t OocqService::session_count() const {
@@ -332,15 +240,9 @@ Status OocqService::ApplyReplicated(const persist::Record& record,
       }
     }
   }
-  // Same discipline as a client mutation: in-memory commit and the WAL
-  // append of this node's own catalog happen under one shared hold of
-  // the gate, so the local snapshotter can never cut between them —
-  // replay==acked holds on the follower exactly as on the primary.
-  std::shared_lock<std::shared_mutex> guard;
-  if (options_.catalog != nullptr) guard = options_.catalog->MutationGuard();
-  OOCQ_RETURN_IF_ERROR(ApplyRecord(record));
-  registry_.Add("repl/applied_records", 1);
-  return LogMutation(record);
+  // The client mutations' commit, so replay==acked holds on the follower
+  // exactly as on the primary.
+  return Commit(record, Origin::kReplication);
 }
 
 Status OocqService::Promote(uint64_t min_term) {
@@ -425,26 +327,51 @@ void OocqService::SetDemotionHandler(
   demotion_handler_ = std::move(handler);
 }
 
-Status OocqService::LogMutation(persist::Record record) {
+Status OocqService::Commit(const persist::Record& record, Origin origin) {
+  std::shared_lock<std::shared_mutex> guard;
+  if (options_.catalog != nullptr) guard = options_.catalog->MutationGuard();
+  OOCQ_ASSIGN_OR_RETURN(const bool changed, ApplyRecord(record));
+  if (origin == Origin::kReplication) {
+    registry_.Add("repl/applied_records", 1);
+  } else if (!changed) {
+    // A client's create mints a fresh id, so only its drop can change
+    // nothing: the id is unknown, or a concurrent drop erased it first.
+    return Status::NotFound("no session '" + record.session_id + "'");
+  }
   if (options_.catalog == nullptr) return Status::Ok();
   Status logged = options_.catalog->Log(record);
-  if (!logged.ok()) registry_.Add("persist/log_failures", 1);
+  if (logged.ok()) return Status::Ok();
+  registry_.Add("persist/log_failures", 1);
+  if (origin == Origin::kClient &&
+      record.type == persist::RecordType::kCreateSession) {
+    // Unlogged sessions are never acked: roll back the session this
+    // commit inserted, so the client can retry (or fail over) with a
+    // consistent view. A follower keeps what it applied and tails on.
+    (void)ApplyRecord({.type = persist::RecordType::kDropSession,
+                       .session_id = record.session_id});
+  }
   return logged;
 }
 
-Status OocqService::ApplyRecord(const persist::Record& record) {
+StatusOr<bool> OocqService::ApplyRecord(const persist::Record& record) {
   switch (record.type) {
     case persist::RecordType::kCreateSession: {
-      {
-        std::lock_guard<std::mutex> lock(sessions_mu_);
-        // Idempotent: a crash between snapshot rename and WAL reset makes
-        // the WAL replay records the snapshot already holds.
-        if (sessions_.count(record.session_id) != 0) return Status::Ok();
+      OOCQ_ASSIGN_OR_RETURN(Schema schema, ParseSchema(record.text));
+      auto session = std::make_shared<Session>(std::move(schema));
+      session->schema_text = record.text;
+      // The cache binds to the Session-owned schema, whose address is
+      // stable for the session's lifetime (sessions are held by
+      // shared_ptr). Compiled programs depend only on the schema and the
+      // query text, so a STATE never invalidates them.
+      session->cache = MakeContainmentCache(&session->schema, options_.engine);
+      if (options_.engine.enable_compilation) {
+        session->programs = std::make_unique<compile::ProgramCache>();
       }
-      OOCQ_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                            MakeSession(record.text));
-      OOCQ_RETURN_IF_ERROR(ChargeResident(*session, record.text.size()));
       std::lock_guard<std::mutex> lock(sessions_mu_);
+      // Idempotent: a crash between snapshot rename and WAL reset makes
+      // the WAL replay records the snapshot already holds.
+      if (sessions_.count(record.session_id) != 0) return false;
+      OOCQ_RETURN_IF_ERROR(Recharge(*session, 0, record.text.size()));
       sessions_.emplace(record.session_id, std::move(session));
       // Persisted ids are never reused: "s<N>" bumps the counter past N.
       if (record.session_id.size() > 1 && record.session_id[0] == 's') {
@@ -456,7 +383,7 @@ Status OocqService::ApplyRecord(const persist::Record& record) {
           next_session_ = std::max(next_session_, n + 1);
         }
       }
-      return Status::Ok();
+      return true;
     }
     case persist::RecordType::kDefineQuery: {
       OOCQ_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
@@ -464,18 +391,15 @@ Status OocqService::ApplyRecord(const persist::Record& record) {
       OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery query,
                             ParseQuery(session->schema, record.text));
       std::unique_lock<std::shared_mutex> lock(session->mu);
-      auto old = session->named_text.find(record.name);
-      const uint64_t old_bytes =
-          old != session->named_text.end() ? old->second.size() : 0;
-      if (record.text.size() > old_bytes) {
-        OOCQ_RETURN_IF_ERROR(
-            ChargeResident(*session, record.text.size() - old_bytes));
-      } else {
-        ReleaseResident(*session, old_bytes - record.text.size());
-      }
-      session->named.insert_or_assign(record.name, std::move(query));
-      session->named_text.insert_or_assign(record.name, record.text);
-      return Status::Ok();
+      auto old = session->named.find(record.name);
+      OOCQ_RETURN_IF_ERROR(RechargeRegistered(
+          record.session_id, *session,
+          old != session->named.end() ? old->second.text.size() : 0,
+          record.text.size()));
+      session->named.insert_or_assign(
+          record.name,
+          Registered<ConjunctiveQuery>{record.text, std::move(query)});
+      return true;
     }
     case persist::RecordType::kSetState: {
       OOCQ_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
@@ -483,29 +407,27 @@ Status OocqService::ApplyRecord(const persist::Record& record) {
       OOCQ_ASSIGN_OR_RETURN(State state,
                             ParseState(&session->schema, record.text));
       std::unique_lock<std::shared_mutex> lock(session->mu);
-      const uint64_t old_bytes =
-          session->state_text.has_value() ? session->state_text->size() : 0;
-      if (record.text.size() > old_bytes) {
-        OOCQ_RETURN_IF_ERROR(
-            ChargeResident(*session, record.text.size() - old_bytes));
-      } else {
-        ReleaseResident(*session, old_bytes - record.text.size());
-      }
-      session->state.emplace(std::move(state));
-      session->state_text = record.text;
-      return Status::Ok();
+      OOCQ_RETURN_IF_ERROR(RechargeRegistered(
+          record.session_id, *session,
+          session->state.has_value() ? session->state->text.size() : 0,
+          record.text.size()));
+      session->state.emplace(
+          Registered<State>{record.text, std::move(state)});
+      return true;
     }
     case persist::RecordType::kDropSession: {
+      // In-flight requests keep the Session alive through their
+      // shared_ptr; dropping only unregisters the id. The last reference
+      // (if this is it) dies after the lock below is released.
       std::shared_ptr<Session> dropped;
-      {
-        std::lock_guard<std::mutex> lock(sessions_mu_);
-        auto it = sessions_.find(record.session_id);
-        if (it == sessions_.end()) return Status::Ok();  // already gone
-        dropped = it->second;
-        sessions_.erase(it);
-      }
-      ReleaseResident(*dropped, dropped->resident_bytes);
-      return Status::Ok();
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      auto it = sessions_.find(record.session_id);
+      if (it == sessions_.end()) return false;  // already gone
+      dropped = std::move(it->second);
+      sessions_.erase(it);
+      // A release never fails.
+      (void)Recharge(*dropped, dropped->resident_bytes, 0);
+      return true;
     }
     case persist::RecordType::kCacheEntry: {
       OOCQ_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
@@ -514,7 +436,7 @@ Status OocqService::ApplyRecord(const persist::Record& record) {
       if (session->cache != nullptr) {
         session->cache->Preload(record.text, record.verdict);
       }
-      return Status::Ok();
+      return true;
     }
   }
   return Status::Internal("unknown record type");
@@ -563,25 +485,19 @@ std::vector<persist::Record> OocqService::DumpCatalog() {
   const bool cache_unlimited = cache_budget == 0;
   for (const auto& [id, session] : sessions) {
     std::shared_lock<std::shared_mutex> lock(session->mu);
-    persist::Record create;
-    create.type = persist::RecordType::kCreateSession;
-    create.session_id = id;
-    create.text = session->schema_text;
-    records.push_back(std::move(create));
-    for (const auto& [name, text] : session->named_text) {
-      persist::Record define;
-      define.type = persist::RecordType::kDefineQuery;
-      define.session_id = id;
-      define.name = name;
-      define.text = text;
-      records.push_back(std::move(define));
+    records.push_back({.type = persist::RecordType::kCreateSession,
+                       .session_id = id,
+                       .text = session->schema_text});
+    for (const auto& [name, query] : session->named) {
+      records.push_back({.type = persist::RecordType::kDefineQuery,
+                         .session_id = id,
+                         .name = name,
+                         .text = query.text});
     }
-    if (session->state_text.has_value()) {
-      persist::Record state;
-      state.type = persist::RecordType::kSetState;
-      state.session_id = id;
-      state.text = *session->state_text;
-      records.push_back(std::move(state));
+    if (session->state.has_value()) {
+      records.push_back({.type = persist::RecordType::kSetState,
+                         .session_id = id,
+                         .text = session->state->text});
     }
     if (session->cache != nullptr && (cache_unlimited || cache_budget > 0)) {
       // Only decided verdicts are exported; errors (deadline expiry
@@ -623,22 +539,32 @@ void OocqService::FinishOne() {
   }
 }
 
-Status OocqService::ChargeResident(Session& session, uint64_t bytes) {
-  if (bytes == 0 || !budget_.has_value()) return Status::Ok();
-  Status charged = budget_->ChargeResidentBytes(bytes);
+Status OocqService::Recharge(Session& session, uint64_t from, uint64_t to) {
+  if (from == to || !budget_.has_value()) return Status::Ok();
+  if (to < from) {
+    const uint64_t bytes = std::min(from - to, session.resident_bytes);
+    budget_->ReleaseResidentBytes(bytes);
+    session.resident_bytes -= bytes;
+    return Status::Ok();
+  }
+  Status charged = budget_->ChargeResidentBytes(to - from);
   if (!charged.ok()) {
     registry_.Add("server/budget_exhausted", 1);
     return charged;
   }
-  session.resident_bytes += bytes;
+  session.resident_bytes += to - from;
   return Status::Ok();
 }
 
-void OocqService::ReleaseResident(Session& session, uint64_t bytes) {
-  if (bytes == 0 || !budget_.has_value()) return;
-  bytes = std::min<uint64_t>(bytes, session.resident_bytes);
-  budget_->ReleaseResidentBytes(bytes);
-  session.resident_bytes -= bytes;
+Status OocqService::RechargeRegistered(const std::string& session_id,
+                                       Session& session, uint64_t from,
+                                       uint64_t to) {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  auto it = sessions_.find(session_id);
+  if (it == sessions_.end() || it->second.get() != &session) {
+    return Status::NotFound("no session '" + session_id + "'");
+  }
+  return Recharge(session, from, to);
 }
 
 ServiceHealth OocqService::CollectHealth() const {
@@ -733,28 +659,6 @@ void OocqService::Drain() {
   });
 }
 
-namespace {
-
-/// Resolves a request's query field: `@name` reads a registered query,
-/// anything else is parsed. The caller holds the session's shared lock.
-StatusOr<ConjunctiveQuery> ResolveQuery(
-    const OocqService& /*service*/, const Schema& schema,
-    const std::map<std::string, ConjunctiveQuery>& named,
-    const std::string& text) {
-  if (!text.empty() && text[0] == '@') {
-    // Unary verbs pass their payload line on with its trailing newline.
-    const std::string name = text.substr(1, text.find_last_not_of(" \t\r\n"));
-    auto it = named.find(name);
-    if (it == named.end()) {
-      return Status::NotFound("no registered query '" + name + "'");
-    }
-    return it->second;
-  }
-  return ParseQuery(schema, text);
-}
-
-}  // namespace
-
 Response OocqService::Run(const Request& request, Session& session,
                           const CancellationToken* cancel) const {
   Response response;
@@ -781,8 +685,17 @@ Response OocqService::Run(const Request& request, Session& session,
   const Schema& schema = session.schema;
   ContainmentCache* cache = session.cache.get();
 
-  auto resolve = [&](const std::string& text) {
-    return ResolveQuery(*this, schema, session.named, text);
+  // A query field: `@name` reads a registered query, anything else is
+  // parsed.
+  auto resolve = [&](const std::string& text) -> StatusOr<ConjunctiveQuery> {
+    if (text.empty() || text[0] != '@') return ParseQuery(schema, text);
+    // Unary verbs pass their payload line on with its trailing newline.
+    const std::string name = text.substr(1, text.find_last_not_of(" \t\r\n"));
+    auto it = session.named.find(name);
+    if (it == session.named.end()) {
+      return Status::NotFound("no registered query '" + name + "'");
+    }
+    return it->second.parsed;
   };
 
   switch (request.kind) {
@@ -915,14 +828,14 @@ Response OocqService::Run(const Request& request, Session& session,
         }
       }
       StatusOr<std::vector<Oid>> answers =
-          Evaluate(*session.state, *well_formed, eval_options);
+          Evaluate(session.state->parsed, *well_formed, eval_options);
       if (!answers.ok()) {
         response.status = answers.status();
         return response;
       }
       response.verdict = !answers->empty();
       for (Oid oid : *answers) {
-        response.body += session.state->DebugString(oid);
+        response.body += session.state->parsed.DebugString(oid);
         response.body += '\n';
       }
       return response;

@@ -223,11 +223,13 @@ class OocqService {
   /// Applies one record shipped from the primary: bypasses the readonly
   /// gate, replays through the idempotent ApplyRecord path, and logs the
   /// record to this node's own catalog — so replay==acked holds on the
-  /// follower too and promotion is just Promote(). Serialized by the
-  /// caller (the follower's single tail thread). `term` is the shipping
-  /// primary's term: lower than ours is rejected (kFailedPrecondition —
-  /// a healed stale primary can never pollute this WAL), higher is
-  /// adopted durably, 0 means "unstamped" (trusted local replay).
+  /// follower too and promotion is just Promote(). A record whose local
+  /// append fails stays applied, and the append's error is returned.
+  /// Serialized by the caller (the follower's single tail thread).
+  /// `term` is the shipping primary's term: lower than ours is rejected
+  /// (kFailedPrecondition — a healed stale primary can never pollute
+  /// this WAL), higher is adopted durably, 0 means "unstamped" (trusted
+  /// local replay).
   Status ApplyReplicated(const persist::Record& record, uint64_t term = 0);
   /// Clears the readonly gate; this node now accepts writes. On an
   /// actual transition the term is bumped to max(term+1, min_term) and
@@ -300,52 +302,69 @@ class OocqService {
   }
 
  private:
+  /// A registered text, kept verbatim so the durable catalog persists
+  /// exactly what the client sent (no print-reparse round trip), beside
+  /// the form requests read.
+  template <typename T>
+  struct Registered {
+    std::string text;
+    T parsed;
+  };
+
   struct Session {
     explicit Session(Schema s) : schema(std::move(s)) {}
     Schema schema;
-    std::optional<State> state;
-    std::map<std::string, ConjunctiveQuery> named;
+    std::string schema_text;
+    std::map<std::string, Registered<ConjunctiveQuery>> named;
+    std::optional<Registered<State>> state;
     std::unique_ptr<ContainmentCache> cache;
     /// Compiled evaluation programs, keyed by query text — same lifetime
     /// and invalidation epoch as `cache` (both are rebuilt together
     /// whenever the session's decision state is reset).
     std::unique_ptr<compile::ProgramCache> programs;
-    /// Source texts of schema / named queries / state, kept verbatim so
-    /// the durable catalog persists exactly what the client sent (no
-    /// print-reparse round trip).
-    std::string schema_text;
-    std::map<std::string, std::string> named_text;
-    std::optional<std::string> state_text;
     /// Catalog bytes this session has charged on the service budget
-    /// (released on DropSession).
+    /// (released when it is dropped). Guarded by sessions_mu_, so a
+    /// charge and the drop's release never interleave.
     uint64_t resident_bytes = 0;
-    /// Registry mutations (DefineQuery/LoadState) take it exclusively;
+    /// `named` and `state` change under it exclusively (ApplyRecord);
     /// request execution reads under a shared lock.
     mutable std::shared_mutex mu;
   };
 
   StatusOr<std::shared_ptr<Session>> FindSession(
       const std::string& session_id) const;
-  /// Builds a Session around parsed `schema_text`; shared by CreateSession
-  /// and replay (which forces the persisted id instead of minting one).
-  StatusOr<std::shared_ptr<Session>> MakeSession(
-      const std::string& schema_text) const;
-  /// Replays one catalog record idempotently (see docs/persistence.md);
-  /// a failure skips the record, never aborts the restore.
-  Status ApplyRecord(const persist::Record& record);
+  /// The one place sessions, named queries and states are created,
+  /// replaced or erased — client mutations and replication (through
+  /// Commit) and WAL replay all land here. Idempotent for replay (see
+  /// docs/persistence.md): a create of a session that exists and a drop
+  /// of one that does not change nothing and return false. A failure
+  /// applies nothing.
+  StatusOr<bool> ApplyRecord(const persist::Record& record);
+  /// Whose mutation a Commit carries.
+  enum class Origin { kClient, kReplication };
+  /// Applies `record`, then appends it to the catalog's WAL (when there
+  /// is one), both under one shared hold of the mutation gate: a record
+  /// that cannot apply never reaches the log, and no snapshot cuts
+  /// between the two. A client's drop that changes nothing answers
+  /// NOT_FOUND, and a client's create whose append fails is rolled back.
+  /// A replicated record stays applied either way, as at replay.
+  Status Commit(const persist::Record& record, Origin origin);
   void RestoreFromCatalog();
   /// Serializes the whole registry (+ cache verdicts worth warming) for
   /// the catalog's snapshotter. Called with mutations gated off.
   std::vector<persist::Record> DumpCatalog();
-  /// Appends one mutation to the catalog's WAL (no-op without a catalog).
-  Status LogMutation(persist::Record record);
   /// Admission check; on success the caller owes one FinishOne().
   Status AdmitOne();
   void FinishOne();
-  /// Charges `delta` catalog bytes for `session` on the service budget
-  /// (no-op without one); negative-delta releases never fail.
-  Status ChargeResident(Session& session, uint64_t bytes);
-  void ReleaseResident(Session& session, uint64_t bytes);
+  /// Moves `session`'s charge on the service budget from `from` to `to`
+  /// catalog bytes (no-op without a budget); a release never fails. The
+  /// caller holds sessions_mu_.
+  Status Recharge(Session& session, uint64_t from, uint64_t to);
+  /// Recharge for a DEFINE or STATE on a registered session: under
+  /// sessions_mu_, so a mutation that lost the race to a drop answers
+  /// NOT_FOUND instead of charging bytes nothing will release.
+  Status RechargeRegistered(const std::string& session_id, Session& session,
+                            uint64_t from, uint64_t to);
   /// The request body, run on a pool worker. `cancel` may be null.
   Response Run(const Request& request, Session& session,
                const CancellationToken* cancel) const;

@@ -170,50 +170,6 @@ MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
   return snap;
 }
 
-std::string MetricsRegistry::JsonString() const {
-  Snapshot snap = Snap();
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const CounterSnapshot& counter : snap.counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += counter.name;  // metric names are code-controlled identifiers
-    out += "\":";
-    out += std::to_string(counter.value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const HistogramSnapshot& histogram : snap.histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += histogram.name;
-    out += "\":{\"count\":";
-    out += std::to_string(histogram.count);
-    out += ",\"sum\":";
-    out += std::to_string(histogram.sum);
-    out += ",\"min\":";
-    out += std::to_string(histogram.min);
-    out += ",\"max\":";
-    out += std::to_string(histogram.max);
-    out += ",\"buckets\":{";
-    bool first_bucket = true;
-    for (size_t i = 0; i < histogram.buckets.size(); ++i) {
-      if (histogram.buckets[i] == 0) continue;  // sparse: 65 mostly-zero slots
-      if (!first_bucket) out += ',';
-      first_bucket = false;
-      out += '"';
-      out += std::to_string(MetricHistogram::BucketLowerBound(i));
-      out += "\":";
-      out += std::to_string(histogram.buckets[i]);
-    }
-    out += "}}";
-  }
-  out += "}}";
-  return out;
-}
-
 double HistogramQuantile(const MetricsRegistry::HistogramSnapshot& histogram,
                          double q) {
   if (histogram.count == 0) return 0.0;

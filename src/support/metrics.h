@@ -117,9 +117,6 @@ class MetricsRegistry {
   /// deterministic output order regardless of creation interleaving.
   Snapshot Snap() const;
 
-  /// The snapshot as a JSON object ({"counters":{...},"histograms":{...}}).
-  std::string JsonString() const;
-
  private:
   /// Heterogeneous lookup so the hot Add/Record path resolves a
   /// string_view name without materializing a std::string per call.

@@ -6,16 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "persist/catalog.h"
 #include "persist/codec.h"
 #include "persist/snapshot.h"
+#include "persist/wal.h"
 #include "server/service.h"
+#include "support/failpoint.h"
 #include "support/file.h"
 #include "test_util.h"
 
@@ -276,6 +280,206 @@ TEST(ServicePersistenceTest, UnparsableRecoveredRecordIsSkippedNotFatal) {
   request.query2 = "{ x | x in Vehicle }";
   Response response = service.Execute(request);
   EXPECT_EQ(response.status.code(), StatusCode::kNotFound);
+}
+
+// One apply point, three entrances: a script run through the client API
+// of a catalog-backed service, a fresh service recovering that catalog
+// (WAL replay), and a follower fed the recovered records through
+// ApplyReplicated must build the same registry — the same catalog dump,
+// the same resident bytes, the same answers.
+TEST(ServicePersistenceTest, ClientReplayAndReplicationBuildOneRegistry) {
+  const std::string primary_dir = FreshDir("entrance_primary");
+  const std::string replay_dir = FreshDir("entrance_replay");
+  const std::string follower_dir = FreshDir("entrance_follower");
+  auto open_service = [](const std::string& dir, bool read_only) {
+    DurableCatalogOptions catalog_options;
+    catalog_options.data_dir = dir;
+    catalog_options.snapshot_interval_s = 0;
+    catalog_options.group_commit_window_us = 0;
+    ServiceOptions options;
+    options.metrics = false;
+    options.budget.max_resident_bytes = 1 << 20;
+    options.read_only = read_only;
+    options.catalog = MustOpen(catalog_options);
+    return std::make_unique<OocqService>(options);
+  };
+
+  std::unique_ptr<OocqService> primary = open_service(primary_dir, false);
+  StatusOr<std::string> s1 = primary->CreateSession(kVehicleRentalSchema);
+  OOCQ_ASSERT_OK(s1.status());
+  StatusOr<std::string> s2 = primary->CreateSession(kVehicleRentalSchema);
+  OOCQ_ASSERT_OK(s2.status());
+  OOCQ_ASSERT_OK(primary->DefineQuery(*s1, "autos", "{ x | x in Auto }"));
+  OOCQ_ASSERT_OK(
+      primary->DefineQuery(*s1, "vehicles", "{ x | x in Vehicle }"));
+  OOCQ_ASSERT_OK(primary->DefineQuery(*s1, "autos",
+                                      "{ x | x in Auto & x in Vehicle }"));
+  EXPECT_EQ(primary->DefineQuery(*s1, "broken", "{ not a query").code(),
+            StatusCode::kInvalidArgument);
+  OOCQ_ASSERT_OK(primary->LoadState(
+      *s1, "state { a1: Auto { Doors = 4; } t1: Truck { } }"));
+  OOCQ_ASSERT_OK(primary->DefineQuery(*s2, "trucks", "{ x | x in Truck }"));
+  OOCQ_ASSERT_OK(primary->DropSession(*s2));
+
+  // The WAL holds exactly the mutations that applied: the refused parse
+  // never reached it.
+  StatusOr<std::string> wal = ReadFileToString(primary_dir + "/wal.log");
+  OOCQ_ASSERT_OK(wal.status());
+  StatusOr<persist::WriteAheadLog::ReplayResult> logged =
+      persist::WriteAheadLog::Replay(primary_dir + "/wal.log");
+  OOCQ_ASSERT_OK(logged.status());
+  ASSERT_EQ(logged->records.size(), 8u);
+  for (const Record& record : logged->records) EXPECT_NE(record.name, "broken");
+
+  OOCQ_ASSERT_OK(WriteFileDurable(replay_dir + "/wal.log", *wal));
+  std::unique_ptr<OocqService> replayed = open_service(replay_dir, false);
+  std::unique_ptr<OocqService> follower = open_service(follower_dir, true);
+  for (const Record& record : logged->records) {
+    OOCQ_ASSERT_OK(follower->ApplyReplicated(record));
+  }
+
+  auto registry = [](const OocqService& service) {
+    StatusOr<DurableCatalog::PositionedDump> dump =
+        service.options().catalog->DumpWithPosition();
+    EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+    std::vector<Record> records;
+    if (!dump.ok()) return records;
+    for (Record& record : dump->records) {
+      if (record.type != RecordType::kCacheEntry) {
+        records.push_back(std::move(record));
+      }
+    }
+    return records;
+  };
+  auto answers = [&](OocqService& service) {
+    std::vector<std::string> out;
+    for (const auto& [kind, q1, q2] :
+         std::vector<std::tuple<RequestKind, std::string, std::string>>{
+             {RequestKind::kContained, "@autos", "@vehicles"},
+             {RequestKind::kContained, "@vehicles", "@autos"},
+             {RequestKind::kEvaluate, "@autos", ""},
+             {RequestKind::kEvaluate, "@vehicles", ""},
+         }) {
+      Request request;
+      request.kind = kind;
+      request.session_id = *s1;
+      request.query = q1;
+      request.query2 = q2;
+      Response response = service.Execute(request);
+      out.push_back(response.status.ToString() + " " +
+                    std::to_string(response.verdict) + " " + response.body);
+    }
+    Request dropped;
+    dropped.kind = RequestKind::kEvaluate;
+    dropped.session_id = *s2;
+    dropped.query = "@trucks";
+    out.push_back(service.Execute(dropped).status.ToString());
+    return out;
+  };
+
+  const std::vector<Record> expected = registry(*primary);
+  ASSERT_EQ(expected.size(), 4u);  // CREATE s1, two DEFINEs, the STATE
+  EXPECT_EQ(registry(*replayed), expected);
+  EXPECT_EQ(registry(*follower), expected);
+  const uint64_t resident = primary->CollectHealth().resident_bytes;
+  EXPECT_GT(resident, 0u);
+  EXPECT_EQ(replayed->CollectHealth().resident_bytes, resident);
+  EXPECT_EQ(follower->CollectHealth().resident_bytes, resident);
+  const std::vector<std::string> expected_answers = {
+      "OK 1 ", "OK 0 ", "OK 1 Auto#0\n", "OK 1 Auto#0\nTruck#1\n",
+      "NOT_FOUND: no session '" + *s2 + "'"};
+  EXPECT_EQ(answers(*primary), expected_answers);
+  EXPECT_EQ(answers(*replayed), expected_answers);
+  EXPECT_EQ(answers(*follower), expected_answers);
+}
+
+// Two SESSION DROPs racing for one session: exactly one erases it and
+// answers OK; the other answers NOT_FOUND and appends nothing.
+TEST(ServicePersistenceTest, ConcurrentDropsOfOneSessionAckOnce) {
+  DurableCatalogOptions catalog_options;
+  catalog_options.data_dir = FreshDir("drop_race");
+  catalog_options.snapshot_interval_s = 0;
+  ServiceOptions options;
+  options.metrics = false;
+  options.catalog = MustOpen(catalog_options);
+  ASSERT_NE(options.catalog, nullptr);
+  OocqService service(options);
+  persist::WriteAheadLog* wal = options.catalog->wal();
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    StatusOr<std::string> sid = service.CreateSession(kVehicleRentalSchema);
+    OOCQ_ASSERT_OK(sid.status());
+    const uint64_t appended = wal->appended();
+    std::atomic<int> ready{0};
+    Status first;
+    Status second;
+    auto drop = [&](Status* out) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      *out = service.DropSession(*sid);
+    };
+    std::thread racer(drop, &second);
+    drop(&first);
+    racer.join();
+    EXPECT_NE(first.ok(), second.ok())
+        << first.ToString() << " / " << second.ToString();
+    EXPECT_EQ((first.ok() ? second : first).code(), StatusCode::kNotFound);
+    EXPECT_EQ(wal->appended(), appended + 1);
+  }
+  EXPECT_EQ(service.session_count(), 0u);
+}
+
+// A replicated record stays applied when this node's own WAL append
+// fails: the primary acked it. A re-shipped create of a session the
+// follower already holds changes nothing, so its failed append must not
+// take the session (or its named queries) away.
+TEST(ServicePersistenceTest, ReplicatedRecordSurvivesItsFailedLocalAppend) {
+  DurableCatalogOptions catalog_options;
+  catalog_options.data_dir = FreshDir("repl_fsync");
+  catalog_options.snapshot_interval_s = 0;
+  ServiceOptions options;
+  options.metrics = false;
+  options.read_only = true;
+  options.catalog = MustOpen(catalog_options);
+  ASSERT_NE(options.catalog, nullptr);
+  OocqService follower(options);
+  const Record create{.type = RecordType::kCreateSession,
+                      .session_id = "s1",
+                      .text = kVehicleRentalSchema};
+  OOCQ_ASSERT_OK(follower.ApplyReplicated(create));
+  OOCQ_ASSERT_OK(follower.ApplyReplicated({.type = RecordType::kDefineQuery,
+                                           .session_id = "s1",
+                                           .name = "autos",
+                                           .text = "{ x | x in Auto }"}));
+
+  OOCQ_ASSERT_OK(Failpoints::Configure("wal/fsync=error@1"));
+  EXPECT_FALSE(follower.ApplyReplicated(create).ok());
+  OOCQ_ASSERT_OK(Failpoints::Configure("wal/fsync=error@1"));
+  EXPECT_FALSE(follower
+                   .ApplyReplicated({.type = RecordType::kCreateSession,
+                                     .session_id = "s2",
+                                     .text = kVehicleRentalSchema})
+                   .ok());
+  Failpoints::Reset();
+  OOCQ_ASSERT_OK(follower.ApplyReplicated({.type = RecordType::kDefineQuery,
+                                           .session_id = "s2",
+                                           .name = "autos",
+                                           .text = "{ x | x in Auto }"}));
+
+  EXPECT_EQ(follower.SessionIds(), (std::vector<std::string>{"s1", "s2"}));
+  for (const std::string sid : {"s1", "s2"}) {
+    Request request;
+    request.kind = RequestKind::kContained;
+    request.session_id = sid;
+    request.query = "@autos";
+    request.query2 = "{ x | x in Vehicle }";
+    Response response = follower.Execute(request);
+    OOCQ_EXPECT_OK(response.status);
+    EXPECT_TRUE(response.verdict) << sid;
+  }
+  EXPECT_EQ(follower.metrics_registry()->CounterValue("repl/applied_records"),
+            5u);
 }
 
 }  // namespace

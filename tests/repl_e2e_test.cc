@@ -19,6 +19,7 @@
 #include "replicate/follower.h"
 #include "server/event_server.h"
 #include "server/service.h"
+#include "support/failpoint.h"
 #include "support/file.h"
 #include "test_util.h"
 
@@ -289,6 +290,76 @@ TEST(ReplEndToEndTest, AutoPromoteOnPrimaryLoss) {
       follower_service.CreateSession(kVehicleRentalSchema);
   OOCQ_EXPECT_OK(new_sid.status());
   follower.Stop();
+}
+
+// A replicated create whose local WAL append fails is skipped by the
+// follower (counted, not fatal), but the session stays applied: the
+// primary acked it, so the follower keeps serving it and applies the
+// DEFINE that follows.
+TEST(ReplEndToEndTest, FollowerKeepsACreateItsOwnWalFailedToLog) {
+  std::string follower_dir = FreshDir("fsync_follower");
+  ServiceOptions follower_options;
+  follower_options.catalog = OpenCatalog(follower_dir);
+  ASSERT_NE(follower_options.catalog, nullptr);
+  follower_options.read_only = true;
+  OocqService follower_service(follower_options);
+
+  std::string primary_dir = FreshDir("fsync_primary");
+  ServiceOptions primary_options;
+  primary_options.catalog = OpenCatalog(primary_dir);
+  ASSERT_NE(primary_options.catalog, nullptr);
+  OocqService primary(primary_options);
+  EventServerOptions transport_options;
+  transport_options.dispatch_threads = 2;
+  EventServer transport(&primary, transport_options);
+  OOCQ_ASSERT_OK(transport.Start());
+  StatusOr<std::string> sid = primary.CreateSession(kVehicleRentalSchema);
+  OOCQ_ASSERT_OK(sid.status());
+
+  // The next fsync in this process is the follower logging the create
+  // its resync applies.
+  OOCQ_ASSERT_OK(Failpoints::Configure("wal/fsync=error@1"));
+  FollowerOptions tail_options;
+  tail_options.port = transport.port();
+  tail_options.poll_wait_ms = 100;
+  Follower follower(&follower_service, tail_options);
+  follower.Start();
+  ASSERT_TRUE(Eventually([&] {
+    return follower_service.metrics_registry()->CounterValue(
+               "repl/apply_skipped") == 1;
+  }));
+  Failpoints::Reset();
+  EXPECT_EQ(follower_service.SessionIds(), std::vector<std::string>{*sid});
+
+  OOCQ_ASSERT_OK(primary.DefineQuery(*sid, "autos", "{ x | x in Auto }"));
+  Request request = ContainRequest(*sid);
+  request.query = "@autos";
+  ASSERT_TRUE(Eventually([&] {
+    Response response = follower_service.Execute(request);
+    return response.status.ok() && response.verdict;
+  }));
+  auto registry = [](const OocqService& service) {
+    StatusOr<persist::DurableCatalog::PositionedDump> dump =
+        service.options().catalog->DumpWithPosition();
+    EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+    std::vector<persist::Record> records;
+    if (!dump.ok()) return records;
+    for (persist::Record& record : dump->records) {
+      if (record.type != persist::RecordType::kCacheEntry) {
+        records.push_back(std::move(record));
+      }
+    }
+    return records;
+  };
+  const std::vector<persist::Record> expected = registry(primary);
+  ASSERT_EQ(expected.size(), 2u);  // CREATE, DEFINE
+  EXPECT_EQ(registry(follower_service), expected);
+  EXPECT_EQ(
+      follower_service.metrics_registry()->CounterValue("repl/apply_skipped"),
+      1u);
+
+  follower.Stop();
+  transport.Stop();
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,6 +168,84 @@ TEST(ServiceSessionTest, MinimizeAndEquivalentKinds) {
   Response equivalent = service.Execute(equiv);
   OOCQ_ASSERT_OK(equivalent.status);
   EXPECT_TRUE(equivalent.verdict);
+}
+
+// A refused mutation applies nothing: a bad schema consumes no session
+// id, a DROP of an unknown session is NOT_FOUND, and a follower refuses
+// writes before parsing them.
+TEST(ServiceSessionTest, RefusedMutationsApplyNothing) {
+  OocqService service;
+  EXPECT_EQ(service.CreateSession("schema {").status().code(),
+            StatusCode::kInvalidArgument);
+  StatusOr<std::string> sid = service.CreateSession(kVehicleRentalSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  EXPECT_EQ(*sid, "s1");
+  EXPECT_EQ(service.DropSession("s9").code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.DefineQuery("s9", "q", "{ x | x in Auto }").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(service.DefineQuery(*sid, "q", "{ x |").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Execute(MakeContain(*sid, "@q", "@q")).status.code(),
+            StatusCode::kNotFound);
+
+  ServiceOptions follower_options;
+  follower_options.read_only = true;
+  OocqService follower(follower_options);
+  OOCQ_ASSERT_OK(follower.ApplyReplicated(
+      {.type = persist::RecordType::kCreateSession,
+       .session_id = "s1",
+       .text = kVehicleRentalSchema}));
+  // A drop of an absent session is already applied, not an error.
+  OOCQ_EXPECT_OK(follower.ApplyReplicated(
+      {.type = persist::RecordType::kDropSession, .session_id = "s7"}));
+  EXPECT_EQ(follower.DefineQuery("s1", "q", "{ x |").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(follower.CreateSession("schema {").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(follower.session_count(), 1u);
+}
+
+// A DEFINE or STATE racing SESSION DROP: the mutation's "still
+// registered" check and its resident-byte charge are atomic with the
+// drop's release, so the outcome is one of the two serial orders
+// (mutation then drop: both OK; drop then mutation: NOT_FOUND) and the
+// budget ends with nothing charged. The ~200 kB payload takes longer to
+// parse than the head start the drop gives it, so the drop usually lands
+// between the mutation's session lookup and its charge.
+TEST(ServiceSessionTest, MutationRacingDropLeavesNoResidentBytes) {
+  std::string big_query = "{ x | x in Vehicle";
+  while (big_query.size() < 200000) big_query += " & x in Vehicle";
+  big_query += " }";
+  std::string big_state = "state {";
+  for (int i = 0; big_state.size() < 200000; ++i) {
+    big_state += " a" + std::to_string(i) + ": Auto { Doors = 4; }";
+  }
+  big_state += " }";
+
+  ServiceOptions options;
+  options.budget.max_resident_bytes = 1 << 20;
+  OocqService service(options);
+  for (const bool define : {true, false}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      SCOPED_TRACE((define ? "DEFINE trial " : "STATE trial ") +
+                   std::to_string(trial));
+      StatusOr<std::string> sid = service.CreateSession(kVehicleRentalSchema);
+      OOCQ_ASSERT_OK(sid.status());
+      Status mutated;
+      std::thread mutator([&] {
+        mutated = define ? service.DefineQuery(*sid, "big", big_query)
+                         : service.LoadState(*sid, big_state);
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      Status dropped = service.DropSession(*sid);
+      mutator.join();
+      OOCQ_EXPECT_OK(dropped);
+      EXPECT_TRUE(mutated.ok() || mutated.code() == StatusCode::kNotFound)
+          << mutated.ToString();
+      EXPECT_EQ(service.session_count(), 0u);
+      EXPECT_EQ(service.CollectHealth().resident_bytes, 0u);
+    }
+  }
 }
 
 // The core abort path, without the service: a pre-expired token makes
