@@ -14,7 +14,6 @@
 #include "core/mapping.h"
 #include "core/satisfiability.h"
 #include "query/equality_graph.h"
-#include "query/well_formed.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/status_macros.h"
@@ -126,8 +125,8 @@ StatusOr<std::vector<Atom>> MembershipCandidatePool(
 /// The Thm 3.1 decision procedure proper; the public Contained() wraps it
 /// with a trace span and metrics. `tinfo` receives the dispatch outcome;
 /// `decision` (nullable) the unsatisfiability reason or refutation.
-StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
-                             const ConjunctiveQuery& q2,
+StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
+                             const PreparedDisjunct& q2,
                              const ContainmentOptions& options,
                              ContainmentStats* stats,
                              ContainedTraceInfo* tinfo,
@@ -135,27 +134,29 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
   if (options.cancel != nullptr) {
     OOCQ_RETURN_IF_ERROR(options.cancel->Check());
   }
-  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, q1));
-  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, q2));
-  if (!q1.IsTerminal(schema) || !q2.IsTerminal(schema)) {
+  OOCQ_RETURN_IF_ERROR(q1.well_formed());
+  OOCQ_RETURN_IF_ERROR(q2.well_formed());
+  if (!q1.terminal() || !q2.terminal()) {
     return Status::FailedPrecondition(
         "Contained requires terminal conjunctive queries; expand with "
         "ExpandToTerminalQueries first");
   }
 
-  if (SatisfiabilityResult sat = CheckSatisfiable(schema, q1);
-      !sat.satisfiable) {
-    if (decision != nullptr) decision->q1_unsatisfiable = std::move(sat.reason);
+  if (!q1.satisfiable()) {
+    if (decision != nullptr) {
+      decision->q1_unsatisfiable = q1.unsatisfiable_reason();
+    }
     return true;
   }
-  if (SatisfiabilityResult sat = CheckSatisfiable(schema, q2);
-      !sat.satisfiable) {
-    if (decision != nullptr) decision->q2_unsatisfiable = std::move(sat.reason);
+  if (!q2.satisfiable()) {
+    if (decision != nullptr) {
+      decision->q2_unsatisfiable = q2.unsatisfiable_reason();
+    }
     return false;
   }
 
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n1, NormalizeTerminalQuery(schema, q1));
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n2, NormalizeTerminalQuery(schema, q2));
+  const ConjunctiveQuery& n1 = q1.normalized();
+  const ConjunctiveQuery& n2 = q2.normalized();
 
   const bool rhs_has_inequality =
       options.force_full_theorem || HasAtomKind(n2, AtomKind::kInequality);
@@ -191,9 +192,11 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
   // The subsets are independent, so the 2^|T| masks are scanned in chunks
   // that fan out over options.parallel; the verdict is resolved as the
   // smallest decisive mask in enumeration order, which is exactly what
-  // the serial scan reports.
+  // the serial scan reports. `prepared` is Q1 when `base` is its normal
+  // form (no augmentation), else null.
   auto check_augmentation =
-      [&](const ConjunctiveQuery& base) -> StatusOr<bool> {
+      [&](const ConjunctiveQuery& base,
+          const PreparedDisjunct* prepared) -> StatusOr<bool> {
     // Cancellation is polled once per augmentation here and once per
     // mask inside the subset scan, so both Thm 3.1 axes abort promptly.
     if (options.cancel != nullptr) {
@@ -291,21 +294,31 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
             break;
           }
         }
-        ConjunctiveQuery target = base;
-        for (size_t i = 0; i < t_size; ++i) {
-          if (mask & (uint64_t{1} << i)) target.AddAtom(membership_pool[i]);
+        // Mask 0 targets `base` itself: when that is Q1's normal form, its
+        // analysis is built once per prepared disjunct.
+        const QueryAnalysis* analysis = nullptr;
+        if (mask == 0 && prepared != nullptr && prepared->analysis().ok()) {
+          analysis = &*prepared->analysis();
         }
-        if (!CheckSatisfiable(schema, target).satisfiable) {
-          ++skipped;
-          continue;
+        StatusOr<QueryAnalysis> built = Status::Internal("unbuilt");
+        if (analysis == nullptr) {
+          ConjunctiveQuery target = base;
+          for (size_t i = 0; i < t_size; ++i) {
+            if (mask & (uint64_t{1} << i)) target.AddAtom(membership_pool[i]);
+          }
+          if (!CheckSatisfiable(schema, target).satisfiable) {
+            ++skipped;
+            continue;
+          }
+          built = QueryAnalysis::Create(schema, target);
+          if (built.ok()) analysis = &*built;
         }
         ++result.stats.membership_subsets;
         ++result.stats.mapping_searches;
-        StatusOr<QueryAnalysis> analysis = QueryAnalysis::Create(schema, target);
-        if (!analysis.ok()) {
+        if (analysis == nullptr) {
           result.event_mask = mask;
           result.is_error = true;
-          result.error = analysis.status();
+          result.error = built.status();
           skipped += end - mask - 1;
           AtomicMin(first_event, mask);
           break;
@@ -363,7 +376,7 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
 
   if (!rhs_has_inequality) {
     // Cor 3.4 (positive Q2) and Cor 3.2 (no inequalities): S = ∅ only.
-    return check_augmentation(n1);
+    return check_augmentation(n1, &q1);
   }
 
   // Cor 3.3 / Thm 3.1: enumerate every consistent augmentation.
@@ -373,7 +386,7 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
   StatusOr<bool> outcome = ForEachConsistentAugmentation(
       schema, n1, augmentation_options,
       [&](const ConjunctiveQuery& augmented) -> bool {
-        StatusOr<bool> ok = check_augmentation(augmented);
+        StatusOr<bool> ok = check_augmentation(augmented, nullptr);
         if (!ok.ok()) {
           inner_error = ok.status();
           return false;
@@ -398,8 +411,8 @@ std::string SpecializationCounterName(const char* specialization) {
 
 }  // namespace
 
-StatusOr<bool> Contained(const Schema& schema, const ConjunctiveQuery& q1,
-                         const ConjunctiveQuery& q2,
+StatusOr<bool> Contained(const Schema& schema, const PreparedDisjunct& q1,
+                         const PreparedDisjunct& q2,
                          const ContainmentOptions& options,
                          ContainmentStats* stats,
                          ContainmentDecision* decision) {
@@ -435,38 +448,46 @@ StatusOr<bool> Contained(const Schema& schema, const ConjunctiveQuery& q1,
   return verdict;
 }
 
+StatusOr<bool> Contained(const Schema& schema, const ConjunctiveQuery& q1,
+                         const ConjunctiveQuery& q2,
+                         const ContainmentOptions& options,
+                         ContainmentStats* stats,
+                         ContainmentDecision* decision) {
+  return Contained(schema, PreparedDisjunct(schema, q1),
+                   PreparedDisjunct(schema, q2), options, stats, decision);
+}
+
 StatusOr<bool> EquivalentQueries(const Schema& schema,
                                  const ConjunctiveQuery& q1,
                                  const ConjunctiveQuery& q2,
                                  const ContainmentOptions& options,
                                  ContainmentStats* stats) {
-  OOCQ_ASSIGN_OR_RETURN(bool forward, Contained(schema, q1, q2, options, stats));
+  const PreparedDisjunct p1(schema, q1);
+  const PreparedDisjunct p2(schema, q2);
+  OOCQ_ASSIGN_OR_RETURN(bool forward, Contained(schema, p1, p2, options, stats));
   if (!forward) return false;
-  return Contained(schema, q2, q1, options, stats);
+  return Contained(schema, p2, p1, options, stats);
 }
 
-StatusOr<bool> UnionContained(const Schema& schema, const UnionQuery& m,
-                              const UnionQuery& n,
+StatusOr<bool> UnionContained(const Schema& schema, const PreparedDisjuncts& m,
+                              const PreparedDisjuncts& n,
                               const ContainmentOptions& options,
                               ContainmentStats* stats,
                               ContainmentCache* cache) {
   OOCQ_TRACE_SPAN(span, "UnionContained");
-  span.Arg("m_disjuncts", static_cast<uint64_t>(m.disjuncts.size()))
-      .Arg("n_disjuncts", static_cast<uint64_t>(n.disjuncts.size()));
+  span.Arg("m_disjuncts", static_cast<uint64_t>(m.size()))
+      .Arg("n_disjuncts", static_cast<uint64_t>(n.size()));
   OOCQ_METRIC_ADD("containment/union_calls", 1);
   // Thm 4.1 is stated (and true) for unions of terminal positive
   // conjunctive queries; reject anything else.
-  for (const UnionQuery* side : {&m, &n}) {
-    for (const ConjunctiveQuery& q : side->disjuncts) {
-      OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, q));
-      if (!q.IsTerminal(schema)) {
+  for (const PreparedDisjuncts* side : {&m, &n}) {
+    for (const std::shared_ptr<const PreparedDisjunct>& q : *side) {
+      OOCQ_RETURN_IF_ERROR(q->well_formed());
+      if (!q->terminal()) {
         return Status::FailedPrecondition(
             "UnionContained requires terminal disjuncts");
       }
-      if (!CheckSatisfiable(schema, q).satisfiable) continue;
-      OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery normalized,
-                            NormalizeTerminalQuery(schema, q));
-      if (!normalized.IsPositive()) {
+      if (q->satisfiable() && !q->positive()) {
         return Status::FailedPrecondition(
             "UnionContained requires positive disjuncts (Thm 4.1)");
       }
@@ -486,7 +507,7 @@ StatusOr<bool> UnionContained(const Schema& schema, const UnionQuery& m,
   OOCQ_ASSIGN_OR_RETURN(
       std::vector<DisjunctResult> outcomes,
       (ParallelMap<DisjunctResult>(
-          options.parallel, m.disjuncts.size(),
+          options.parallel, m.size(),
           [&](size_t i) -> StatusOr<DisjunctResult> {
             DisjunctResult result;
             if (i > first_event.load(std::memory_order_acquire)) {
@@ -502,14 +523,14 @@ StatusOr<bool> UnionContained(const Schema& schema, const UnionQuery& m,
                 return result;
               }
             }
-            const ConjunctiveQuery& qi = m.disjuncts[i];
-            if (!CheckSatisfiable(schema, qi).satisfiable) return result;
-            for (const ConjunctiveQuery& pj : n.disjuncts) {
+            const PreparedDisjunct& qi = *m[i];
+            if (!qi.satisfiable()) return result;
+            for (const std::shared_ptr<const PreparedDisjunct>& pj : n) {
               StatusOr<bool> contained =
                   cache != nullptr
-                      ? cache->Contained(qi, pj, &result.stats,
+                      ? cache->Contained(qi, *pj, &result.stats,
                                          options.cancel, options.budget)
-                      : Contained(schema, qi, pj, options, &result.stats);
+                      : Contained(schema, qi, *pj, options, &result.stats);
               if (!contained.ok()) {
                 result.decisive = true;
                 result.is_error = true;
@@ -534,15 +555,27 @@ StatusOr<bool> UnionContained(const Schema& schema, const UnionQuery& m,
   return true;
 }
 
+StatusOr<bool> UnionContained(const Schema& schema, const UnionQuery& m,
+                              const UnionQuery& n,
+                              const ContainmentOptions& options,
+                              ContainmentStats* stats,
+                              ContainmentCache* cache) {
+  return UnionContained(schema, PrepareDisjuncts(schema, m.disjuncts),
+                        PrepareDisjuncts(schema, n.disjuncts), options, stats,
+                        cache);
+}
+
 StatusOr<bool> UnionEquivalent(const Schema& schema, const UnionQuery& m,
                                const UnionQuery& n,
                                const ContainmentOptions& options,
                                ContainmentStats* stats,
                                ContainmentCache* cache) {
+  const PreparedDisjuncts pm = PrepareDisjuncts(schema, m.disjuncts);
+  const PreparedDisjuncts pn = PrepareDisjuncts(schema, n.disjuncts);
   OOCQ_ASSIGN_OR_RETURN(bool forward,
-                        UnionContained(schema, m, n, options, stats, cache));
+                        UnionContained(schema, pm, pn, options, stats, cache));
   if (!forward) return false;
-  return UnionContained(schema, n, m, options, stats, cache);
+  return UnionContained(schema, pn, pm, options, stats, cache);
 }
 
 }  // namespace oocq

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/prepared.h"
 #include "query/query.h"
 #include "schema/schema.h"
 #include "support/cancellation.h"
@@ -126,6 +127,18 @@ struct ContainmentDecision {
 /// atom per (element class, set-term class) pair of the augmented Q1 that
 /// keeps it satisfiable and is not already derivable; all 2^|T| subsets W
 /// are checked. `decision` (optional) receives the decision record.
+///
+/// The operands' well-formedness, satisfiability and normal forms are
+/// read from their PreparedDisjunct (core/prepared.h), and Q1's analysis
+/// serves as the S = W = ∅ target, so deciding many pairs over the same
+/// disjuncts derives each fact once.
+StatusOr<bool> Contained(const Schema& schema, const PreparedDisjunct& q1,
+                         const PreparedDisjunct& q2,
+                         const ContainmentOptions& options = {},
+                         ContainmentStats* stats = nullptr,
+                         ContainmentDecision* decision = nullptr);
+
+/// Contained() on two queries prepared for this call alone.
 StatusOr<bool> Contained(const Schema& schema, const ConjunctiveQuery& q1,
                          const ConjunctiveQuery& q2,
                          const ContainmentOptions& options = {},
@@ -150,6 +163,14 @@ class ContainmentCache;
 /// When `cache` is non-null the per-disjunct tests route through it (its
 /// ContainmentOptions govern those decisions) and its hit/miss traffic
 /// lands in `stats`.
+StatusOr<bool> UnionContained(const Schema& schema,
+                              const PreparedDisjuncts& m,
+                              const PreparedDisjuncts& n,
+                              const ContainmentOptions& options = {},
+                              ContainmentStats* stats = nullptr,
+                              ContainmentCache* cache = nullptr);
+
+/// UnionContained() on two unions prepared for this call alone.
 StatusOr<bool> UnionContained(const Schema& schema, const UnionQuery& m,
                               const UnionQuery& n,
                               const ContainmentOptions& options = {},

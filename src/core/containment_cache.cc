@@ -5,7 +5,6 @@
 #include <functional>
 #include <utility>
 
-#include "core/canonical.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/status_macros.h"
@@ -105,19 +104,21 @@ size_t ContainmentCache::size() const {
   return total;
 }
 
-StatusOr<bool> ContainmentCache::Contained(const ConjunctiveQuery& q1,
-                                           const ConjunctiveQuery& q2,
+StatusOr<bool> ContainmentCache::Contained(const PreparedDisjunct& q1,
+                                           const PreparedDisjunct& q2,
                                            ContainmentStats* stats,
                                            const CancellationToken* cancel,
                                            ResourceBudget* budget) {
   OOCQ_RETURN_IF_ERROR(Failpoints::Check("cache/lookup"));
   // Length-prefixing Q1's key makes the concatenation injective even if a
   // string constant inside a canonical key contains arbitrary bytes.
-  const std::string k1 = CanonicalKey(q1);
+  const std::string& k1 = q1.key();
+  const std::string& k2 = q2.key();
   std::string key = std::to_string(k1.size());
+  key.reserve(key.size() + 1 + k1.size() + k2.size());
   key += ':';
   key += k1;
-  key += CanonicalKey(q2);
+  key += k2;
   Shard& shard = ShardFor(key);
 
   std::shared_ptr<Entry> entry;
@@ -189,6 +190,15 @@ StatusOr<bool> ContainmentCache::Contained(const ConjunctiveQuery& q1,
   }
   shard.cv.notify_all();
   return decided;
+}
+
+StatusOr<bool> ContainmentCache::Contained(const ConjunctiveQuery& q1,
+                                           const ConjunctiveQuery& q2,
+                                           ContainmentStats* stats,
+                                           const CancellationToken* cancel,
+                                           ResourceBudget* budget) {
+  return Contained(PreparedDisjunct(*schema_, q1),
+                   PreparedDisjunct(*schema_, q2), stats, cancel, budget);
 }
 
 }  // namespace oocq

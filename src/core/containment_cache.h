@@ -59,7 +59,9 @@ class ContainmentCache {
 
   /// Contained(q1, q2), answered from the cache when a renaming of the
   /// pair was decided before (or is being decided concurrently — the call
-  /// then waits instead of recomputing). `stats` (optional) accumulates
+  /// then waits instead of recomputing). The key is
+  /// `len(k1) ":" k1 k2` over the disjuncts' CanonicalKey()s, which each
+  /// PreparedDisjunct builds once. `stats` (optional) accumulates
   /// the work counters of decisions this call actually computed.
   /// `cancel` (optional) is polled by a decision this call computes; a
   /// tripped token surfaces its retryable status. `budget` (optional) is
@@ -69,6 +71,13 @@ class ContainmentCache {
   /// fresh deadline or budget recomputes; deterministic errors stay
   /// memoized to fail identical requests fast (Export() still never
   /// persists them).
+  StatusOr<bool> Contained(const PreparedDisjunct& q1,
+                           const PreparedDisjunct& q2,
+                           ContainmentStats* stats = nullptr,
+                           const CancellationToken* cancel = nullptr,
+                           ResourceBudget* budget = nullptr);
+
+  /// Contained() on two queries prepared for this call alone.
   StatusOr<bool> Contained(const ConjunctiveQuery& q1,
                            const ConjunctiveQuery& q2,
                            ContainmentStats* stats = nullptr,

@@ -121,10 +121,11 @@ StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
 
 StatusOr<UnionQuery> NormalizeAndExpand(const Schema& schema,
                                         const ConjunctiveQuery& query,
-                                        const ExpansionOptions& options) {
+                                        const ExpansionOptions& options,
+                                        ExpansionStats* stats) {
   OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery well_formed,
                         NormalizeToWellFormed(schema, query));
-  return ExpandToTerminalQueries(schema, well_formed, options);
+  return ExpandToTerminalQueries(schema, well_formed, options, stats);
 }
 
 }  // namespace oocq

@@ -50,10 +50,12 @@ StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
 
 /// Normalizes an arbitrary conjunctive query to well-formed
 /// (NormalizeToWellFormed, §2) and expands it (Prop 2.1): the union of
-/// terminal queries every decision verb works on.
+/// terminal queries every decision verb works on (PrepareQuery,
+/// core/prepared.h, prepares its disjuncts for them).
 StatusOr<UnionQuery> NormalizeAndExpand(const Schema& schema,
                                         const ConjunctiveQuery& query,
-                                        const ExpansionOptions& options = {});
+                                        const ExpansionOptions& options = {},
+                                        ExpansionStats* stats = nullptr);
 
 }  // namespace oocq
 

@@ -2,7 +2,7 @@
 
 #include "core/derivability.h"
 #include "core/mapping.h"
-#include "core/satisfiability.h"
+#include "core/prepared.h"
 #include "query/printer.h"
 #include "query/well_formed.h"
 #include "support/status_macros.h"
@@ -68,9 +68,11 @@ StatusOr<ContainmentExplanation> ExplainContainment(
         "ExplainContainment requires queries that are terminal once "
         "normalized to well-formed");
   }
+  const PreparedDisjunct p1(schema, w1);
+  const PreparedDisjunct p2(schema, w2);
   ContainmentDecision decision;
   OOCQ_ASSIGN_OR_RETURN(bool contained,
-                        Contained(schema, w1, w2, options, nullptr, &decision));
+                        Contained(schema, p1, p2, options, nullptr, &decision));
 
   ContainmentExplanation result;
   result.contained = contained;
@@ -90,8 +92,7 @@ StatusOr<ContainmentExplanation> ExplainContainment(
   result.text += DescribeDispatch(decision.spec);
 
   // The atoms of the decision record range over normalized Q1.
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n1,
-                        NormalizeTerminalQuery(schema, w1));
+  const ConjunctiveQuery& n1 = p1.normalized();
   if (!contained) {
     result.text += "refuted on this adversarial configuration of Q1:\n";
     result.text += DescribeAtoms(schema, n1, decision.refuting_s,
@@ -107,15 +108,14 @@ StatusOr<ContainmentExplanation> ExplainContainment(
 
   // Containment covers the configuration S = W = ∅, so a mapping of Q2
   // into Q1 itself exists; show it.
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery n2,
-                        NormalizeTerminalQuery(schema, w2));
-  OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
-                        QueryAnalysis::Create(schema, n1));
+  const ConjunctiveQuery& n2 = p2.normalized();
+  const StatusOr<QueryAnalysis>& analysis = p1.analysis();
+  if (!analysis.ok()) return analysis.status();
   MappingConstraints constraints;
   constraints.free_target = n1.free_var();
   constraints.max_steps = options.max_mapping_steps;
   MappingResult witness =
-      FindNonContradictoryMapping(schema, n2, analysis, constraints);
+      FindNonContradictoryMapping(schema, n2, *analysis, constraints);
   if (witness.exhausted) {
     return Status::ResourceExhausted("mapping search exceeded budget");
   }

@@ -1,14 +1,16 @@
 #include "core/minimization.h"
 
+#include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/canonical.h"
 #include "core/containment_cache.h"
 #include "core/derivability.h"
 #include "core/mapping.h"
+#include "core/prepared.h"
 #include "core/satisfiability.h"
 #include "query/well_formed.h"
 #include "support/metrics.h"
@@ -20,14 +22,15 @@ namespace oocq {
 
 namespace {
 
-/// Searches for a non-contradictory self-mapping of `query` that preserves
-/// the free variable and avoids `eliminate` in its image. Returns the
-/// image when found.
-StatusOr<MappingResult> FindEliminatingSelfMapping(
-    const Schema& schema, const ConjunctiveQuery& query, VarId eliminate,
-    const MinimizationOptions& options, ContainmentStats* stats) {
-  OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
-                        QueryAnalysis::Create(schema, query));
+/// Searches for a non-contradictory self-mapping of the analyzed query
+/// that preserves the free variable and avoids `eliminate` in its image.
+/// Returns the image when found.
+MappingResult FindEliminatingSelfMapping(const Schema& schema,
+                                         const QueryAnalysis& analysis,
+                                         VarId eliminate,
+                                         const MinimizationOptions& options,
+                                         ContainmentStats* stats) {
+  const ConjunctiveQuery& query = analysis.query();
   MappingConstraints constraints;
   constraints.forbidden_target = eliminate;
   constraints.free_target = query.free_var();
@@ -100,6 +103,10 @@ StatusOr<ConjunctiveQuery> MinimizeTerminalPositive(
   bool progress = true;
   while (progress) {
     progress = false;
+    // `current` changes only on a fold, so one analysis serves every
+    // candidate variable until then.
+    OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
+                          QueryAnalysis::Create(schema, current));
     for (VarId v = 0; v < current.num_vars(); ++v) {
       // One poll per candidate variable: each self-mapping search is an
       // independent work item, the granularity the cancellation contract
@@ -107,9 +114,8 @@ StatusOr<ConjunctiveQuery> MinimizeTerminalPositive(
       if (options.containment.cancel != nullptr) {
         OOCQ_RETURN_IF_ERROR(options.containment.cancel->Check());
       }
-      OOCQ_ASSIGN_OR_RETURN(
-          MappingResult mapping,
-          FindEliminatingSelfMapping(schema, current, v, options, stats));
+      MappingResult mapping =
+          FindEliminatingSelfMapping(schema, analysis, v, options, stats);
       if (mapping.exhausted) {
         return Status::ResourceExhausted(
             "self-mapping search exceeded max_mapping_steps");
@@ -140,10 +146,11 @@ StatusOr<bool> IsMinimalTerminalPositive(const Schema& schema,
   }
   // A non-bijective self-mapping on a finite variable set misses some
   // variable, so trying every variable as the missing one is exhaustive.
+  OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
+                        QueryAnalysis::Create(schema, query));
   for (VarId v = 0; v < query.num_vars(); ++v) {
-    OOCQ_ASSIGN_OR_RETURN(
-        MappingResult mapping,
-        FindEliminatingSelfMapping(schema, query, v, options, nullptr));
+    MappingResult mapping =
+        FindEliminatingSelfMapping(schema, analysis, v, options, nullptr);
     if (mapping.exhausted) {
       return Status::ResourceExhausted(
           "self-mapping search exceeded max_mapping_steps");
@@ -167,32 +174,33 @@ StatusOr<UnionQuery> RemoveRedundantDisjuncts(const Schema& schema,
 
   // Drop unsatisfiable disjuncts, and collapse disjuncts that are
   // syntactic renamings of an earlier one (canonical-key pre-pass) before
-  // paying for pairwise containment tests. Screening each disjunct is
-  // independent work and fans out; the ordered dedup stays serial.
-  struct Screened {
-    bool satisfiable = false;
-    std::string key;
-  };
-  std::vector<ConjunctiveQuery> live;
+  // paying for pairwise containment tests. Screening prepares each
+  // disjunct — independent work that fans out — and the matrix below
+  // reuses its facts and keys; the ordered dedup stays serial. A disjunct
+  // that is not well-formed and terminal stays live, so the matrix
+  // reports why.
+  PreparedDisjuncts live;
   {
     OOCQ_TRACE_SPAN(screen_span, "ScreenDisjuncts");
     screen_span.Arg("disjuncts", static_cast<uint64_t>(query.disjuncts.size()));
     OOCQ_ASSIGN_OR_RETURN(
-        std::vector<Screened> screened,
-        (ParallelMap<Screened>(
+        PreparedDisjuncts screened,
+        (ParallelMap<std::shared_ptr<const PreparedDisjunct>>(
             opts.parallel, query.disjuncts.size(),
-            [&](size_t i) -> StatusOr<Screened> {
-              Screened s;
-              s.satisfiable =
-                  CheckSatisfiable(schema, query.disjuncts[i]).satisfiable;
-              if (s.satisfiable) s.key = CanonicalKey(query.disjuncts[i]);
-              return s;
+            [&](size_t i) -> StatusOr<std::shared_ptr<const PreparedDisjunct>> {
+              auto prepared = std::make_shared<const PreparedDisjunct>(
+                  schema, query.disjuncts[i]);
+              if (prepared->satisfiable()) (void)prepared->key();
+              return prepared;
             })));
-    std::set<std::string> seen_keys;
-    for (size_t i = 0; i < query.disjuncts.size(); ++i) {
-      if (!screened[i].satisfiable) continue;
-      if (!seen_keys.insert(std::move(screened[i].key)).second) continue;
-      live.push_back(query.disjuncts[i]);
+    std::set<std::string_view> seen_keys;
+    for (std::shared_ptr<const PreparedDisjunct>& disjunct : screened) {
+      if (disjunct->terminal() && !disjunct->satisfiable()) continue;
+      if (disjunct->satisfiable() &&
+          !seen_keys.insert(disjunct->key()).second) {
+        continue;
+      }
+      live.push_back(std::move(disjunct));
     }
     screen_span.Arg("live", static_cast<uint64_t>(live.size()));
   }
@@ -226,10 +234,10 @@ StatusOr<UnionQuery> RemoveRedundantDisjuncts(const Schema& schema,
             }
             StatusOr<bool> contained =
                 cache != nullptr
-                    ? cache->Contained(live[i], live[j], &outcome.stats,
+                    ? cache->Contained(*live[i], *live[j], &outcome.stats,
                                        opts.containment.cancel,
                                        opts.containment.budget)
-                    : Contained(schema, live[i], live[j], opts.containment,
+                    : Contained(schema, *live[i], *live[j], opts.containment,
                                 &outcome.stats);
             if (!contained.ok()) return contained.status();
             outcome.contained = *contained;
@@ -256,7 +264,7 @@ StatusOr<UnionQuery> RemoveRedundantDisjuncts(const Schema& schema,
 
   UnionQuery result;
   for (size_t i = 0; i < n; ++i) {
-    if (kept[i]) result.disjuncts.push_back(std::move(live[i]));
+    if (kept[i]) result.disjuncts.push_back(live[i]->query());
   }
   span.Arg("kept", static_cast<uint64_t>(result.disjuncts.size()));
   return result;

@@ -169,31 +169,40 @@ std::string OptimizeReport::Summary(const Schema& schema) const {
   return out;
 }
 
-StatusOr<bool> QueryContained(const Schema& schema, const ConjunctiveQuery& q1,
-                              const ConjunctiveQuery& q2,
-                              const EngineOptions& options,
+StatusOr<bool> QueryContained(const Schema& schema, const PreparedQuery& m,
+                              const PreparedQuery& n,
+                              const ContainmentOptions& options,
                               ContainmentCache* cache,
                               ContainmentStats* stats) {
   OOCQ_TRACE_SPAN(span, "IsContained");
-  OOCQ_ASSIGN_OR_RETURN(UnionQuery m,
-                        NormalizeAndExpand(schema, q1, options.expansion));
-  OOCQ_ASSIGN_OR_RETURN(UnionQuery n,
-                        NormalizeAndExpand(schema, q2, options.expansion));
   if (n.disjuncts.size() == 1) {
-    const ContainmentOptions& containment = options.containment;
-    for (const ConjunctiveQuery& qi : m.disjuncts) {
+    const PreparedDisjunct& target = *n.disjuncts[0];
+    for (const std::shared_ptr<const PreparedDisjunct>& qi : m.disjuncts) {
       OOCQ_ASSIGN_OR_RETURN(
           bool contained,
           cache != nullptr
-              ? cache->Contained(qi, n.disjuncts[0], stats,
-                                 containment.cancel, containment.budget)
-              : Contained(schema, qi, n.disjuncts[0], containment, stats));
+              ? cache->Contained(*qi, target, stats, options.cancel,
+                                 options.budget)
+              : Contained(schema, *qi, target, options, stats));
       if (!contained) return false;
     }
     return true;
   }
   if (n.disjuncts.empty()) return m.disjuncts.empty();
-  return UnionContained(schema, m, n, options.containment, stats, cache);
+  return UnionContained(schema, m.disjuncts, n.disjuncts, options, stats,
+                        cache);
+}
+
+StatusOr<bool> QueryContained(const Schema& schema, const ConjunctiveQuery& q1,
+                              const ConjunctiveQuery& q2,
+                              const EngineOptions& options,
+                              ContainmentCache* cache,
+                              ContainmentStats* stats) {
+  OOCQ_ASSIGN_OR_RETURN(PreparedQuery m,
+                        PrepareQuery(schema, q1, options.expansion));
+  OOCQ_ASSIGN_OR_RETURN(PreparedQuery n,
+                        PrepareQuery(schema, q2, options.expansion));
+  return QueryContained(schema, m, n, options.containment, cache, stats);
 }
 
 StatusOr<MinimizationReport> MinimizeWellFormedQuery(

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/minimization.h"
+#include "core/prepared.h"
 #include "core/search_space.h"
 #include "query/query.h"
 #include "schema/schema.h"
@@ -75,15 +76,25 @@ struct OptimizeReport {
 
 class ContainmentCache;
 
-/// Q1 ⊆ Q2 for arbitrary conjunctive queries — the decision behind
-/// QueryOptimizer::IsContained and the server's CONTAIN/EQUIV verbs. Both
-/// sides go through NormalizeAndExpand. When Q2 expands to one terminal
-/// query, M ⊆ N iff every disjunct of M is contained in it (Contained(),
-/// exact for any atom kinds, so general queries are decided here); an
-/// empty N (unsatisfiable Q2) contains M iff M is empty too; otherwise
-/// Thm 4.1 (UnionContained) decides. `options` must already carry the
-/// propagated parallelism and budget; per-disjunct decisions route
-/// through `cache` when non-null. `stats` accumulates the work counters.
+/// Q1 ⊆ Q2 for arbitrary conjunctive queries, given their prepared
+/// expansions M and N (PrepareQuery) — the decision behind
+/// QueryOptimizer::IsContained and the server's CONTAIN/EQUIV verbs. When
+/// Q2 expands to one terminal query, M ⊆ N iff every disjunct of M is
+/// contained in it (Contained(), exact for any atom kinds, so general
+/// queries are decided here); an empty N (unsatisfiable Q2) contains M
+/// iff M is empty too; otherwise Thm 4.1 (UnionContained) decides.
+/// `options` must already carry the propagated parallelism and budget;
+/// per-disjunct decisions route through `cache` when non-null. `stats`
+/// accumulates the work counters. Charges no expansion: whoever prepared
+/// (or reuses, PreparedQuery::ChargeReuse) M and N did.
+StatusOr<bool> QueryContained(const Schema& schema, const PreparedQuery& m,
+                              const PreparedQuery& n,
+                              const ContainmentOptions& options,
+                              ContainmentCache* cache = nullptr,
+                              ContainmentStats* stats = nullptr);
+
+/// QueryContained() on Q1 and Q2 prepared for this call alone, under
+/// options.expansion.
 StatusOr<bool> QueryContained(const Schema& schema, const ConjunctiveQuery& q1,
                               const ConjunctiveQuery& q2,
                               const EngineOptions& options,

@@ -1,0 +1,75 @@
+#include "core/prepared.h"
+
+#include <utility>
+
+#include "core/canonical.h"
+#include "core/satisfiability.h"
+#include "query/well_formed.h"
+#include "support/status_macros.h"
+
+namespace oocq {
+
+const PreparedDisjunct::Facts& PreparedDisjunct::facts() const {
+  std::call_once(facts_once_, [this] {
+    Facts& f = facts_;
+    f.well_formed = CheckWellFormed(*schema_, query_);
+    f.terminal = f.well_formed.ok() && query_.IsTerminal(*schema_);
+    if (!f.terminal) return;
+    SatisfiabilityResult sat = CheckSatisfiable(*schema_, query_);
+    if (!sat.satisfiable) {
+      f.reason = std::move(sat.reason);
+      return;
+    }
+    StatusOr<ConjunctiveQuery> normalized =
+        NormalizeTerminalQuery(*schema_, query_);
+    if (!normalized.ok()) return;  // unreachable: the query is satisfiable
+    f.satisfiable = true;
+    f.normalized = *std::move(normalized);
+    f.positive = f.normalized.IsPositive();
+  });
+  return facts_;
+}
+
+const StatusOr<QueryAnalysis>& PreparedDisjunct::analysis() const {
+  std::call_once(analysis_once_, [this] {
+    if (satisfiable()) {
+      analysis_ = QueryAnalysis::Create(*schema_, normalized());
+    }
+  });
+  return analysis_;
+}
+
+const std::string& PreparedDisjunct::key() const {
+  std::call_once(key_once_, [this] { key_ = CanonicalKey(query_); });
+  return key_;
+}
+
+PreparedDisjuncts PrepareDisjuncts(const Schema& schema,
+                                   std::vector<ConjunctiveQuery> disjuncts) {
+  PreparedDisjuncts prepared;
+  prepared.reserve(disjuncts.size());
+  for (ConjunctiveQuery& disjunct : disjuncts) {
+    prepared.push_back(
+        std::make_shared<const PreparedDisjunct>(schema, std::move(disjunct)));
+  }
+  return prepared;
+}
+
+Status PreparedQuery::ChargeReuse(ResourceBudget* budget) const {
+  if (budget == nullptr) return Status::Ok();
+  return budget->ChargeDisjuncts(raw_disjuncts);
+}
+
+StatusOr<PreparedQuery> PrepareQuery(const Schema& schema,
+                                     const ConjunctiveQuery& query,
+                                     const ExpansionOptions& options) {
+  ExpansionStats stats;
+  OOCQ_ASSIGN_OR_RETURN(UnionQuery expanded,
+                        NormalizeAndExpand(schema, query, options, &stats));
+  PreparedQuery prepared;
+  prepared.raw_disjuncts = stats.raw_disjuncts;
+  prepared.disjuncts = PrepareDisjuncts(schema, std::move(expanded.disjuncts));
+  return prepared;
+}
+
+}  // namespace oocq

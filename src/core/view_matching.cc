@@ -1,7 +1,7 @@
 #include "core/view_matching.h"
 
 #include "core/containment.h"
-#include "core/expansion.h"
+#include "core/prepared.h"
 #include "support/status_macros.h"
 
 namespace oocq {
@@ -24,20 +24,21 @@ StatusOr<std::vector<ViewMatch>> MatchViews(
     const Schema& schema, const std::vector<ViewDefinition>& views,
     const ConjunctiveQuery& query, const MinimizationOptions& options) {
   const EngineOptions opts = WithPropagatedParallelism(options);
-  OOCQ_ASSIGN_OR_RETURN(UnionQuery q,
-                        NormalizeAndExpand(schema, query, opts.expansion));
+  // The query is prepared once for every view it is matched against.
+  OOCQ_ASSIGN_OR_RETURN(PreparedQuery q,
+                        PrepareQuery(schema, query, opts.expansion));
 
   std::vector<ViewMatch> matches;
   matches.reserve(views.size());
   for (const ViewDefinition& view : views) {
-    OOCQ_ASSIGN_OR_RETURN(
-        UnionQuery v, NormalizeAndExpand(schema, view.query, opts.expansion));
+    OOCQ_ASSIGN_OR_RETURN(PreparedQuery v,
+                          PrepareQuery(schema, view.query, opts.expansion));
     OOCQ_ASSIGN_OR_RETURN(
         bool query_in_view,
-        UnionContained(schema, q, v, opts.containment));
+        UnionContained(schema, q.disjuncts, v.disjuncts, opts.containment));
     OOCQ_ASSIGN_OR_RETURN(
         bool view_in_query,
-        UnionContained(schema, v, q, opts.containment));
+        UnionContained(schema, v.disjuncts, q.disjuncts, opts.containment));
     ViewMatch match;
     match.view_name = view.name;
     if (query_in_view && view_in_query) {

@@ -10,6 +10,7 @@
 #include "core/expansion.h"
 #include "core/explain.h"
 #include "core/optimizer.h"
+#include "core/prepared.h"
 #include "core/satisfiability.h"
 #include "parser/parser.h"
 #include "parser/state_parser.h"
@@ -396,9 +397,9 @@ StatusOr<bool> OocqService::ApplyRecord(const persist::Record& record) {
           record.session_id, *session,
           old != session->named.end() ? old->second.text.size() : 0,
           record.text.size()));
-      session->named.insert_or_assign(
-          record.name,
-          Registered<ConjunctiveQuery>{record.text, std::move(query)});
+      // A fresh entry: the old text's expansion goes with it.
+      if (old != session->named.end()) session->named.erase(old);
+      session->named.try_emplace(record.name, record.text, std::move(query));
       return true;
     }
     case persist::RecordType::kSetState: {
@@ -537,6 +538,33 @@ void OocqService::FinishOne() {
     std::lock_guard<std::mutex> lock(drain_mu_);
     drain_cv_.notify_all();
   }
+}
+
+StatusOr<PreparedQuery> OocqService::NamedQuery::Prepare(
+    const Schema& schema, const ExpansionOptions& options) const {
+  // The expansion, once made, is immutable and lives as long as this
+  // entry, which outlasts every request holding the session's lock.
+  const Expansion* expansion = nullptr;
+  bool charged = false;
+  {
+    std::lock_guard<std::mutex> lock(expand_mu_);
+    if (expansion_ == nullptr) {
+      // First use: the expansion charges options.budget itself.
+      Expansion fresh;
+      ExpansionStats stats;
+      OOCQ_ASSIGN_OR_RETURN(
+          fresh.terminal, NormalizeAndExpand(schema, parsed, options, &stats));
+      fresh.raw_disjuncts = stats.raw_disjuncts;
+      expansion_ = std::make_unique<const Expansion>(std::move(fresh));
+      charged = true;
+    }
+    expansion = expansion_.get();
+  }
+  PreparedQuery prepared;
+  prepared.raw_disjuncts = expansion->raw_disjuncts;
+  if (!charged) OOCQ_RETURN_IF_ERROR(prepared.ChargeReuse(options.budget));
+  prepared.disjuncts = PrepareDisjuncts(schema, expansion->terminal.disjuncts);
+  return prepared;
 }
 
 Status OocqService::Recharge(Session& session, uint64_t from, uint64_t to) {
@@ -686,16 +714,44 @@ Response OocqService::Run(const Request& request, Session& session,
   ContainmentCache* cache = session.cache.get();
 
   // A query field: `@name` reads a registered query, anything else is
-  // parsed.
-  auto resolve = [&](const std::string& text) -> StatusOr<ConjunctiveQuery> {
-    if (text.empty() || text[0] != '@') return ParseQuery(schema, text);
+  // parsed into `*parsed`. Returns the registered entry, or null for
+  // parsed text.
+  auto lookup = [&](const std::string& text, ConjunctiveQuery* parsed)
+      -> StatusOr<const NamedQuery*> {
+    if (text.empty() || text[0] != '@') {
+      OOCQ_ASSIGN_OR_RETURN(*parsed, ParseQuery(schema, text));
+      return nullptr;
+    }
     // Unary verbs pass their payload line on with its trailing newline.
     const std::string name = text.substr(1, text.find_last_not_of(" \t\r\n"));
     auto it = session.named.find(name);
     if (it == session.named.end()) {
       return Status::NotFound("no registered query '" + name + "'");
     }
-    return it->second.parsed;
+    return &it->second;
+  };
+  auto resolve = [&](const std::string& text) -> StatusOr<ConjunctiveQuery> {
+    ConjunctiveQuery parsed;
+    OOCQ_ASSIGN_OR_RETURN(const NamedQuery* named, lookup(text, &parsed));
+    if (named != nullptr) return named->parsed;
+    return parsed;
+  };
+  // A decision operand: looked up (or parsed) first, so a bad second
+  // operand reports before the first expands, as it always has; then
+  // prepared for this request — a registered query from its expansion
+  // slot, parsed text by expanding it here.
+  struct Operand {
+    const NamedQuery* named = nullptr;
+    ConjunctiveQuery parsed;
+  };
+  auto operand = [&](const std::string& text) -> StatusOr<Operand> {
+    Operand op;
+    OOCQ_ASSIGN_OR_RETURN(op.named, lookup(text, &op.parsed));
+    return op;
+  };
+  auto prepare = [&](const Operand& op) -> StatusOr<PreparedQuery> {
+    if (op.named != nullptr) return op.named->Prepare(schema, opts.expansion);
+    return PrepareQuery(schema, op.parsed, opts.expansion);
   };
 
   switch (request.kind) {
@@ -723,13 +779,24 @@ Response OocqService::Run(const Request& request, Session& session,
     }
     case RequestKind::kContained:
     case RequestKind::kEquivalent: {
-      StatusOr<ConjunctiveQuery> q1 = resolve(request.query);
-      StatusOr<ConjunctiveQuery> q2 = resolve(request.query2);
-      if (!q1.ok() || !q2.ok()) {
-        response.status = !q1.ok() ? q1.status() : q2.status();
+      StatusOr<Operand> op1 = operand(request.query);
+      StatusOr<Operand> op2 = operand(request.query2);
+      if (!op1.ok() || !op2.ok()) {
+        response.status = !op1.ok() ? op1.status() : op2.status();
         return response;
       }
-      StatusOr<bool> forward = QueryContained(schema, *q1, *q2, opts, cache);
+      StatusOr<PreparedQuery> m = prepare(*op1);
+      if (!m.ok()) {
+        response.status = m.status();
+        return response;
+      }
+      StatusOr<PreparedQuery> n = prepare(*op2);
+      if (!n.ok()) {
+        response.status = n.status();
+        return response;
+      }
+      StatusOr<bool> forward =
+          QueryContained(schema, *m, *n, opts.containment, cache);
       if (!forward.ok()) {
         response.status = forward.status();
         return response;
@@ -738,7 +805,15 @@ Response OocqService::Run(const Request& request, Session& session,
         response.verdict = *forward;
         return response;
       }
-      StatusOr<bool> backward = QueryContained(schema, *q2, *q1, opts, cache);
+      // The backward test is charged as if it expanded Q2 and Q1 again.
+      Status charged = n->ChargeReuse(opts.expansion.budget);
+      if (charged.ok()) charged = m->ChargeReuse(opts.expansion.budget);
+      if (!charged.ok()) {
+        response.status = std::move(charged);
+        return response;
+      }
+      StatusOr<bool> backward =
+          QueryContained(schema, *n, *m, opts.containment, cache);
       if (!backward.ok()) {
         response.status = backward.status();
         return response;
@@ -747,24 +822,19 @@ Response OocqService::Run(const Request& request, Session& session,
       return response;
     }
     case RequestKind::kUnionContained: {
-      UnionQuery m, n;
+      PreparedDisjuncts m, n;
       for (const auto* side : {&request.union_m, &request.union_n}) {
-        UnionQuery& out = side == &request.union_m ? m : n;
+        PreparedDisjuncts& out = side == &request.union_m ? m : n;
         for (const std::string& text : *side) {
-          StatusOr<ConjunctiveQuery> q = resolve(text);
-          if (!q.ok()) {
-            response.status = q.status();
+          StatusOr<Operand> op = operand(text);
+          StatusOr<PreparedQuery> prepared =
+              op.ok() ? prepare(*op) : StatusOr<PreparedQuery>(op.status());
+          if (!prepared.ok()) {
+            response.status = prepared.status();
             return response;
           }
-          StatusOr<UnionQuery> expanded =
-              NormalizeAndExpand(schema, *q, opts.expansion);
-          if (!expanded.ok()) {
-            response.status = expanded.status();
-            return response;
-          }
-          for (ConjunctiveQuery& d : expanded->disjuncts) {
-            out.disjuncts.push_back(std::move(d));
-          }
+          out.insert(out.end(), prepared->disjuncts.begin(),
+                     prepared->disjuncts.end());
         }
       }
       StatusOr<bool> verdict =

@@ -46,6 +46,7 @@
 #include "compile/program_cache.h"
 #include "core/containment_cache.h"
 #include "core/engine_options.h"
+#include "core/prepared.h"
 #include "persist/catalog.h"
 #include "query/query.h"
 #include "schema/schema.h"
@@ -311,11 +312,37 @@ class OocqService {
     T parsed;
   };
 
+  /// A registered query, with a slot for its Prop 2.1 expansion. The
+  /// first decision that resolves the name fills the slot; DEFINE and
+  /// replay never do. A redefinition replaces the whole entry, slot
+  /// included, under the session's exclusive lock.
+  struct NamedQuery : Registered<ConjunctiveQuery> {
+    NamedQuery(std::string t, ConjunctiveQuery q)
+        : Registered<ConjunctiveQuery>{std::move(t), std::move(q)} {}
+    /// The query prepared for one request (core/prepared.h): its
+    /// expansion comes from the slot, its disjuncts' facts and keys are
+    /// derived for this request. The first caller expands under
+    /// `options`, whose budget the expansion charges; a later caller
+    /// charges options.budget the raw disjunct count instead, as
+    /// expanding again would. A failed expansion is not kept: the next
+    /// caller expands again.
+    StatusOr<PreparedQuery> Prepare(const Schema& schema,
+                                    const ExpansionOptions& options) const;
+
+   private:
+    struct Expansion {
+      UnionQuery terminal;
+      uint64_t raw_disjuncts = 0;
+    };
+    mutable std::mutex expand_mu_;
+    mutable std::unique_ptr<const Expansion> expansion_;  // by expand_mu_
+  };
+
   struct Session {
     explicit Session(Schema s) : schema(std::move(s)) {}
     Schema schema;
     std::string schema_text;
-    std::map<std::string, Registered<ConjunctiveQuery>> named;
+    std::map<std::string, NamedQuery> named;
     std::optional<Registered<State>> state;
     std::unique_ptr<ContainmentCache> cache;
     /// Compiled evaluation programs, keyed by query text — same lifetime

@@ -7,6 +7,7 @@
 #include "core/containment.h"
 #include "core/minimization.h"
 #include "query/printer.h"
+#include "support/metrics.h"
 #include "test_util.h"
 
 namespace oocq {
@@ -133,6 +134,44 @@ TEST_F(MinimizationTest, IsMinimalDetectsFoldable) {
 }
 
 // --------------------------- redundancy removal -----------------------
+
+// Thm 4.3 analyzes the query once per fold, not once per candidate
+// variable: with no fold to make, the Thm 2.2 checks of one call do not
+// grow with the number of variables.
+TEST(MinimizationWorkTest, SelfMappingSearchAnalyzesOncePerFold) {
+  Schema schema = MustParseSchema("schema Chain { class N { Next: N; } }");
+  uint64_t first = 0;
+  for (int k = 1; k <= 6; ++k) {
+    // x -> b -> c -> ... along Next: every self-mapping is the identity.
+    std::string quantifiers, atoms = "x in N";
+    for (int i = 1; i <= k; ++i) {
+      const char y = static_cast<char>('a' + i);
+      const char prev = i == 1 ? 'x' : static_cast<char>(y - 1);
+      quantifiers.append("exists ").append(1, y).append(" ");
+      atoms.append(" & ").append(1, y).append(" in N & ").append(1, y);
+      atoms.append(" = ").append(1, prev).append(".Next");
+    }
+    std::string text = "{ x | ";
+    text.append(quantifiers).append("(").append(atoms).append(") }");
+    ConjunctiveQuery query = MustParseQuery(schema, text);
+    MetricsRegistry registry;
+    uint64_t removed = 0;
+    {
+      MetricsScope scope(&registry);
+      ASSERT_TRUE(scope.active());
+      StatusOr<ConjunctiveQuery> minimal =
+          MinimizeTerminalPositive(schema, query, {}, &removed);
+      OOCQ_ASSERT_OK(minimal.status());
+      StatusOr<bool> is_minimal = IsMinimalTerminalPositive(schema, query);
+      OOCQ_ASSERT_OK(is_minimal.status());
+      EXPECT_TRUE(*is_minimal);
+    }
+    EXPECT_EQ(removed, 0u) << text;
+    const uint64_t checks = registry.CounterValue("satisfiability/checks");
+    if (k == 1) first = checks;
+    EXPECT_EQ(checks, first) << k << " variable(s) past the free one";
+  }
+}
 
 TEST_F(MinimizationTest, RemoveRedundantDropsContainedDisjunct) {
   StatusOr<UnionQuery> parsed = ParseUnionQuery(

@@ -10,7 +10,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/canonical.h"
 #include "core/containment.h"
+#include "core/expansion.h"
 #include "server/protocol.h"
 #include "server/service.h"
 #include "support/cancellation.h"
@@ -501,6 +503,139 @@ TEST(ServiceDrainTest, DrainRefusesNewWork) {
 }
 
 // ---- The protocol layer over the same service, no sockets involved ----
+
+// ---- @name operands: the expansion slot ------------------------------------
+
+constexpr char kLeafSchema[] =
+    "schema S { class A { } class A1 under A { } class A2 under A { } }";
+
+// Prop 2.1 expands `{ x | x in A }` to 2 terminal disjuncts and
+// `{ x | exists y (x in A & y in A) }` to 4, and each contains the other.
+constexpr char kTwoWay[] = "{ x | x in A }";
+constexpr char kFourWay[] = "{ x | exists y (x in A & y in A) }";
+
+// The first requests that resolve two names race to expand them: each is
+// expanded exactly once, never at DEFINE, and every racer gets the same
+// verdict.
+TEST(ServicePreparedTest, ConcurrentFirstUseExpandsEachNameOnce) {
+  ServiceOptions options;
+  options.max_in_flight = 8;
+  OocqService service(options);
+  StatusOr<std::string> sid = service.CreateSession(kLeafSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "a", kTwoWay));
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "b", kFourWay));
+  EXPECT_EQ(service.metrics().CounterValue("expand/raw_disjuncts"), 0u);
+
+  std::vector<Response> responses(8);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < responses.size(); ++i) {
+    threads.emplace_back([&, i] {
+      responses[i] = service.Execute(MakeContain(*sid, "@a", "@b"));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Response& response : responses) {
+    OOCQ_EXPECT_OK(response.status);
+    EXPECT_TRUE(response.verdict);
+  }
+  EXPECT_EQ(service.metrics().CounterValue("expand/raw_disjuncts"), 2u + 4u);
+
+  // Later requests reuse both expansions.
+  Response again = service.Execute(MakeContain(*sid, "@b", "@a"));
+  OOCQ_ASSERT_OK(again.status);
+  EXPECT_TRUE(again.verdict);
+  EXPECT_EQ(service.metrics().CounterValue("expand/raw_disjuncts"), 2u + 4u);
+}
+
+// A redefinition replaces the expansion with the text: no request after
+// the DEFINE sees the old one.
+TEST(ServicePreparedTest, RedefinitionReplacesTheExpansion) {
+  OocqService service;
+  StatusOr<std::string> sid = service.CreateSession(kLeafSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "b", "{ x | x in A1 }"));
+  OOCQ_ASSERT_OK(service.DefineQuery(
+      *sid, "a", "{ x | exists y (x in A1 & y in A2) }"));
+  Response contained = service.Execute(MakeContain(*sid, "@a", "@b"));
+  OOCQ_ASSERT_OK(contained.status);
+  EXPECT_TRUE(contained.verdict);
+
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "a", kTwoWay));
+  Response redefined = service.Execute(MakeContain(*sid, "@a", "@b"));
+  OOCQ_ASSERT_OK(redefined.status);
+  EXPECT_FALSE(redefined.verdict);
+}
+
+// A reused expansion is charged to the request's budget as a fresh one
+// would be: a budget below the operands' raw disjunct count refuses the
+// request that expands them and the request that reuses one of them, and
+// each returns its charge.
+TEST(ServicePreparedTest, ReusedExpansionChargesTheBudget) {
+  ServiceOptions options;
+  options.budget.max_expanded_disjuncts = 2 + 4 - 1;
+  OocqService service(options);
+  StatusOr<std::string> sid = service.CreateSession(kLeafSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "a", kTwoWay));
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "b", kFourWay));
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    Response refused = service.Execute(MakeContain(*sid, "@a", "@b"));
+    EXPECT_EQ(refused.status.code(), StatusCode::kResourceExhausted)
+        << attempt << ": " << refused.status.ToString();
+    EXPECT_EQ(service.CollectHealth().disjuncts, 0u) << attempt;
+  }
+  // `a` alone fits: its expansion, kept from the first attempt, serves.
+  Response fits = service.Execute(MakeContain(*sid, "@a", "@a"));
+  OOCQ_ASSERT_OK(fits.status);
+  EXPECT_TRUE(fits.verdict);
+  EXPECT_EQ(service.CollectHealth().disjuncts, 0u);
+}
+
+// Cache keys keep their bytes: `len(k1) ":" k1 k2` over the CanonicalKey
+// of each side's expanded disjunct. A cache entry filed under that key
+// with the wrong verdict is what CONTAIN answers, for @name operands and
+// for the same texts inline, on the first request and on later ones.
+TEST(ServicePreparedTest, PersistedCacheKeysAreByteIdentical) {
+  const char* a = "{ x | exists y (x in A1 & y in A2) }";
+  const char* b = "{ x | x in A1 }";
+  Schema schema = MustParseSchema(kLeafSchema);
+  auto key_of = [&](const char* text) {
+    StatusOr<UnionQuery> expanded =
+        NormalizeAndExpand(schema, MustParseQuery(schema, text));
+    EXPECT_TRUE(expanded.ok() && expanded->disjuncts.size() == 1u) << text;
+    return expanded.ok() ? CanonicalKey(expanded->disjuncts[0]) : "";
+  };
+  const std::string k1 = key_of(a);
+  const std::string key = std::to_string(k1.size()) + ":" + k1 + key_of(b);
+
+  OocqService service;
+  StatusOr<std::string> sid = service.CreateSession(kLeafSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "a", a));
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "b", b));
+  Response truth = service.Execute(MakeContain(*sid, a, b));
+  OOCQ_ASSERT_OK(truth.status);
+  EXPECT_TRUE(truth.verdict);
+
+  StatusOr<std::string> poisoned = service.CreateSession(kLeafSchema);
+  OOCQ_ASSERT_OK(poisoned.status());
+  OOCQ_ASSERT_OK(service.DefineQuery(*poisoned, "a", a));
+  OOCQ_ASSERT_OK(service.DefineQuery(*poisoned, "b", b));
+  OOCQ_ASSERT_OK(
+      service.ApplyReplicated({.type = persist::RecordType::kCacheEntry,
+                               .session_id = *poisoned,
+                               .text = key,
+                               .verdict = false}));
+  for (int round = 0; round < 2; ++round) {
+    Response named = service.Execute(MakeContain(*poisoned, "@a", "@b"));
+    OOCQ_ASSERT_OK(named.status);
+    EXPECT_FALSE(named.verdict) << round;
+    Response inline_texts = service.Execute(MakeContain(*poisoned, a, b));
+    OOCQ_ASSERT_OK(inline_texts.status);
+    EXPECT_FALSE(inline_texts.verdict) << round;
+  }
+}
 
 TEST(ProtocolTest, ParseCommandLineSplitsVerbArgsParams) {
   CommandLine command =
