@@ -11,9 +11,15 @@
 //    (2^15 masks after the forced-atom split), interpreted per-mask
 //    mapping searches vs the word-parallel compiled coverage test.
 //    Verdicts must be identical.
+//  * pool_series: the same Cor 3.2 shape at |T| = 8, 16, 20, 24, each
+//    Contained() call timed whole and split, through a
+//    ThreadSpanCapture, into building the pool T (MembershipCandidatePool)
+//    and the compiled scan over its 2^|T| subsets (CompiledMaskScan). The
+//    split reads 0 when tracing is compiled out (OOCQ_DISABLE_TRACING).
 //
 // Standalone binary (no google-benchmark): writes BENCH_compile.json
-// with both legs' p50/p99 and the speedups, stamped via BeginBenchJson.
+// with every leg's p50s (and p99s where given) and the speedups, stamped
+// via BeginBenchJson.
 
 #include <algorithm>
 #include <chrono>
@@ -29,6 +35,7 @@
 #include "parser/parser.h"
 #include "state/evaluation.h"
 #include "state/generator.h"
+#include "support/trace.h"
 
 namespace oocq::bench {
 namespace {
@@ -142,6 +149,9 @@ std::string HeavyQ1(int k) {
   return q1;
 }
 
+constexpr const char* kHeavyQ2 =
+    "{ x | exists y (x in D & y in C & x notin y.S0) }";
+
 struct ScanLeg {
   Sample interpreted;
   Sample compiled;
@@ -150,8 +160,7 @@ struct ScanLeg {
 ScanLeg RunSubsetScanLeg(int k, int iters) {
   Schema schema = Must(ParseSchema(HeavySchemaText(k)));
   ConjunctiveQuery q1 = Must(ParseQuery(schema, HeavyQ1(k)));
-  ConjunctiveQuery q2 = Must(ParseQuery(
-      schema, "{ x | exists y (x in D & y in C & x notin y.S0) }"));
+  ConjunctiveQuery q2 = Must(ParseQuery(schema, kHeavyQ2));
 
   ContainmentOptions interpreted;
   interpreted.enable_compilation = false;
@@ -175,6 +184,65 @@ ScanLeg RunSubsetScanLeg(int k, int iters) {
         Must(Contained(schema, q1, q2, compiled)) ? 1u : 0u;
   });
   return leg;
+}
+
+// ---- Leg 3: Thm 3.1's pool and its subset scan, per |T| -------------
+
+constexpr int kPoolSeries[] = {8, 16, 20, 24};
+
+/// p50 of nanosecond samples, in microseconds.
+double P50Us(std::vector<uint64_t>& ns) {
+  std::sort(ns.begin(), ns.end());
+  return static_cast<double>(Percentile(ns, 0.50)) / 1000.0;
+}
+
+struct PoolPoint {
+  int t = 0;
+  double contained_p50_us = 0;
+  double pool_p50_us = 0;
+  double scan_p50_us = 0;
+};
+
+PoolPoint RunPoolPoint(int t, int iters) {
+  const int k = t + 1;  // x notin y.S0 keeps y.S0 out of the pool
+  Schema schema = Must(ParseSchema(HeavySchemaText(k)));
+  ConjunctiveQuery q1 = Must(ParseQuery(schema, HeavyQ1(k)));
+  ConjunctiveQuery q2 = Must(ParseQuery(schema, kHeavyQ2));
+
+  // The compiled scan must decide: one mapping enumeration covering all
+  // 2^|T| masks, not a per-mask search.
+  ContainmentStats stats;
+  if (!Must(Contained(schema, q1, q2, {}, &stats)) ||
+      stats.mapping_searches != 1 ||
+      stats.membership_subsets != (uint64_t{1} << t)) {
+    std::fprintf(stderr, "FAIL: |T| = %d did not run the compiled scan\n", t);
+    std::exit(1);
+  }
+
+  std::vector<uint64_t> contained_ns, pool_ns, scan_ns;
+  for (int i = 0; i < iters; ++i) {
+    ThreadSpanCapture capture;
+    auto start = std::chrono::steady_clock::now();
+    const bool contained = Must(Contained(schema, q1, q2));
+    auto stop = std::chrono::steady_clock::now();
+    benchmark_dummy_sink = benchmark_dummy_sink + (contained ? 1u : 0u);
+    contained_ns.push_back(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
+            .count()));
+    uint64_t pool = 0, scan = 0;
+    for (const CapturedSpan& span : capture.spans()) {
+      if (span.name == "MembershipCandidatePool") pool += span.dur_ns;
+      if (span.name == "CompiledMaskScan") scan += span.dur_ns;
+    }
+    pool_ns.push_back(pool);
+    scan_ns.push_back(scan);
+  }
+  PoolPoint point;
+  point.t = t;
+  point.contained_p50_us = P50Us(contained_ns);
+  point.pool_p50_us = P50Us(pool_ns);
+  point.scan_p50_us = P50Us(scan_ns);
+  return point;
 }
 
 double Speedup(const Sample& interpreted, const Sample& compiled) {
@@ -202,6 +270,11 @@ int main(int argc, char** argv) {
   EvalLeg eval = RunEvalLeg(/*iters=*/300);
   ScanLeg scan = RunSubsetScanLeg(/*k=*/16, /*iters=*/30);
 
+  std::vector<PoolPoint> pool_series;
+  for (int t : kPoolSeries) {
+    pool_series.push_back(RunPoolPoint(t, /*iters=*/30));
+  }
+
   double eval_speedup = Speedup(eval.interpreted, eval.compiled);
   double scan_speedup = Speedup(scan.interpreted, scan.compiled);
 
@@ -225,12 +298,23 @@ int main(int argc, char** argv) {
                "  \"subset_scan\": {\n"
                "    \"interpreted\": {\"p50_us\": %llu, \"p99_us\": %llu},\n"
                "    \"compiled\": {\"p50_us\": %llu, \"p99_us\": %llu},\n"
-               "    \"speedup_p50\": %.2f\n  }\n}\n",
+               "    \"speedup_p50\": %.2f\n  },\n",
                static_cast<unsigned long long>(scan.interpreted.p50_us),
                static_cast<unsigned long long>(scan.interpreted.p99_us),
                static_cast<unsigned long long>(scan.compiled.p50_us),
                static_cast<unsigned long long>(scan.compiled.p99_us),
                scan_speedup);
+  std::fprintf(out, "  \"pool_series\": {\n");
+  for (size_t i = 0; i < pool_series.size(); ++i) {
+    const PoolPoint& p = pool_series[i];
+    std::fprintf(out,
+                 "    \"T=%d\": {\"contained\": {\"p50_us\": %.1f}, "
+                 "\"pool\": {\"p50_us\": %.1f}, "
+                 "\"scan\": {\"p50_us\": %.1f}}%s\n",
+                 p.t, p.contained_p50_us, p.pool_p50_us, p.scan_p50_us,
+                 i + 1 < pool_series.size() ? "," : "");
+  }
+  std::fprintf(out, "  }\n}\n");
   std::fclose(out);
 
   std::printf("eval:        interpreted p50 %llu us, compiled p50 %llu us "
@@ -243,6 +327,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scan.interpreted.p50_us),
               static_cast<unsigned long long>(scan.compiled.p50_us),
               scan_speedup);
+  for (const PoolPoint& p : pool_series) {
+    std::printf("pool_series: |T| = %2d  Contained p50 %8.1f us  "
+                "(pool %7.1f us, scan %7.1f us)\n",
+                p.t, p.contained_p50_us, p.pool_p50_us, p.scan_p50_us);
+  }
   std::printf("wrote BENCH_compile.json\n");
 
   if (eval_speedup < min_speedup) {

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/derivability.h"
-#include "core/satisfiability.h"
 #include "support/failpoint.h"
 #include "support/trace.h"
 
@@ -43,7 +42,7 @@ size_t LowestZeroBit(uint64_t word) {
 }  // namespace
 
 MaskScanResult RunCompiledMaskScan(const Schema& schema,
-                                   const ConjunctiveQuery& base,
+                                   const QueryAnalysis& base,
                                    const std::vector<Atom>& pool,
                                    const ConjunctiveQuery& q2,
                                    const MappingConstraints& constraints,
@@ -70,22 +69,19 @@ MaskScanResult RunCompiledMaskScan(const Schema& schema,
   }
 
   // W-independence gate: base plus the WHOLE pool must be satisfiable.
-  // Membership atoms add no equality edges, so every base+W shares base's
-  // equality graph and the satisfiability conditions are per-atom over
-  // that graph — base+T satisfiable implies every subset is, which is
-  // what entitles the scan to skip the per-mask CheckSatisfiable.
-  {
-    ConjunctiveQuery extended = base;
-    for (const Atom& atom : pool) extended.AddAtom(atom);
-    if (!CheckSatisfiable(schema, extended).satisfiable) return result;
+  // Membership atoms over existing terms add no equality edges, so every
+  // base+W shares base's equality graph and the satisfiability conditions
+  // are per-atom over that graph — each pool atom satisfiable alone makes
+  // base+T, and so every subset, satisfiable, which is what entitles the
+  // scan to skip the per-mask CheckSatisfiable.
+  for (const Atom& atom : pool) {
+    if (atom.kind() != AtomKind::kMembership ||
+        !base.NotContradictsMembership(atom.var(), atom.set_term().var,
+                                       atom.set_term().attr)) {
+      return result;
+    }
   }
-
-  StatusOr<QueryAnalysis> analysis = QueryAnalysis::Create(schema, base);
-  // Let the interpreted scan reproduce the error at mask 0 so the status
-  // surfaces through the legacy path.
-  if (!analysis.ok()) return result;
-  const QueryAnalysis& target = *analysis;
-  const EqualityGraph& tgraph = target.graph();
+  const EqualityGraph& tgraph = base.graph();
 
   // Signature of each pool atom: (element rep, set-var rep, attr) — the
   // exact entry it adds to base+W's membership index when included. The
@@ -106,7 +102,7 @@ MaskScanResult RunCompiledMaskScan(const Schema& schema,
   // atoms whose image is not decided by base alone do not pass or fail —
   // they constrain which masks this mapping serves, accumulated as
   // required/forbidden pool bits along the assignment path.
-  const ConjunctiveQuery& tq = target.query();
+  const ConjunctiveQuery& tq = base.query();
   const VarId free_target = constraints.free_target == kInvalidVarId
                                 ? tq.free_var()
                                 : constraints.free_target;
@@ -117,7 +113,7 @@ MaskScanResult RunCompiledMaskScan(const Schema& schema,
   for (VarId v = 0; v < n && !any_empty; ++v) {
     ClassId cls = q2.RangeClassOf(v);
     for (VarId w = 0; w < tq.num_vars(); ++w) {
-      if (target.range_class(w) != cls) continue;
+      if (base.range_class(w) != cls) continue;
       if (w == constraints.forbidden_target) continue;
       if (v == q2.free_var() && tgraph.Find(tgraph.VarNode(w)) != free_rep) {
         continue;
@@ -163,27 +159,27 @@ MaskScanResult RunCompiledMaskScan(const Schema& schema,
           return true;
         case AtomKind::kNonRange:
           for (ClassId excluded : atom.classes()) {
-            if (schema.IsSubclassOf(target.range_class(image[atom.var()]),
+            if (schema.IsSubclassOf(base.range_class(image[atom.var()]),
                                     excluded)) {
               return false;
             }
           }
           return true;
         case AtomKind::kEquality:
-          return target.DerivesEquality(
+          return base.DerivesEquality(
               atom.lhs().WithVar(image[atom.lhs().var]),
               atom.rhs().WithVar(image[atom.rhs().var]));
         case AtomKind::kInequality:
-          return target.NotContradictsInequality(
+          return base.NotContradictsInequality(
               atom.lhs().WithVar(image[atom.lhs().var]),
               atom.rhs().WithVar(image[atom.rhs().var]));
         case AtomKind::kConstant:
-          return target.DerivesConstant(image[atom.var()], atom.constant());
+          return base.DerivesConstant(image[atom.var()], atom.constant());
         case AtomKind::kMembership: {
           const VarId ix = image[atom.lhs().var];
           const VarId iy = image[atom.rhs().var];
           const std::string& attr = atom.rhs().attr;
-          if (target.DerivesMembership(ix, iy, attr)) return true;
+          if (base.DerivesMembership(ix, iy, attr)) return true;
           auto it = pool_sig.find(std::make_tuple(
               tgraph.Find(tgraph.VarNode(ix)), tgraph.Find(tgraph.VarNode(iy)),
               attr));
@@ -195,8 +191,8 @@ MaskScanResult RunCompiledMaskScan(const Schema& schema,
           const VarId ix = image[atom.lhs().var];
           const VarId iy = image[atom.rhs().var];
           const std::string& attr = atom.rhs().attr;
-          if (!target.HasSetTerm(iy, attr)) return false;
-          if (target.DerivesMembership(ix, iy, attr)) return false;
+          if (!base.HasSetTerm(iy, attr)) return false;
+          if (base.DerivesMembership(ix, iy, attr)) return false;
           auto it = pool_sig.find(std::make_tuple(
               tgraph.Find(tgraph.VarNode(ix)), tgraph.Find(tgraph.VarNode(iy)),
               attr));

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/derivability.h"
 #include "core/mapping.h"
 #include "query/query.h"
 #include "schema/schema.h"
@@ -69,16 +70,17 @@ struct MaskScanResult {
 /// terms of `base`, so every base+W shares base's equality graph, range
 /// classes and set-term/constant indices — only the membership index
 /// varies, and exactly by the included pool atoms (docs/compilation.md).
-/// The function verifies its own preconditions (satisfiability of
-/// base+T, distinct pool signatures) and reports decided=false rather
-/// than guess when any fails.
+/// The function verifies its own preconditions and reports decided=false
+/// rather than guess when any fails: base+T must be satisfiable, which it
+/// checks atom by atom on `base` (QueryAnalysis::NotContradictsMembership:
+/// base+T is satisfiable iff each pool atom is alone, DESIGN.md §5.3),
+/// and the pool signatures must be distinct.
 ///
-/// `base` must be well-formed, terminal, normalized and satisfiable (it is
-/// the augmented Q1 of the containment dispatch); `pool` must be the
-/// candidate pool T that Contained() builds for `base`; `q2` the
-/// normalized RHS.
+/// `base` is the analysis of the target query — the augmented Q1 of the
+/// containment dispatch, the analysis Contained() read the pool off;
+/// `pool` must be that candidate pool T; `q2` the normalized RHS.
 MaskScanResult RunCompiledMaskScan(const Schema& schema,
-                                   const ConjunctiveQuery& base,
+                                   const QueryAnalysis& base,
                                    const std::vector<Atom>& pool,
                                    const ConjunctiveQuery& q2,
                                    const MappingConstraints& constraints,

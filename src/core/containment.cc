@@ -54,13 +54,17 @@ void AtomicMin(std::atomic<T>& target, T value) {
 }
 
 /// The pool T of Thm 3.1 for a (possibly augmented) satisfiable terminal
-/// target query: one candidate membership atom per (element equivalence
-/// class, set-term equivalence class) pair that keeps the query
-/// satisfiable when added, excluding already-derivable ones.
+/// target query, read off its analysis: one candidate membership atom per
+/// (element equivalence class, set-term equivalence class) pair that keeps
+/// the query satisfiable when added, excluding already-derivable ones.
+/// Every candidate reuses existing terms, so its Thm 2.2 verdict is an
+/// index lookup (QueryAnalysis::NotContradictsMembership, DESIGN.md §5.3)
+/// rather than a check of a copy.
 StatusOr<std::vector<Atom>> MembershipCandidatePool(
-    const Schema& schema, const ConjunctiveQuery& base,
-    const ContainmentOptions& options) {
-  EqualityGraph graph = EqualityGraph::Build(base);
+    const QueryAnalysis& analysis, const ContainmentOptions& options) {
+  OOCQ_TRACE_SPAN(span, "MembershipCandidatePool");
+  const ConjunctiveQuery& base = analysis.query();
+  const EqualityGraph& graph = analysis.graph();
 
   // Representative element variables: one per variable equivalence class.
   std::vector<VarId> element_reps;
@@ -91,25 +95,10 @@ StatusOr<std::vector<Atom>> MembershipCandidatePool(
   std::vector<Atom> candidates;
   for (VarId element : element_reps) {
     for (const auto& [set_var, attr] : set_reps) {
-      Atom candidate = Atom::Membership(element, set_var, attr);
-      ConjunctiveQuery extended = base;
-      extended.AddAtom(candidate);
-      if (!CheckSatisfiable(schema, extended).satisfiable) continue;
+      if (!analysis.NotContradictsMembership(element, set_var, attr)) continue;
       // Skip candidates already derivable: adding them changes nothing.
-      bool derivable = false;
-      for (const Atom& atom : base.atoms()) {
-        if (atom.kind() != AtomKind::kMembership) continue;
-        if (graph.Equivalent(graph.VarNode(atom.var()),
-                             graph.VarNode(element)) &&
-            graph.Equivalent(graph.VarNode(atom.set_term().var),
-                             graph.VarNode(set_var)) &&
-            atom.set_term().attr == attr) {
-          derivable = true;
-          break;
-        }
-      }
-      if (derivable) continue;
-      candidates.push_back(std::move(candidate));
+      if (analysis.DerivesMembership(element, set_var, attr)) continue;
+      candidates.push_back(Atom::Membership(element, set_var, attr));
       if (candidates.size() > options.max_membership_candidates) {
         return Status::ResourceExhausted(
             "more than " + std::to_string(options.max_membership_candidates) +
@@ -119,6 +108,7 @@ StatusOr<std::vector<Atom>> MembershipCandidatePool(
       }
     }
   }
+  span.Arg("pool", static_cast<uint64_t>(candidates.size()));
   return candidates;
 }
 
@@ -188,25 +178,25 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
   };
 
   // Checks the Thm 3.1 condition against one consistent augmentation
-  // Q1&S, enumerating the subsets W of T when Q2 has non-membership atoms.
-  // The subsets are independent, so the 2^|T| masks are scanned in chunks
-  // that fan out over options.parallel; the verdict is resolved as the
-  // smallest decisive mask in enumeration order, which is exactly what
-  // the serial scan reports. `prepared` is Q1 when `base` is its normal
-  // form (no augmentation), else null.
-  auto check_augmentation =
-      [&](const ConjunctiveQuery& base,
-          const PreparedDisjunct* prepared) -> StatusOr<bool> {
+  // Q1&S, given as its analysis `base_analysis` (Q1's prepared analysis
+  // when S = ∅), enumerating the subsets W of T when Q2 has
+  // non-membership atoms. That one analysis serves the pool, the compiled
+  // scan and mask 0. The subsets are independent, so the 2^|T| masks are
+  // scanned in chunks that fan out over options.parallel; the verdict is
+  // resolved as the smallest decisive mask in enumeration order, which is
+  // exactly what the serial scan reports.
+  auto check_base = [&](const QueryAnalysis& base_analysis) -> StatusOr<bool> {
     // Cancellation is polled once per augmentation here and once per
     // mask inside the subset scan, so both Thm 3.1 axes abort promptly.
     if (options.cancel != nullptr) {
       OOCQ_RETURN_IF_ERROR(options.cancel->Check());
     }
     if (stats != nullptr) ++stats->augmentations;
+    const ConjunctiveQuery& base = base_analysis.query();
     std::vector<Atom> membership_pool;
     if (rhs_has_non_membership) {
       OOCQ_ASSIGN_OR_RETURN(membership_pool,
-                            MembershipCandidatePool(schema, base, options));
+                            MembershipCandidatePool(base_analysis, options));
     }
     const size_t t_size = membership_pool.size();
     tinfo->max_pool = std::max<uint64_t>(tinfo->max_pool, t_size);
@@ -223,7 +213,8 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
       scan_options.cancel = options.cancel;
       scan_options.budget = options.budget;
       compile::MaskScanResult scan = compile::RunCompiledMaskScan(
-          schema, base, membership_pool, n2, constraints, scan_options);
+          schema, base_analysis, membership_pool, n2, constraints,
+          scan_options);
       if (scan.decided) {
         OOCQ_METRIC_ADD("compile/mask_scans", 1);
         if (stats != nullptr) {
@@ -294,12 +285,9 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
             break;
           }
         }
-        // Mask 0 targets `base` itself: when that is Q1's normal form, its
-        // analysis is built once per prepared disjunct.
-        const QueryAnalysis* analysis = nullptr;
-        if (mask == 0 && prepared != nullptr && prepared->analysis().ok()) {
-          analysis = &*prepared->analysis();
-        }
+        // Mask 0 targets `base` itself, whose analysis is already built;
+        // every other mask is checked in full, as the test oracle.
+        const QueryAnalysis* analysis = mask == 0 ? &base_analysis : nullptr;
         StatusOr<QueryAnalysis> built = Status::Internal("unbuilt");
         if (analysis == nullptr) {
           ConjunctiveQuery target = base;
@@ -374,9 +362,23 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
     return true;
   };
 
+  // Q1&S for S = ∅ is Q1's normal form, whose analysis the prepared
+  // disjunct builds once; every other augmentation gets its own.
+  auto check_augmentation =
+      [&](const ConjunctiveQuery& augmented) -> StatusOr<bool> {
+    if (augmented.atoms().size() == n1.atoms().size()) {
+      const StatusOr<QueryAnalysis>& analysis = q1.analysis();
+      if (!analysis.ok()) return analysis.status();
+      return check_base(*analysis);
+    }
+    OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
+                          QueryAnalysis::Create(schema, augmented));
+    return check_base(analysis);
+  };
+
   if (!rhs_has_inequality) {
     // Cor 3.4 (positive Q2) and Cor 3.2 (no inequalities): S = ∅ only.
-    return check_augmentation(n1, &q1);
+    return check_augmentation(n1);
   }
 
   // Cor 3.3 / Thm 3.1: enumerate every consistent augmentation.
@@ -386,7 +388,7 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
   StatusOr<bool> outcome = ForEachConsistentAugmentation(
       schema, n1, augmentation_options,
       [&](const ConjunctiveQuery& augmented) -> bool {
-        StatusOr<bool> ok = check_augmentation(augmented, nullptr);
+        StatusOr<bool> ok = check_augmentation(augmented);
         if (!ok.ok()) {
           inner_error = ok.status();
           return false;

@@ -1,5 +1,7 @@
 #include "core/derivability.h"
 
+#include <optional>
+
 #include "core/satisfiability.h"
 #include "query/well_formed.h"
 #include "support/status_macros.h"
@@ -8,18 +10,19 @@ namespace oocq {
 
 StatusOr<QueryAnalysis> QueryAnalysis::Create(const Schema& schema,
                                               const ConjunctiveQuery& query) {
-  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
+  std::optional<EqualityGraph> built;
+  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query, &built));
   if (!query.IsTerminal(schema)) {
     return Status::FailedPrecondition(
         "QueryAnalysis requires a terminal conjunctive query");
   }
-  SatisfiabilityResult sat = CheckSatisfiable(schema, query);
+  SatisfiabilityResult sat = CheckSatisfiable(schema, query, *built);
   if (!sat.satisfiable) {
     return Status::FailedPrecondition(
         "QueryAnalysis requires a satisfiable query: " + sat.reason);
   }
 
-  QueryAnalysis analysis(query, EqualityGraph::Build(query));
+  QueryAnalysis analysis(schema, query, *std::move(built));
   analysis.range_class_.resize(query.num_vars());
   for (VarId v = 0; v < query.num_vars(); ++v) {
     analysis.range_class_[v] = query.RangeClassOf(v);
@@ -30,10 +33,10 @@ StatusOr<QueryAnalysis> QueryAnalysis::Create(const Schema& schema,
         atom.kind() == AtomKind::kNonMembership) {
       TermId set_var_rep = graph.Find(graph.VarNode(atom.set_term().var));
       analysis.set_term_index_.emplace(set_var_rep, atom.set_term().attr);
-      if (atom.kind() == AtomKind::kMembership) {
-        analysis.membership_index_.emplace(graph.Find(graph.VarNode(atom.var())),
-                                           set_var_rep, atom.set_term().attr);
-      }
+      (atom.kind() == AtomKind::kMembership ? analysis.membership_index_
+                                            : analysis.non_membership_index_)
+          .emplace(graph.Find(graph.VarNode(atom.var())), set_var_rep,
+                   atom.set_term().attr);
     } else if (atom.kind() == AtomKind::kConstant) {
       // Unique per class by satisfiability condition (h).
       analysis.constant_index_.emplace(graph.Find(graph.VarNode(atom.var())),
@@ -103,6 +106,22 @@ bool QueryAnalysis::NotContradictsInequality(const Term& lhs,
 bool QueryAnalysis::HasSetTerm(VarId y, const std::string& attr) const {
   return set_term_index_.count(std::make_pair(
              graph_.Find(graph_.VarNode(y)), attr)) > 0;
+}
+
+bool QueryAnalysis::NotContradictsMembership(VarId x, VarId y,
+                                             const std::string& attr) const {
+  if (!HasSetTerm(y, attr)) return false;
+  // (d): x's class lies under the element type. y.attr is a set term of a
+  // satisfiable query, so (c) already made attr a set attribute.
+  const TypeExpr* type = schema_->FindAttribute(range_class_[y], attr);
+  if (type == nullptr || !type->is_set() ||
+      !schema_->IsSubclassOf(range_class_[x], type->cls())) {
+    return false;
+  }
+  // (f): no non-membership denies this (element class, set class) pair.
+  return non_membership_index_.count(std::make_tuple(
+             graph_.Find(graph_.VarNode(x)), graph_.Find(graph_.VarNode(y)),
+             attr)) == 0;
 }
 
 bool QueryAnalysis::NotContradictsNonMembership(VarId x, VarId y,

@@ -16,7 +16,9 @@ namespace oocq {
 /// Precomputed view of a satisfiable, well-formed *terminal* conjunctive
 /// query: its equality graph E(Q) plus O(1) indices for the derivability
 /// (Q ⊢ A) and non-contradiction relations of §3.1. This is the target
-/// side of every non-contradictory-mapping search.
+/// side of every non-contradictory-mapping search, and Thm 3.1's
+/// membership pool is read off it. Tied to the schema it was created
+/// over, which must outlive it.
 class QueryAnalysis {
  public:
   /// Precondition: `query` is well-formed, terminal and satisfiable
@@ -58,6 +60,16 @@ class QueryAnalysis {
   bool NotContradictsNonMembership(VarId x, VarId y,
                                    const std::string& attr) const;
 
+  /// Q & {x ∈ y.attr} is satisfiable, for a set term y.attr of Q (up to
+  /// equivalence; false when !HasSetTerm(y, attr)). Such an atom reuses
+  /// existing terms and merges no equivalence classes, so of Thm 2.2's
+  /// conditions only two can newly fail (DESIGN.md §5.3): (d), x's class
+  /// outside the element type of y.attr, and (f), a non-membership
+  /// x' ∉ t.attr of Q with x' ≡ x and t ≡ y. Atoms added together fail
+  /// only if one of them fails alone.
+  bool NotContradictsMembership(VarId x, VarId y,
+                                const std::string& attr) const;
+
   /// The representative of the equivalence class of f(s) for s ∈ [t.var],
   /// provided f(s) is an object term node of Q for some such s;
   /// kInvalidTermId otherwise. For a plain variable term this is simply
@@ -68,14 +80,18 @@ class QueryAnalysis {
   bool HasSetTerm(VarId y, const std::string& attr) const;
 
  private:
-  QueryAnalysis(const ConjunctiveQuery& query, EqualityGraph graph)
-      : query_(query), graph_(std::move(graph)) {}
+  QueryAnalysis(const Schema& schema, const ConjunctiveQuery& query,
+                EqualityGraph graph)
+      : schema_(&schema), query_(query), graph_(std::move(graph)) {}
 
+  const Schema* schema_;
   ConjunctiveQuery query_;
   EqualityGraph graph_;
   std::vector<ClassId> range_class_;
   /// (Find(element var), Find(set var), attr) of every membership atom.
   std::set<std::tuple<TermId, TermId, std::string>> membership_index_;
+  /// The same triple of every non-membership atom.
+  std::set<std::tuple<TermId, TermId, std::string>> non_membership_index_;
   /// (Find(set var), attr) of every set-term node.
   std::set<std::pair<TermId, std::string>> set_term_index_;
   /// Find(var) -> the constant its class is bound to (unique when

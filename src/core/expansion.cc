@@ -21,7 +21,10 @@ StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
   // instantiations — the expansion phase of every pipeline run.
   OOCQ_TRACE_SPAN(span, "Expand");
   ScopedPhaseTimer timer("phase/expand");
-  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
+  // E(Q) does not depend on range classes, so every combination below
+  // shares this one graph.
+  std::optional<EqualityGraph> graph;
+  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query, &graph));
 
   // Per-variable terminal choices: the terminal descendants of any class
   // in the variable's range disjunction.
@@ -97,11 +100,12 @@ StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
             options.parallel, static_cast<size_t>(product),
             [&](size_t c) -> StatusOr<std::optional<ConjunctiveQuery>> {
               ConjunctiveQuery disjunct = build_combination(c);
-              if (!CheckSatisfiable(schema, disjunct).satisfiable) {
+              if (!CheckSatisfiable(schema, disjunct, *graph).satisfiable) {
                 return std::optional<ConjunctiveQuery>();
               }
-              OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery normalized,
-                                    NormalizeTerminalQuery(schema, disjunct));
+              OOCQ_ASSIGN_OR_RETURN(
+                  ConjunctiveQuery normalized,
+                  NormalizeTerminalQuery(schema, disjunct, *graph));
               return std::optional<ConjunctiveQuery>(std::move(normalized));
             })));
     for (std::optional<ConjunctiveQuery>& disjunct : pruned) {

@@ -1,5 +1,6 @@
 #include "core/prepared.h"
 
+#include <optional>
 #include <utility>
 
 #include "core/canonical.h"
@@ -12,16 +13,18 @@ namespace oocq {
 const PreparedDisjunct::Facts& PreparedDisjunct::facts() const {
   std::call_once(facts_once_, [this] {
     Facts& f = facts_;
-    f.well_formed = CheckWellFormed(*schema_, query_);
+    // One E(Q) serves all three checks.
+    std::optional<EqualityGraph> graph;
+    f.well_formed = CheckWellFormed(*schema_, query_, &graph);
     f.terminal = f.well_formed.ok() && query_.IsTerminal(*schema_);
     if (!f.terminal) return;
-    SatisfiabilityResult sat = CheckSatisfiable(*schema_, query_);
+    SatisfiabilityResult sat = CheckSatisfiable(*schema_, query_, *graph);
     if (!sat.satisfiable) {
       f.reason = std::move(sat.reason);
       return;
     }
     StatusOr<ConjunctiveQuery> normalized =
-        NormalizeTerminalQuery(*schema_, query_);
+        NormalizeTerminalQuery(*schema_, query_, *graph);
     if (!normalized.ok()) return;  // unreachable: the query is satisfiable
     f.satisfiable = true;
     f.normalized = *std::move(normalized);

@@ -1,6 +1,7 @@
 #include "core/satisfiability.h"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -39,10 +40,15 @@ ClassId ClassOfEquivalenceClass(const ConjunctiveQuery& query,
 
 SatisfiabilityResult CheckSatisfiable(const Schema& schema,
                                       const ConjunctiveQuery& query) {
+  return CheckSatisfiable(schema, query, EqualityGraph::Build(query));
+}
+
+SatisfiabilityResult CheckSatisfiable(const Schema& schema,
+                                      const ConjunctiveQuery& query,
+                                      const EqualityGraph& graph) {
   // Counter only — this (Thm 2.2) is the hottest engine entry point, one
   // call per expanded disjunct, so a span per check would swamp traces.
   OOCQ_METRIC_ADD("satisfiability/checks", 1);
-  EqualityGraph graph = EqualityGraph::Build(query);
 
   // (a) variables equated across distinct terminal classes.
   for (TermId rep : graph.ClassRepresentatives()) {
@@ -188,10 +194,11 @@ SatisfiabilityResult CheckSatisfiable(const Schema& schema,
 StatusOr<bool> CheckSatisfiableGeneral(const Schema& schema,
                                        const ConjunctiveQuery& query,
                                        size_t* witness_disjunct) {
-  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
+  std::optional<EqualityGraph> graph;
+  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query, &graph));
 
   // Enumerate the Prop 2.1 terminal combinations lazily, stopping at the
-  // first satisfiable one.
+  // first satisfiable one. They all share the query's equality graph.
   std::vector<std::vector<ClassId>> choices(query.num_vars());
   for (VarId v = 0; v < query.num_vars(); ++v) {
     std::set<ClassId> terminals;
@@ -217,7 +224,7 @@ StatusOr<bool> CheckSatisfiableGeneral(const Schema& schema,
         disjunct.AddAtom(atom);
       }
     }
-    if (CheckSatisfiable(schema, disjunct).satisfiable) {
+    if (CheckSatisfiable(schema, disjunct, *graph).satisfiable) {
       if (witness_disjunct != nullptr) *witness_disjunct = index;
       return true;
     }
@@ -233,13 +240,18 @@ StatusOr<bool> CheckSatisfiableGeneral(const Schema& schema,
 
 StatusOr<ConjunctiveQuery> NormalizeTerminalQuery(const Schema& schema,
                                                   const ConjunctiveQuery& query) {
-  SatisfiabilityResult sat = CheckSatisfiable(schema, query);
+  return NormalizeTerminalQuery(schema, query, EqualityGraph::Build(query));
+}
+
+StatusOr<ConjunctiveQuery> NormalizeTerminalQuery(const Schema& schema,
+                                                  const ConjunctiveQuery& query,
+                                                  const EqualityGraph& graph) {
+  SatisfiabilityResult sat = CheckSatisfiable(schema, query, graph);
   if (!sat.satisfiable) {
     return Status::FailedPrecondition(
         "cannot normalize an unsatisfiable query: " + sat.reason);
   }
 
-  EqualityGraph graph = EqualityGraph::Build(query);
   // The terminal class of the objects a term denotes.
   auto term_class = [&](const Term& term) -> ClassId {
     if (!term.is_attribute()) return query.RangeClassOf(term.var);

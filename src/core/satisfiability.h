@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "query/equality_graph.h"
 #include "query/query.h"
 #include "schema/schema.h"
 #include "support/status.h"
@@ -39,6 +40,15 @@ struct SatisfiabilityResult {
 SatisfiabilityResult CheckSatisfiable(const Schema& schema,
                                       const ConjunctiveQuery& query);
 
+/// CheckSatisfiable over a prebuilt E(Q) (CheckWellFormed hands it out).
+/// `graph` must be EqualityGraph::Build of `query`, or of a query that
+/// differs from it only in the classes of its range atoms: E(Q) does not
+/// depend on range classes, so every Prop 2.1 combination of one query
+/// shares that query's graph.
+SatisfiabilityResult CheckSatisfiable(const Schema& schema,
+                                      const ConjunctiveQuery& query,
+                                      const EqualityGraph& graph);
+
 /// Satisfiability for *general* well-formed conjunctive queries: by
 /// Prop 2.1 the query is equivalent to its terminal expansion, so it is
 /// satisfiable iff some expansion disjunct is. Returns the first
@@ -59,6 +69,12 @@ StatusOr<bool> CheckSatisfiableGeneral(const Schema& schema,
 /// Returns FailedPrecondition if the query is unsatisfiable.
 StatusOr<ConjunctiveQuery> NormalizeTerminalQuery(const Schema& schema,
                                                   const ConjunctiveQuery& query);
+
+/// NormalizeTerminalQuery over a prebuilt E(Q), with CheckSatisfiable's
+/// precondition on `graph`.
+StatusOr<ConjunctiveQuery> NormalizeTerminalQuery(const Schema& schema,
+                                                  const ConjunctiveQuery& query,
+                                                  const EqualityGraph& graph);
 
 }  // namespace oocq
 

@@ -68,6 +68,13 @@ Status ValidateStructure(const Schema& schema, const ConjunctiveQuery& query) {
 }
 
 Status CheckWellFormed(const Schema& schema, const ConjunctiveQuery& query) {
+  std::optional<EqualityGraph> graph;
+  return CheckWellFormed(schema, query, &graph);
+}
+
+Status CheckWellFormed(const Schema& schema, const ConjunctiveQuery& query,
+                       std::optional<EqualityGraph>* graph_out) {
+  graph_out->reset();
   OOCQ_RETURN_IF_ERROR(ValidateStructure(schema, query));
 
   // (iii) exactly one range atom per variable.
@@ -80,7 +87,7 @@ Status CheckWellFormed(const Schema& schema, const ConjunctiveQuery& query) {
     }
   }
 
-  EqualityGraph graph = EqualityGraph::Build(query);
+  const EqualityGraph& graph = graph_out->emplace(EqualityGraph::Build(query));
   for (TermId rep : graph.ClassRepresentatives()) {
     // (i) object xor set.
     if (graph.IsObjectTerm(rep) && graph.IsSetTerm(rep)) {

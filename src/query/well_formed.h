@@ -1,6 +1,9 @@
 #ifndef OOCQ_QUERY_WELL_FORMED_H_
 #define OOCQ_QUERY_WELL_FORMED_H_
 
+#include <optional>
+
+#include "query/equality_graph.h"
 #include "query/query.h"
 #include "schema/schema.h"
 #include "support/status.h"
@@ -18,6 +21,14 @@ Status ValidateStructure(const Schema& schema, const ConjunctiveQuery& query);
 ///  (iii) every variable has exactly one range atom.
 /// Implies ValidateStructure.
 Status CheckWellFormed(const Schema& schema, const ConjunctiveQuery& query);
+
+/// CheckWellFormed that hands out the equality graph E(Q) it builds for
+/// conditions (i) and (ii), so a caller going on to Thm 2.2 or to
+/// normalization builds the graph once. `*graph` holds E(Q) whenever the
+/// check got as far as building it (always when the result is ok), and
+/// is empty when the structural or range-atom checks failed first.
+Status CheckWellFormed(const Schema& schema, const ConjunctiveQuery& query,
+                       std::optional<EqualityGraph>* graph);
 
 /// Rewrites `query` into an equivalent well-formed query, applying the
 /// paper's two remarks after §2.3:

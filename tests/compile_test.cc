@@ -411,6 +411,35 @@ TEST_F(CompileTest, CompiledSubsetScanMatchesInterpretedVerdictAndTotals) {
   }
 }
 
+// Thm 3.1's pool is read off one analysis of Q1 (QueryAnalysis::
+// NotContradictsMembership) and the compiled scan reuses that analysis,
+// so the Thm 2.2 work of a Cor 3.2 decision does not grow with |T|: two
+// checks per operand (its verdict and the one inside its normalization)
+// and one for Q1's analysis, nothing per candidate.
+TEST(ContainmentWorkTest, MembershipPoolCostsNoSatisfiabilityChecks) {
+  for (uint64_t t : {2, 8, 16}) {
+    const int k = static_cast<int>(t) + 1;  // x notin y.S0 keeps S0 out of T
+    Schema schema = MustParseSchema(HeavySchemaText(k));
+    ConjunctiveQuery q1 = MustParseQuery(schema, HeavyQ1(k));
+    ConjunctiveQuery q2 = MustParseQuery(schema, HeavyQ2());
+    MetricsRegistry registry;
+    ContainmentDecision decision;
+    {
+      MetricsScope scope(&registry);
+      ASSERT_TRUE(scope.active());
+      StatusOr<bool> contained =
+          Contained(schema, q1, q2, {}, nullptr, &decision);
+      OOCQ_ASSERT_OK(contained.status());
+      EXPECT_TRUE(*contained);
+    }
+    EXPECT_STREQ(decision.spec, "Cor3.2");
+    EXPECT_EQ(registry.Histogram("containment/pool_size")->max(), t);
+    EXPECT_EQ(registry.CounterValue("compile/mask_scans"), 1u);
+    EXPECT_EQ(registry.CounterValue("satisfiability/checks"), 5u)
+        << "|T| = " << t;
+  }
+}
+
 TEST_F(CompileTest, CompiledSubsetScanHonorsBudgetWithRetryableStatus) {
   const int k = 20;
   Schema schema = MustParseSchema(HeavySchemaText(k));

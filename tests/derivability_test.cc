@@ -2,14 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "core/derivability.h"
+#include "core/satisfiability.h"
+#include "query/printer.h"
+#include "query/well_formed.h"
+#include "random_query.h"
 #include "test_util.h"
 
 namespace oocq {
 namespace {
 
+using ::oocq::testing::GenerateRandomQuery;
 using ::oocq::testing::MustParseQuery;
 using ::oocq::testing::MustParseSchema;
+using ::oocq::testing::RandomQueryParams;
 
 class DerivabilityTest : public ::testing::Test {
  protected:
@@ -18,7 +27,7 @@ schema Der {
   class D { }
   class E under D { }
   class F under D { }
-  class C { A: D; B: D; S: {D}; }
+  class C { A: D; B: D; S: {D}; SE: {E}; }
 })");
 
   QueryAnalysis Analyze(const std::string& text) {
@@ -152,6 +161,86 @@ TEST_F(DerivabilityTest, HasSetTermThroughEquivalence) {
       "{ x | exists y exists z exists u (x in E & y in C & z in C & "
       "u in E & y = z & u in z.S) }");
   EXPECT_TRUE(q.HasSetTerm(1, "S"));  // y ~ z and z.S is a set term.
+}
+
+TEST_F(DerivabilityTest, NotContradictsMembershipChecksElementType) {
+  QueryAnalysis q = Analyze(
+      "{ x | exists y exists u (x in F & y in C & u in E & u in y.SE) }");
+  EXPECT_FALSE(q.NotContradictsMembership(0, 1, "SE"));  // (d): F is no E
+  EXPECT_TRUE(q.NotContradictsMembership(2, 1, "SE"));
+}
+
+TEST_F(DerivabilityTest, NotContradictsMembershipChecksNonMemberships) {
+  // (f) through equivalence: x notin z.S with z = y denies x in y.S and
+  // x in z.S, and u = x is denied with x; w is not.
+  QueryAnalysis q = Analyze(
+      "{ x | exists y exists z exists u exists w (x in E & y in C & "
+      "z in C & u in E & w in E & y = z & u = x & x notin z.S) }");
+  EXPECT_FALSE(q.NotContradictsMembership(0, 1, "S"));
+  EXPECT_FALSE(q.NotContradictsMembership(0, 2, "S"));
+  EXPECT_FALSE(q.NotContradictsMembership(3, 1, "S"));
+  EXPECT_TRUE(q.NotContradictsMembership(4, 1, "S"));
+}
+
+TEST_F(DerivabilityTest, NotContradictsMembershipRequiresSetTerm) {
+  QueryAnalysis q = Analyze("{ x | exists y (x in E & y in C) }");
+  EXPECT_FALSE(q.NotContradictsMembership(0, 1, "S"));
+}
+
+// The incremental check against its oracle: on random terminal,
+// satisfiable queries, adding x in y.attr — for every variable x and
+// every set term y.attr of Q — keeps Thm 2.2 satisfied exactly when
+// NotContradictsMembership says so. Both refusing rules, (d) and (f),
+// must actually fire.
+TEST(IncrementalMembershipCheckTest, AgreesWithFullSatisfiabilityCheck) {
+  Schema schema = MustParseSchema(R"(
+schema Incremental {
+  class D { }
+  class E under D { }
+  class F under D { }
+  class C { A: D; S: {D}; SE: {E}; N: Int; Tag: String; }
+  class K { R: C; M: {C}; }
+})");
+  std::mt19937_64 rng(20261018);
+  RandomQueryParams params;
+  params.max_vars = 5;
+  params.max_extra_atoms = 8;
+  params.allow_negative = true;
+  params.use_builtins = true;
+  params.use_constants = true;
+  uint64_t analyzed = 0, allowed = 0, type_refusals = 0, denied = 0;
+  for (int round = 0; round < 10000; ++round) {
+    ConjunctiveQuery base = GenerateRandomQuery(schema, rng, params);
+    StatusOr<QueryAnalysis> analysis = QueryAnalysis::Create(schema, base);
+    if (!analysis.ok()) continue;  // ill-formed or unsatisfiable
+    ++analyzed;
+    for (VarId y = 0; y < base.num_vars(); ++y) {
+      for (const AttributeDef& attr :
+           schema.class_info(base.RangeClassOf(y)).all_attributes) {
+        if (!analysis->HasSetTerm(y, attr.name)) continue;
+        for (VarId x = 0; x < base.num_vars(); ++x) {
+          ConjunctiveQuery extended = base;
+          extended.AddAtom(Atom::Membership(x, y, attr.name));
+          ASSERT_TRUE(CheckWellFormed(schema, extended).ok());
+          SatisfiabilityResult full = CheckSatisfiable(schema, extended);
+          EXPECT_EQ(analysis->NotContradictsMembership(x, y, attr.name),
+                    full.satisfiable)
+              << QueryToString(schema, extended) << ": " << full.reason;
+          if (full.satisfiable) {
+            ++allowed;
+          } else if (full.reason.rfind("non-membership", 0) == 0) {
+            ++denied;
+          } else {
+            ++type_refusals;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(analyzed, 2000u);
+  EXPECT_GT(allowed, 100u);
+  EXPECT_GT(type_refusals, 500u);
+  EXPECT_GT(denied, 30u);
 }
 
 }  // namespace

@@ -4,14 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+
+#include "core/expansion.h"
 #include "core/satisfiability.h"
+#include "query/printer.h"
+#include "query/well_formed.h"
+#include "random_query.h"
 #include "test_util.h"
 
 namespace oocq {
 namespace {
 
+using ::oocq::testing::GenerateRandomQuery;
 using ::oocq::testing::MustParseQuery;
 using ::oocq::testing::MustParseSchema;
+using ::oocq::testing::RandomQueryParams;
 
 class SatisfiabilityTest : public ::testing::Test {
  protected:
@@ -258,6 +267,67 @@ TEST_F(SatisfiabilityTest, NormalizeDeduplicatesAtoms) {
       NormalizeTerminalQuery(schema_, query);
   OOCQ_ASSERT_OK(normalized.status());
   EXPECT_EQ(normalized->atoms().size(), 3u);
+}
+
+// The graph-taking overloads against the graph-building ones on random
+// queries: the graph CheckWellFormed hands out serves Thm 2.2 and the
+// normalization of the query and of every Prop 2.1 combination of it (the
+// expansion prune relies on this), with the same status, verdict, reason
+// and normalized atoms.
+TEST(SharedGraphTest, GraphTakingOverloadsMatchGraphBuildingOnes) {
+  Schema schema = MustParseSchema(R"(
+schema Shared {
+  class D { }
+  class E under D { }
+  class F under D { }
+  class C { A: D; S: {D}; SE: {E}; N: Int; Tag: String; }
+  class K { R: C; M: {C}; }
+})");
+  std::mt19937_64 rng(20261018);
+  RandomQueryParams params;
+  params.max_vars = 4;
+  params.max_extra_atoms = 8;
+  params.allow_negative = true;
+  params.terminal_only = false;
+  params.use_builtins = true;
+  params.use_constants = true;
+  ExpansionOptions raw;
+  raw.prune_unsatisfiable = false;
+  uint64_t well_formed = 0, combinations = 0, satisfiable = 0;
+  for (int round = 0; round < 1500; ++round) {
+    ConjunctiveQuery query = GenerateRandomQuery(schema, rng, params);
+    std::optional<EqualityGraph> graph;
+    Status shared = CheckWellFormed(schema, query, &graph);
+    Status built = CheckWellFormed(schema, query);
+    EXPECT_EQ(shared.code(), built.code());
+    EXPECT_EQ(shared.message(), built.message());
+    if (!shared.ok()) continue;
+    ASSERT_TRUE(graph.has_value());
+    ++well_formed;
+    StatusOr<UnionQuery> expanded = ExpandToTerminalQueries(schema, query, raw);
+    ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
+    for (const ConjunctiveQuery& disjunct : expanded->disjuncts) {
+      ++combinations;
+      SatisfiabilityResult a = CheckSatisfiable(schema, disjunct, *graph);
+      SatisfiabilityResult b = CheckSatisfiable(schema, disjunct);
+      EXPECT_EQ(a.satisfiable, b.satisfiable)
+          << QueryToString(schema, disjunct);
+      EXPECT_EQ(a.reason, b.reason);
+      if (b.satisfiable) ++satisfiable;
+      StatusOr<ConjunctiveQuery> na =
+          NormalizeTerminalQuery(schema, disjunct, *graph);
+      StatusOr<ConjunctiveQuery> nb = NormalizeTerminalQuery(schema, disjunct);
+      EXPECT_EQ(na.status().code(), nb.status().code());
+      EXPECT_EQ(na.status().message(), nb.status().message());
+      if (na.ok() && nb.ok()) {
+        EXPECT_EQ(na->atoms(), nb->atoms()) << QueryToString(schema, disjunct);
+      }
+    }
+  }
+  EXPECT_GT(well_formed, 300u);
+  EXPECT_GT(combinations, well_formed);
+  EXPECT_GT(satisfiable, 100u);
+  EXPECT_GT(combinations - satisfiable, 100u);
 }
 
 }  // namespace
