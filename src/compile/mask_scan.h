@@ -14,21 +14,9 @@
 
 namespace oocq::compile {
 
-/// Limits and hooks for one compiled subset scan, mirroring the knobs the
-/// interpreted scan draws from ContainmentOptions.
-struct MaskScanOptions {
-  /// Backtracking-step budget for the one-shot mapping enumeration.
-  /// Overruns bail out to the interpreted scan (which then applies its own
-  /// per-mask budget), so the legacy error behavior is preserved.
-  uint64_t max_steps = 10'000'000;
-  /// Cap on distinct (required, forbidden) signatures collected; more
-  /// bails out to the interpreted scan.
-  uint64_t max_signatures = 4096;
-  const CancellationToken* cancel = nullptr;
-  /// Charged one unit per mask covered-or-refuted, in 64-mask blocks —
-  /// the same total the interpreted scan charges mask by mask.
-  ResourceBudget* budget = nullptr;
-};
+/// Cap on the distinct (required, forbidden) signatures one scan
+/// collects; a shape with more falls back to the interpreted scan.
+inline constexpr uint64_t kMaxMaskSignatures = 4096;
 
 /// Outcome of RunCompiledMaskScan.
 struct MaskScanResult {
@@ -61,10 +49,11 @@ struct MaskScanResult {
 /// The compiled form of the Thm 3.1 inner loop: instead of one mapping
 /// search per subset W of the membership-candidate pool T (2^|T| searches),
 /// enumerate every complete non-contradictory mapping of q2 into `base`
-/// ONCE, reducing each to a signature (required, forbidden) of pool-atom
-/// bitmask constraints; a mask W then admits a mapping iff some signature
-/// has required ⊆ W and W ∩ forbidden = ∅, which a 64-masks-per-word
-/// coverage scan checks without further mapping work.
+/// ONCE (EnumerateNonContradictoryMappings, core/mapping.h), which reduces
+/// each to a signature (required, forbidden) of pool-atom bit sets; a mask
+/// W then admits a mapping iff some signature has required ⊆ W and
+/// W ∩ forbidden = ∅, which a 64-masks-per-word coverage scan checks
+/// without further mapping work.
 ///
 /// Sound because the pool atoms are W-independent: they reuse existing
 /// terms of `base`, so every base+W shares base's equality graph, range
@@ -74,17 +63,24 @@ struct MaskScanResult {
 /// rather than guess when any fails: base+T must be satisfiable, which it
 /// checks atom by atom on `base` (QueryAnalysis::NotContradictsMembership:
 /// base+T is satisfiable iff each pool atom is alone, DESIGN.md §5.3),
-/// and the pool signatures must be distinct.
+/// and the pool signatures must be distinct. The enumeration also gives
+/// up (decided=false) past constraints.max_steps or kMaxMaskSignatures.
 ///
 /// `base` is the analysis of the target query — the augmented Q1 of the
 /// containment dispatch, the analysis Contained() read the pool off;
-/// `pool` must be that candidate pool T; `q2` the normalized RHS.
+/// `pool` must be that candidate pool T (|T| ≤ 63, the ceiling
+/// Contained() enforces); `q2` the normalized RHS. `cancel` (nullable) is
+/// polled on entry, every 4096 enumeration steps and per 64-mask block;
+/// `budget` (nullable) is charged one unit per mask covered-or-refuted,
+/// in 64-mask blocks — the same total the interpreted scan charges mask
+/// by mask.
 MaskScanResult RunCompiledMaskScan(const Schema& schema,
                                    const QueryAnalysis& base,
                                    const std::vector<Atom>& pool,
                                    const ConjunctiveQuery& q2,
                                    const MappingConstraints& constraints,
-                                   const MaskScanOptions& options = {});
+                                   const CancellationToken* cancel,
+                                   ResourceBudget* budget);
 
 }  // namespace oocq::compile
 

@@ -24,8 +24,6 @@ namespace oocq {
 
 namespace {
 
-constexpr uint64_t kNoEvent = ~uint64_t{0};
-
 /// What one Contained() call decided structurally: which Thm 3.1
 /// specialization dispatch fired, and the largest membership pool |T| it
 /// enumerated subsets of. Deterministic — the dispatch depends only on
@@ -92,6 +90,8 @@ StatusOr<std::vector<Atom>> MembershipCandidatePool(
     }
   }
 
+  const uint32_t cap =
+      std::min(options.max_membership_candidates, kMaxMembershipPool);
   std::vector<Atom> candidates;
   for (VarId element : element_reps) {
     for (const auto& [set_var, attr] : set_reps) {
@@ -99,12 +99,12 @@ StatusOr<std::vector<Atom>> MembershipCandidatePool(
       // Skip candidates already derivable: adding them changes nothing.
       if (analysis.DerivesMembership(element, set_var, attr)) continue;
       candidates.push_back(Atom::Membership(element, set_var, attr));
-      if (candidates.size() > options.max_membership_candidates) {
+      if (candidates.size() > cap) {
         return Status::ResourceExhausted(
-            "more than " + std::to_string(options.max_membership_candidates) +
+            "more than " + std::to_string(cap) +
             " candidate membership atoms (2^|T| subsets would be "
-            "enumerated); raise "
-            "ContainmentOptions::max_membership_candidates");
+            "enumerated); ContainmentOptions::max_membership_candidates "
+            "can be raised up to 63, the width of a subset mask");
       }
     }
   }
@@ -118,7 +118,7 @@ StatusOr<std::vector<Atom>> MembershipCandidatePool(
 StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
                              const PreparedDisjunct& q2,
                              const ContainmentOptions& options,
-                             ContainmentStats* stats,
+                             ContainmentStats& stats,
                              ContainedTraceInfo* tinfo,
                              ContainmentDecision* decision) {
   if (options.cancel != nullptr) {
@@ -181,17 +181,14 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
   // Q1&S, given as its analysis `base_analysis` (Q1's prepared analysis
   // when S = ∅), enumerating the subsets W of T when Q2 has
   // non-membership atoms. That one analysis serves the pool, the compiled
-  // scan and mask 0. The subsets are independent, so the 2^|T| masks are
-  // scanned in chunks that fan out over options.parallel; the verdict is
-  // resolved as the smallest decisive mask in enumeration order, which is
-  // exactly what the serial scan reports.
+  // scan and mask 0.
   auto check_base = [&](const QueryAnalysis& base_analysis) -> StatusOr<bool> {
     // Cancellation is polled once per augmentation here and once per
     // mask inside the subset scan, so both Thm 3.1 axes abort promptly.
     if (options.cancel != nullptr) {
       OOCQ_RETURN_IF_ERROR(options.cancel->Check());
     }
-    if (stats != nullptr) ++stats->augmentations;
+    ++stats.augmentations;
     const ConjunctiveQuery& base = base_analysis.query();
     std::vector<Atom> membership_pool;
     if (rhs_has_non_membership) {
@@ -208,21 +205,15 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
     // W-independence preconditions verify; otherwise fall through to the
     // interpreted per-mask scan below.
     if (options.enable_compilation && t_size > 0) {
-      compile::MaskScanOptions scan_options;
-      scan_options.max_steps = options.max_mapping_steps;
-      scan_options.cancel = options.cancel;
-      scan_options.budget = options.budget;
       compile::MaskScanResult scan = compile::RunCompiledMaskScan(
           schema, base_analysis, membership_pool, n2, constraints,
-          scan_options);
+          options.cancel, options.budget);
       if (scan.decided) {
         OOCQ_METRIC_ADD("compile/mask_scans", 1);
-        if (stats != nullptr) {
-          stats->membership_subsets += scan.masks_tested;
-          stats->membership_subsets_skipped += scan.masks_skipped;
-          ++stats->mapping_searches;
-          stats->mapping_steps += scan.mapping_steps;
-        }
+        stats.membership_subsets += scan.masks_tested;
+        stats.membership_subsets_skipped += scan.masks_skipped;
+        ++stats.mapping_searches;
+        stats.mapping_steps += scan.mapping_steps;
         if (!scan.error.ok()) return scan.error;
         if (!scan.contained) {
           record_refutation(base, membership_pool, scan.refuting_mask);
@@ -232,131 +223,58 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const PreparedDisjunct& q1,
       OOCQ_METRIC_ADD("compile/mask_fallbacks", 1);
     }
 
-    // A chunk's outcome: the first mask in its range that decided the
-    // test (condition violated, or an error such as ResourceExhausted),
-    // plus the work counters for the masks it actually scanned.
-    struct ChunkResult {
-      uint64_t event_mask = kNoEvent;
-      bool is_error = false;
-      Status error = Status::Ok();
-      ContainmentStats stats;
-    };
-    std::atomic<uint64_t> first_event{kNoEvent};
-
-    auto scan_masks = [&](uint64_t begin, uint64_t end) -> ChunkResult {
-      ChunkResult result;
-      // Masks the chunk leaves undecided — behind an abort, after a
-      // decisive refutation, or unsatisfiable — count as skipped, so
-      // membership_subsets keeps meaning "masks actually tested".
-      uint64_t& skipped = result.stats.membership_subsets_skipped;
-      if (Status chaos = Failpoints::Check("core/subset_scan"); !chaos.ok()) {
-        result.event_mask = begin;
-        result.is_error = true;
-        result.error = std::move(chaos);
-        skipped += end - begin;
-        AtomicMin(first_event, begin);
-        return result;
-      }
-      for (uint64_t mask = begin; mask < end; ++mask) {
-        // A smaller decisive mask already settles the answer.
-        if (mask > first_event.load(std::memory_order_acquire)) {
-          skipped += end - mask;
-          break;
-        }
-        if (options.cancel != nullptr) {
-          Status live = options.cancel->Check();
-          if (!live.ok()) {
-            result.event_mask = mask;
-            result.is_error = true;
-            result.error = std::move(live);
-            skipped += end - mask;
-            AtomicMin(first_event, mask);
-            break;
-          }
-        }
-        if (options.budget != nullptr) {
-          Status charged = options.budget->ChargeSubsetWork(1);
-          if (!charged.ok()) {
-            result.event_mask = mask;
-            result.is_error = true;
-            result.error = std::move(charged);
-            skipped += end - mask;
-            AtomicMin(first_event, mask);
-            break;
-          }
-        }
-        // Mask 0 targets `base` itself, whose analysis is already built;
-        // every other mask is checked in full, as the test oracle.
-        const QueryAnalysis* analysis = mask == 0 ? &base_analysis : nullptr;
-        StatusOr<QueryAnalysis> built = Status::Internal("unbuilt");
-        if (analysis == nullptr) {
-          ConjunctiveQuery target = base;
-          for (size_t i = 0; i < t_size; ++i) {
-            if (mask & (uint64_t{1} << i)) target.AddAtom(membership_pool[i]);
-          }
-          if (!CheckSatisfiable(schema, target).satisfiable) {
-            ++skipped;
-            continue;
-          }
-          built = QueryAnalysis::Create(schema, target);
-          if (built.ok()) analysis = &*built;
-        }
-        ++result.stats.membership_subsets;
-        ++result.stats.mapping_searches;
-        if (analysis == nullptr) {
-          result.event_mask = mask;
-          result.is_error = true;
-          result.error = built.status();
-          skipped += end - mask - 1;
-          AtomicMin(first_event, mask);
-          break;
-        }
-        MappingResult mapping =
-            FindNonContradictoryMapping(schema, n2, *analysis, constraints);
-        result.stats.mapping_steps += mapping.steps;
-        if (mapping.exhausted) {
-          result.event_mask = mask;
-          result.is_error = true;
-          result.error = Status::ResourceExhausted(
-              "mapping search exceeded ContainmentOptions::max_mapping_steps");
-          skipped += end - mask - 1;
-          AtomicMin(first_event, mask);
-          break;
-        }
-        if (!mapping.found()) {
-          result.event_mask = mask;
-          skipped += end - mask - 1;
-          AtomicMin(first_event, mask);
-          break;
-        }
-      }
-      return result;
-    };
-
-    uint64_t num_chunks = 1;
-    const uint32_t threads = EffectiveThreads(options.parallel);
-    if (threads > 1 && !InParallelRegion() &&
-        total >= options.parallel.min_parallel_items) {
-      // Over-decompose so uneven mapping searches balance across workers.
-      num_chunks = std::min<uint64_t>(total, uint64_t{threads} * 8);
+    // The interpreted per-mask scan, the reference oracle: one mapping
+    // search per mask W in mask order, into Q1&S&W checked in full. Masks
+    // it leaves untested — unsatisfiable targets, masks behind an abort
+    // or after the refutation — count as skipped, so membership_subsets
+    // keeps meaning "masks actually tested".
+    uint64_t& skipped = stats.membership_subsets_skipped;
+    if (Status chaos = Failpoints::Check("core/subset_scan"); !chaos.ok()) {
+      skipped += total;
+      return chaos;
     }
-    const uint64_t chunk_size = (total + num_chunks - 1) / num_chunks;
-    OOCQ_ASSIGN_OR_RETURN(
-        std::vector<ChunkResult> chunks,
-        (ParallelMap<ChunkResult>(
-            options.parallel, static_cast<size_t>(num_chunks),
-            [&](size_t c) -> StatusOr<ChunkResult> {
-              const uint64_t begin = static_cast<uint64_t>(c) * chunk_size;
-              const uint64_t end = std::min<uint64_t>(total, begin + chunk_size);
-              return scan_masks(begin, end);
-            })));
-    for (const ChunkResult& chunk : chunks) {
-      if (stats != nullptr) stats->Add(chunk.stats);
-    }
-    for (const ChunkResult& chunk : chunks) {
-      if (chunk.event_mask == kNoEvent) continue;
-      if (chunk.is_error) return chunk.error;
-      record_refutation(base, membership_pool, chunk.event_mask);
+    for (uint64_t mask = 0; mask < total; ++mask) {
+      Status live = options.cancel != nullptr ? options.cancel->Check()
+                                              : Status::Ok();
+      if (live.ok() && options.budget != nullptr) {
+        live = options.budget->ChargeSubsetWork(1);
+      }
+      if (!live.ok()) {
+        skipped += total - mask;
+        return live;
+      }
+      // Mask 0 targets `base` itself, whose analysis is already built;
+      // every other mask is checked in full, as the test oracle.
+      const QueryAnalysis* analysis = &base_analysis;
+      StatusOr<QueryAnalysis> built = Status::Internal("unbuilt");
+      if (mask != 0) {
+        ConjunctiveQuery target = base;
+        for (size_t i = 0; i < t_size; ++i) {
+          if (mask & (uint64_t{1} << i)) target.AddAtom(membership_pool[i]);
+        }
+        if (!CheckSatisfiable(schema, target).satisfiable) {
+          ++skipped;
+          continue;
+        }
+        built = QueryAnalysis::Create(schema, target);
+        analysis = built.ok() ? &*built : nullptr;
+      }
+      ++stats.membership_subsets;
+      ++stats.mapping_searches;
+      if (analysis == nullptr) {
+        skipped += total - mask - 1;
+        return built.status();
+      }
+      MappingResult mapping =
+          FindNonContradictoryMapping(schema, n2, *analysis, constraints);
+      stats.mapping_steps += mapping.steps;
+      if (mapping.found()) continue;
+      skipped += total - mask - 1;
+      if (mapping.exhausted) {
+        return Status::ResourceExhausted(
+            "mapping search exceeded ContainmentOptions::max_mapping_steps");
+      }
+      record_refutation(base, membership_pool, mask);
       return false;
     }
     return true;
@@ -422,7 +340,7 @@ StatusOr<bool> Contained(const Schema& schema, const PreparedDisjunct& q1,
   ContainedTraceInfo tinfo;
   ContainmentStats local;
   StatusOr<bool> verdict =
-      ContainedImpl(schema, q1, q2, options, &local, &tinfo, decision);
+      ContainedImpl(schema, q1, q2, options, local, &tinfo, decision);
   if (stats != nullptr) stats->Add(local);
   if (decision != nullptr) decision->spec = tinfo.specialization;
   if (MetricsRegistry* metrics = ActiveMetrics()) {
@@ -437,9 +355,8 @@ StatusOr<bool> Contained(const Schema& schema, const PreparedDisjunct& q1,
     metrics->Record("containment/pool_size", tinfo.max_pool);
   }
   if (span.recording()) {
-    // All annotations are scheduling-independent on the positive
-    // pipeline (docs/observability.md); the work counters can differ on
-    // early-exit paths, mirroring the PR 1 determinism contract.
+    // A Contained() call runs serially, so every annotation is
+    // scheduling-independent (docs/observability.md).
     span.Arg("spec", tinfo.specialization)
         .Arg("pool", tinfo.max_pool)
         .Arg("augmentations", local.augmentations)

@@ -15,6 +15,10 @@
 
 namespace oocq {
 
+/// The ceiling on |T|: a membership subset W ⊆ T is a 64-bit mask, and
+/// the scan counts 2^|T| of them.
+inline constexpr uint32_t kMaxMembershipPool = 63;
+
 /// Resource limits for the containment test. The general test (Thm 3.1)
 /// enumerates consistent augmentations × membership-atom subsets ×
 /// mapping-search steps; each axis is capped and overruns surface as
@@ -23,7 +27,8 @@ struct ContainmentOptions {
   uint64_t max_mapping_steps = 10'000'000;
   uint64_t max_augmentations = 100'000;
   /// Cap on |T|, the deduplicated candidate membership atoms (Thm 3.1
-  /// enumerates all 2^|T| subsets W).
+  /// enumerates all 2^|T| subsets W). Values above kMaxMembershipPool (63)
+  /// act as 63; a larger pool is ResourceExhausted either way.
   uint32_t max_membership_candidates = 24;
   /// Ablation switch: always run the full Thm 3.1 enumeration (all
   /// consistent augmentations × all membership subsets) even when Q2's
@@ -34,15 +39,15 @@ struct ContainmentOptions {
   /// 2^|T| membership-subset axis: one mapping enumeration plus a
   /// word-parallel bitmask coverage test instead of a mapping search per
   /// subset. Verdicts, statuses, and the membership_subsets counters are
-  /// identical to the interpreted scan (which remains the fallback for
-  /// shapes the compiled scan cannot prove safe).
+  /// identical to the interpreted scan (the serial per-mask reference,
+  /// which stays the fallback for shapes the compiled scan refuses).
   bool enable_compilation = true;
-  /// Fan-out knobs for the 2^|T| membership-subset enumeration inside
-  /// Contained() and the per-disjunct tests of UnionContained(). Default
-  /// serial; the pipeline entry points overwrite this with
-  /// EngineOptions::parallel (core/engine_options.h). Verdicts are
-  /// schedule-independent; only the work counters may differ when an
-  /// early exit races (docs/parallelism.md).
+  /// Fan-out knobs for the per-disjunct tests of UnionContained();
+  /// Contained() itself runs serially. Default serial; the pipeline entry
+  /// points overwrite this with EngineOptions::parallel
+  /// (core/engine_options.h). Verdicts are schedule-independent; only
+  /// UnionContained()'s work counters may differ when an early exit races
+  /// (docs/parallelism.md).
   ParallelOptions parallel;
   /// Cooperative cancellation (support/cancellation.h), polled between
   /// independent work items — per membership-subset mask, per
@@ -61,9 +66,10 @@ struct ContainmentOptions {
 };
 
 /// Work counters filled by Contained() when non-null (benches E4/E8).
-/// Under parallel execution counters measure the work actually done:
-/// identical to the serial run except on early-exit paths, where
-/// cancelled workers may have completed extra units first.
+/// Contained() runs serially, so its counters are the same at every
+/// thread count. Under UnionContained()'s fan-out they measure the work
+/// actually done: identical to the serial run except on early-exit
+/// paths, where cancelled workers may have completed extra units first.
 struct ContainmentStats {
   uint64_t augmentations = 0;
   /// Membership-subset masks actually tested (a mapping search ran, or

@@ -120,14 +120,14 @@ StatusOr<ConjunctiveQuery> RemoveRedundantAtoms(
   return current;
 }
 
-StatusOr<GeneralMinimizationReport> MinimizeConjunctiveQuery(
+StatusOr<MinimizationReport> MinimizeConjunctiveQuery(
     const Schema& schema, const ConjunctiveQuery& query,
     const MinimizationOptions& options, ContainmentCache* cache) {
   OOCQ_TRACE_SPAN(span, "MinimizeConjunctiveQuery");
   OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
   const EngineOptions opts = WithPropagatedParallelism(options);
 
-  GeneralMinimizationReport report;
+  MinimizationReport report;
 
   ExpansionStats expansion_stats;
   OOCQ_ASSIGN_OR_RETURN(

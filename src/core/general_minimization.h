@@ -10,19 +10,6 @@ namespace oocq {
 
 class ContainmentCache;
 
-/// Result of the general (non-positive) minimization.
-struct GeneralMinimizationReport {
-  /// An equivalent union of terminal conjunctive queries, reduced as far
-  /// as the verified transformations allow.
-  UnionQuery minimized;
-  uint64_t raw_disjuncts = 0;
-  uint64_t satisfiable_disjuncts = 0;
-  uint64_t nonredundant_disjuncts = 0;
-  uint64_t variables_removed = 0;
-  /// Aggregate work counters of every containment / self-mapping search.
-  ContainmentStats containment;
-};
-
 /// Best-effort minimization for *general* conjunctive queries — the
 /// problem the paper leaves open ("We shall investigate the minimization
 /// problem for conjunctive queries in general", §5). Every step is
@@ -40,8 +27,10 @@ struct GeneralMinimizationReport {
 ///     does not extend, so we verify instead of trusting the mapping.)
 ///
 /// Unlike MinimizePositiveQuery, the result carries no optimality
-/// guarantee — it is an equivalent, usually smaller union.
-StatusOr<GeneralMinimizationReport> MinimizeConjunctiveQuery(
+/// guarantee — `minimized` is an equivalent, usually smaller union of
+/// terminal conjunctive queries, reduced as far as the verified
+/// transformations allow.
+StatusOr<MinimizationReport> MinimizeConjunctiveQuery(
     const Schema& schema, const ConjunctiveQuery& query,
     const MinimizationOptions& options = {},
     ContainmentCache* cache = nullptr);

@@ -16,10 +16,12 @@ class ContainmentCache;
 /// existing call sites compile unchanged (core/engine_options.h).
 using MinimizationOptions = EngineOptions;
 
-/// Bookkeeping from one MinimizePositiveQuery run.
+/// Bookkeeping from one minimization run: MinimizePositiveQuery, or
+/// the general MinimizeConjunctiveQuery (core/general_minimization.h).
 struct MinimizationReport {
   /// The search-space-optimal union of minimal terminal positive
-  /// conjunctive queries equivalent to the input (Thms 4.2/4.5).
+  /// conjunctive queries equivalent to the input (Thms 4.2/4.5); for a
+  /// general input, an equivalent union with no optimality guarantee.
   UnionQuery minimized;
   uint64_t raw_disjuncts = 0;          // Prop 2.1 combinations
   uint64_t satisfiable_disjuncts = 0;  // after unsatisfiability pruning

@@ -211,17 +211,7 @@ StatusOr<MinimizationReport> MinimizeWellFormedQuery(
   if (well_formed.IsPositive()) {
     return MinimizePositiveQuery(schema, well_formed, options, cache);
   }
-  OOCQ_ASSIGN_OR_RETURN(
-      GeneralMinimizationReport general,
-      MinimizeConjunctiveQuery(schema, well_formed, options, cache));
-  MinimizationReport report;
-  report.minimized = std::move(general.minimized);
-  report.raw_disjuncts = general.raw_disjuncts;
-  report.satisfiable_disjuncts = general.satisfiable_disjuncts;
-  report.nonredundant_disjuncts = general.nonredundant_disjuncts;
-  report.variables_removed = general.variables_removed;
-  report.containment = general.containment;
-  return report;
+  return MinimizeConjunctiveQuery(schema, well_formed, options, cache);
 }
 
 StatusOr<OptimizeReport> QueryOptimizer::Optimize(

@@ -211,7 +211,7 @@ const std::vector<std::string>& Failpoints::KnownNames() {
       "snapshot/write",    // persist/snapshot.cc: before the durable write
       "snapshot/load",     // persist/snapshot.cc: before reading a file
       "pool/dispatch",     // support/thread_pool.cc: before a task runs
-      "core/subset_scan",  // core/containment.cc: per Thm 3.1 chunk
+      "core/subset_scan",  // core/containment.cc: head of the per-mask scan
       "cache/lookup",      // core/containment_cache.cc: on entry
       "service/execute",   // server/service.cc: before the request body
       "tcp/accept",        // server/event_server.cc: after accept() returns

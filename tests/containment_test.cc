@@ -239,6 +239,39 @@ TEST_F(ContainmentTest, MembershipCandidateCapEnforced) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(MembershipPoolCeilingTest, PoolPastSixtyThreeIsResourceExhausted) {
+  // Each ui in x.S is a pool candidate, so |T| = n; W = T is the one
+  // refuting subset (ui ∉ x.S for some i is what Q2 needs). A subset W
+  // is a 64-bit mask, so whatever the configured cap, |T| stops at 63.
+  Schema schema = MustParseSchema(R"(
+schema Ceiling {
+  class D { }
+  class C { S: {D}; }
+})");
+  auto q1_with = [&schema](int n) {
+    std::string vars = "exists s";
+    std::string atoms = "x in C & s in D & s in x.S";
+    for (int i = 1; i <= n; ++i) {
+      vars += " exists u" + std::to_string(i);
+      atoms += " & u" + std::to_string(i) + " in D";
+    }
+    return MustParseQuery(schema, "{ x | " + vars + " (" + atoms + ") }");
+  };
+  ConjunctiveQuery q2 = MustParseQuery(
+      schema, "{ x | exists y (x in C & y in D & y notin x.S) }");
+  ContainmentOptions options;
+  options.max_membership_candidates = 100;
+
+  StatusOr<bool> small = Contained(schema, q1_with(25), q2, options);
+  OOCQ_ASSERT_OK(small.status());
+  EXPECT_FALSE(*small);
+
+  StatusOr<bool> large = Contained(schema, q1_with(64), q2, options);
+  EXPECT_EQ(large.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(large.status().message().find("63"), std::string::npos)
+      << large.status().ToString();
+}
+
 // --------------------------- equivalence ------------------------------
 
 TEST_F(ContainmentTest, EquivalenceOfRenamedQueries) {

@@ -34,7 +34,7 @@ TEST_F(GeneralMinimizationTest, PositiveQueryBehavesLikePositivePipeline) {
       schema_,
       "{ x | exists u exists v (x in C & u in E & v in E & u in x.S & "
       "v in x.S) }");
-  StatusOr<GeneralMinimizationReport> report =
+  StatusOr<MinimizationReport> report =
       MinimizeConjunctiveQuery(schema_, query);
   OOCQ_ASSERT_OK(report.status());
   ASSERT_EQ(report->minimized.disjuncts.size(), 1u);
@@ -123,7 +123,7 @@ TEST_F(GeneralMinimizationTest, ExpansionPlusRedundancyAcrossHierarchy) {
       schema_,
       "{ x | exists y exists u (x in D & y in D & u in C & x in u.S & "
       "y in u.S & x != y) }");
-  StatusOr<GeneralMinimizationReport> report =
+  StatusOr<MinimizationReport> report =
       MinimizeConjunctiveQuery(schema_, query);
   OOCQ_ASSERT_OK(report.status());
   // x, y each expand over {E, F}: 4 disjuncts, all satisfiable. (E,F)
@@ -165,7 +165,7 @@ TEST_F(GeneralMinimizationTest, SoundnessOnRandomNegativeQueries) {
   };
   for (const char* text : queries) {
     ConjunctiveQuery query = MustParseQuery(schema_, text);
-    StatusOr<GeneralMinimizationReport> report =
+    StatusOr<MinimizationReport> report =
         MinimizeConjunctiveQuery(schema_, query);
     OOCQ_ASSERT_OK(report.status());
     for (uint64_t seed = 0; seed < 3; ++seed) {
@@ -299,7 +299,7 @@ schema Fold {
       schema,
       "{ x | exists y exists w (x in C & y in D & w in D & y in x.S & "
       "w notin x.S) }");
-  StatusOr<GeneralMinimizationReport> report =
+  StatusOr<MinimizationReport> report =
       MinimizeConjunctiveQuery(schema, general, options);
   EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded);
 }

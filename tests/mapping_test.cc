@@ -2,15 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/derivability.h"
 #include "core/mapping.h"
+#include "core/satisfiability.h"
+#include "query/printer.h"
+#include "query/well_formed.h"
+#include "random_query.h"
 #include "test_util.h"
 
 namespace oocq {
 namespace {
 
+using ::oocq::testing::GenerateRandomQuery;
 using ::oocq::testing::MustParseQuery;
 using ::oocq::testing::MustParseSchema;
+using ::oocq::testing::PerturbSetAtoms;
+using ::oocq::testing::RandomQueryParams;
 
 class MappingTest : public ::testing::Test {
  protected:
@@ -169,6 +182,132 @@ TEST_F(MappingTest, NonRangeAtomCheckedStatically) {
   MappingResult result = Find("{ x | x in E & x notin F }",
                               "{ x | x in E }");
   EXPECT_TRUE(result.found());
+}
+
+/// `query` normalized, when it is well-formed and satisfiable.
+std::optional<ConjunctiveQuery> Normalized(const Schema& schema,
+                                           const ConjunctiveQuery& query) {
+  if (!CheckWellFormed(schema, query).ok() ||
+      !CheckSatisfiable(schema, query).satisfiable) {
+    return std::nullopt;
+  }
+  StatusOr<ConjunctiveQuery> normalized =
+      NormalizeTerminalQuery(schema, query);
+  if (!normalized.ok()) return std::nullopt;
+  return *std::move(normalized);
+}
+
+/// A normalized satisfiable terminal draw, or nullopt.
+std::optional<ConjunctiveQuery> DrawTerminal(const Schema& schema,
+                                             std::mt19937_64& rng) {
+  RandomQueryParams params;
+  params.max_vars = 4;
+  params.max_extra_atoms = 5;
+  params.allow_negative = true;
+  return Normalized(schema, GenerateRandomQuery(schema, rng, params));
+}
+
+/// Thm 3.1's pool T, built as Contained() builds it: one membership atom
+/// per (element class, set term) pair of `analysis` that keeps the query
+/// satisfiable and is not already derivable.
+std::vector<Atom> CandidatePool(const QueryAnalysis& analysis) {
+  const ConjunctiveQuery& query = analysis.query();
+  const EqualityGraph& graph = analysis.graph();
+  std::vector<VarId> elements;
+  std::set<TermId> element_seen;
+  for (VarId v = 0; v < query.num_vars(); ++v) {
+    if (element_seen.insert(graph.Find(graph.VarNode(v))).second) {
+      elements.push_back(v);
+    }
+  }
+  std::vector<std::pair<VarId, std::string>> sets;
+  std::set<std::pair<TermId, std::string>> set_seen;
+  for (const Atom& atom : query.atoms()) {
+    if (atom.kind() != AtomKind::kMembership &&
+        atom.kind() != AtomKind::kNonMembership) {
+      continue;
+    }
+    if (set_seen
+            .insert({graph.Find(graph.VarNode(atom.set_term().var)),
+                     atom.set_term().attr})
+            .second) {
+      sets.emplace_back(atom.set_term().var, atom.set_term().attr);
+    }
+  }
+  std::vector<Atom> pool;
+  for (VarId element : elements) {
+    for (const auto& [set_var, attr] : sets) {
+      if (analysis.NotContradictsMembership(element, set_var, attr) &&
+          !analysis.DerivesMembership(element, set_var, attr)) {
+        pool.push_back(Atom::Membership(element, set_var, attr));
+      }
+    }
+  }
+  return pool;
+}
+
+TEST_F(MappingTest, PoolSignaturesAgreeWithPerSubsetSearches) {
+  // One enumeration against the pool must answer, for every W ⊆ T, what
+  // a separate search into base + W answers: some visited (required,
+  // forbidden) signature serves W iff a mapping into base + W exists.
+  std::mt19937_64 rng(20261018);
+  int pairs = 0;
+  int mixed = 0;  // pairs where some W is served and some is not
+  for (int round = 0; round < 20000 && pairs < 400; ++round) {
+    std::optional<ConjunctiveQuery> base = DrawTerminal(schema_, rng);
+    if (!base.has_value()) continue;
+    // Every other q2 is independent of base; the rest perturb base.
+    std::optional<ConjunctiveQuery> q2;
+    if (round % 2 == 0) {
+      q2 = DrawTerminal(schema_, rng);
+    } else if (std::optional<ConjunctiveQuery> perturbed =
+                   PerturbSetAtoms(schema_, *base, rng)) {
+      q2 = Normalized(schema_, *perturbed);
+    }
+    if (!q2.has_value()) continue;
+    QueryAnalysis analysis = Analyze(*base);
+    const std::vector<Atom> pool = CandidatePool(analysis);
+    if (pool.empty() || pool.size() > 6) continue;
+    ++pairs;
+
+    MappingConstraints constraints;
+    std::vector<std::pair<uint64_t, uint64_t>> signatures;
+    MappingResult enumeration = EnumerateNonContradictoryMappings(
+        schema_, *q2, analysis, constraints, pool, /*cancel=*/nullptr,
+        [&signatures](uint64_t required, uint64_t forbidden) {
+          signatures.emplace_back(required, forbidden);
+          return true;
+        });
+    ASSERT_FALSE(enumeration.exhausted);
+    ASSERT_FALSE(enumeration.found());  // the visitor never stops it
+
+    int served_count = 0;
+    const uint64_t total = uint64_t{1} << pool.size();
+    for (uint64_t w = 0; w < total; ++w) {
+      bool served = false;
+      for (const auto& [required, forbidden] : signatures) {
+        if ((w & required) == required && (w & forbidden) == 0) served = true;
+      }
+      ConjunctiveQuery target = *base;
+      for (size_t i = 0; i < pool.size(); ++i) {
+        if (w & (uint64_t{1} << i)) target.AddAtom(pool[i]);
+      }
+      QueryAnalysis target_analysis = Analyze(target);
+      MappingResult search = FindNonContradictoryMapping(
+          schema_, *q2, target_analysis, constraints);
+      ASSERT_FALSE(search.exhausted);
+      EXPECT_EQ(served, search.found())
+          << "W=" << w << " of |T|=" << pool.size() << "\n  base "
+          << QueryToString(schema_, *base) << "\n  q2   "
+          << QueryToString(schema_, *q2);
+      served_count += served ? 1 : 0;
+    }
+    if (served_count > 0 && static_cast<uint64_t>(served_count) < total) {
+      ++mixed;
+    }
+  }
+  EXPECT_GE(pairs, 400);
+  EXPECT_GE(mixed, 50);
 }
 
 }  // namespace

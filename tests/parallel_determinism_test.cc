@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/containment.h"
+#include "core/satisfiability.h"
 #include "core/engine_options.h"
 #include "core/minimization.h"
 #include "core/optimizer.h"
@@ -25,6 +26,7 @@ namespace {
 
 using ::oocq::testing::GenerateRandomQuery;
 using ::oocq::testing::MustParseSchema;
+using ::oocq::testing::PerturbSetAtoms;
 using ::oocq::testing::RandomQueryParams;
 
 constexpr uint32_t kThreadCounts[] = {1, 2, 8};
@@ -50,9 +52,10 @@ class ParallelDeterminism : public ::testing::TestWithParam<uint64_t> {
   Schema schema_ = MustParseSchema(kSchema);
 
   std::optional<ConjunctiveQuery> Draw(std::mt19937_64& rng,
-                                       bool allow_negative) {
+                                       bool allow_negative,
+                                       bool terminal_only = false) {
     RandomQueryParams params;
-    params.terminal_only = false;
+    params.terminal_only = terminal_only;
     params.max_vars = 4;
     params.allow_negative = allow_negative;
     ConjunctiveQuery query = GenerateRandomQuery(schema_, rng, params);
@@ -126,10 +129,9 @@ TEST_P(ParallelDeterminism, OptimizerOutputIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(ParallelDeterminism, ContainmentVerdictsIdenticalAcrossThreadCounts) {
-  // General queries (negative atoms exercise the chunked 2^|T| subset
-  // enumeration of Thm 3.1). Verdicts and errors must match the serial
-  // run; work counters on early-exit paths may differ and are not
-  // compared.
+  // General queries (negative atoms exercise Thm 3.1's 2^|T| subset
+  // scan). Verdicts and errors must match the serial run; the pipeline's
+  // work counters on early-exit paths may differ and are not compared.
   std::mt19937_64 rng(GetParam() + 10000);
   for (int round = 0; round < 6; ++round) {
     std::optional<ConjunctiveQuery> q1 = Draw(rng, /*allow_negative=*/true);
@@ -152,6 +154,58 @@ TEST_P(ParallelDeterminism, ContainmentVerdictsIdenticalAcrossThreadCounts) {
       }
     }
   }
+
+  // Contained() itself runs serially (the fan-out is UnionContained()'s
+  // alone), so the interpreted per-mask scan does the same work at every
+  // thread count: its ContainmentStats equal the serial run's exactly.
+  std::mt19937_64 terminal_rng(GetParam() + 12000);
+  int scans = 0;  // pairs whose scan reached past mask 0
+  for (int round = 0; round < 1000; ++round) {
+    std::optional<ConjunctiveQuery> q1 =
+        Draw(terminal_rng, /*allow_negative=*/true, /*terminal_only=*/true);
+    if (!q1.has_value() || !CheckSatisfiable(schema_, *q1).satisfiable) {
+      continue;
+    }
+    // Q2 reuses Q1's set terms, so Q1's membership pool decides it.
+    std::optional<ConjunctiveQuery> q2 =
+        PerturbSetAtoms(schema_, *q1, terminal_rng);
+    if (!q2.has_value() || !CheckWellFormed(schema_, *q2).ok() ||
+        !CheckSatisfiable(schema_, *q2).satisfiable) {
+      continue;
+    }
+
+    ContainmentOptions options;
+    options.enable_compilation = false;
+    ContainmentStats baseline_stats;
+    StatusOr<bool> baseline =
+        Contained(schema_, *q1, *q2, options, &baseline_stats);
+    if (baseline_stats.membership_subsets +
+            baseline_stats.membership_subsets_skipped > 1) {
+      ++scans;
+    }
+    for (uint32_t threads : kThreadCounts) {
+      options.parallel.num_threads = threads;
+      ContainmentStats stats;
+      StatusOr<bool> verdict = Contained(schema_, *q1, *q2, options, &stats);
+      ASSERT_EQ(verdict.ok(), baseline.ok()) << threads << " thread(s)";
+      if (verdict.ok()) {
+        EXPECT_EQ(*verdict, *baseline);
+      }
+      const std::string where = std::to_string(threads) + " thread(s) on " +
+                                QueryToString(schema_, *q1) + " vs " +
+                                QueryToString(schema_, *q2);
+      EXPECT_EQ(stats.augmentations, baseline_stats.augmentations) << where;
+      EXPECT_EQ(stats.membership_subsets, baseline_stats.membership_subsets)
+          << where;
+      EXPECT_EQ(stats.membership_subsets_skipped,
+                baseline_stats.membership_subsets_skipped)
+          << where;
+      EXPECT_EQ(stats.mapping_searches, baseline_stats.mapping_searches)
+          << where;
+      EXPECT_EQ(stats.mapping_steps, baseline_stats.mapping_steps) << where;
+    }
+  }
+  EXPECT_GE(scans, 10);
 }
 
 TEST_P(ParallelDeterminism, UnionMinimizationIdenticalAcrossThreadCounts) {

@@ -1,6 +1,8 @@
 #ifndef OOCQ_TESTS_RANDOM_QUERY_H_
 #define OOCQ_TESTS_RANDOM_QUERY_H_
 
+#include <cstddef>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -139,6 +141,52 @@ inline ConjunctiveQuery GenerateRandomQuery(const Schema& schema,
         break;
       }
     }
+  }
+  return query;
+}
+
+/// Terminal `base` with each non-range atom dropped with probability 1/3
+/// and one to three membership or non-membership atoms added, each over a
+/// set term `base` already has and an element variable of a fitting
+/// class — so that Thm 3.1's pool over `base` decides mappings of the
+/// result. Nullopt when `base` has no set term. Like GenerateRandomQuery,
+/// the result may be ill-formed or unsatisfiable.
+inline std::optional<ConjunctiveQuery> PerturbSetAtoms(
+    const Schema& schema, const ConjunctiveQuery& base, std::mt19937_64& rng) {
+  auto pick = [&rng](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  std::vector<Term> set_terms;
+  for (const Atom& atom : base.atoms()) {
+    if (atom.kind() == AtomKind::kMembership ||
+        atom.kind() == AtomKind::kNonMembership) {
+      set_terms.push_back(atom.set_term());
+    }
+  }
+  if (set_terms.empty()) return std::nullopt;
+  ConjunctiveQuery query = base;
+  std::vector<Atom>& atoms = query.mutable_atoms();
+  for (size_t i = atoms.size(); i-- > 0;) {
+    if (atoms[i].kind() != AtomKind::kRange && pick(3) == 0) {
+      atoms.erase(atoms.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  }
+  for (size_t added = 1 + pick(3); added > 0; --added) {
+    const Term& set = set_terms[pick(set_terms.size())];
+    const TypeExpr* type =
+        schema.FindAttribute(base.RangeClassOf(set.var), set.attr);
+    std::vector<VarId> elements;
+    for (VarId v = 0; v < base.num_vars(); ++v) {
+      if (type == nullptr || !type->is_set() ||
+          schema.IsSubclassOf(base.RangeClassOf(v), type->cls())) {
+        elements.push_back(v);
+      }
+    }
+    if (elements.empty()) continue;
+    const VarId element = elements[pick(elements.size())];
+    query.AddAtom(pick(2) == 0
+                      ? Atom::Membership(element, set.var, set.attr)
+                      : Atom::NonMembership(element, set.var, set.attr));
   }
   return query;
 }
