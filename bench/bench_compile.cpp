@@ -121,10 +121,14 @@ EvalLeg RunEvalLeg(int iters) {
 
   EvalLeg leg;
   leg.interpreted = Measure(iters, [&] {
-    benchmark_dummy_sink += Must(Evaluate(database, query, interpreted)).size();
+    benchmark_dummy_sink =
+        benchmark_dummy_sink +
+        Must(Evaluate(database, query, interpreted)).size();
   });
   leg.compiled = Measure(iters, [&] {
-    benchmark_dummy_sink += Must(Evaluate(database, query, compiled)).size();
+    benchmark_dummy_sink =
+        benchmark_dummy_sink +
+        Must(Evaluate(database, query, compiled)).size();
   });
   return leg;
 }
@@ -176,12 +180,14 @@ ScanLeg RunSubsetScanLeg(int k, int iters) {
 
   ScanLeg leg;
   leg.interpreted = Measure(iters, [&] {
-    benchmark_dummy_sink +=
-        Must(Contained(schema, q1, q2, interpreted)) ? 1u : 0u;
+    benchmark_dummy_sink =
+        benchmark_dummy_sink +
+        (Must(Contained(schema, q1, q2, interpreted)) ? 1u : 0u);
   });
   leg.compiled = Measure(iters, [&] {
-    benchmark_dummy_sink +=
-        Must(Contained(schema, q1, q2, compiled)) ? 1u : 0u;
+    benchmark_dummy_sink =
+        benchmark_dummy_sink +
+        (Must(Contained(schema, q1, q2, compiled)) ? 1u : 0u);
   });
   return leg;
 }

@@ -8,14 +8,23 @@
 //  * Workload/ContainmentMatrix/k: all-pairs containment over a batch of
 //    k random terminal queries (view-selection style usage).
 //  * Workload/Satisfiability: satisfiability screening throughput.
+//  * CanonicalKey: p50 time per key (the ContainmentCache key every
+//    decision computes for each disjunct it touches) on three sets —
+//    server-style positive disjuncts, the same shapes with a constant on
+//    the free variable, and k interchangeable bound variables.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <random>
+#include <set>
 
 #include "bench_util.h"
+#include "core/canonical.h"
 #include "core/containment.h"
 #include "core/containment_cache.h"
+#include "core/expansion.h"
 #include "core/minimization.h"
 #include "core/satisfiability.h"
 #include "query/well_formed.h"
@@ -204,6 +213,142 @@ void BM_WorkloadSatisfiability(benchmark::State& state) {
                           static_cast<int64_t>(batch.size()));
 }
 BENCHMARK(BM_WorkloadSatisfiability);
+
+const char* const kFleetSchema = R"(
+schema Fleet {
+  class Vehicle { VehId: String; Owner: Client; }
+  class Auto    under Vehicle { Doors: Int; }
+  class Truck   under Vehicle { Payload: Real; }
+  class Van     under Vehicle { Seats: Int; }
+  class Client  { Name: String; Rented: {Vehicle}; Fav: Vehicle; }
+  class Regular under Client { }
+  class Premium under Client { Rate: Real; }
+  class Depot   { Manager: Client; Stock: {Vehicle}; }
+})";
+
+/// The positive query shapes a catalog server decides pairs of (free
+/// variable x over vehicles, or y over clients), over every class choice;
+/// `tagged` adds a distinct constant on the free variable's string
+/// attribute, as inline queries that each miss the cache carry.
+std::vector<std::string> FleetQueryTexts(bool tagged) {
+  const std::vector<std::string> vehicles = {"Vehicle", "Auto", "Truck", "Van"};
+  const std::vector<std::string> clients = {"Client", "Regular", "Premium"};
+  std::vector<std::string> texts;
+  for (int shape = 0; shape < 6; ++shape) {
+    for (const std::string& v : vehicles) {
+      for (const std::string& c : clients) {
+        const std::string vx = "x in " + v;
+        const std::string cy = "y in " + c;
+        std::string body;
+        switch (shape) {
+          case 0:
+            body = "{ x | exists y (" + vx + " & " + cy + " & x in y.Rented";
+            break;
+          case 1:
+            body = "{ x | exists y (" + vx + " & " + cy + " & x.Owner = y";
+            break;
+          case 2:
+            body = "{ x | exists y (" + vx + " & " + cy + " & y.Fav = x";
+            break;
+          case 3:
+            body = "{ x | exists y exists d (" + vx + " & " + cy +
+                   " & d in Depot & x in y.Rented & x in d.Stock";
+            break;
+          case 4:
+            body = "{ x | exists y exists w (" + vx + " & " + cy +
+                   " & w in Vehicle & x in y.Rented & w in y.Rented & "
+                   "w.Owner = y";
+            break;
+          default:
+            body = "{ y | exists x (" + cy + " & " + vx +
+                   " & x in y.Rented & y.Fav = x";
+            break;
+        }
+        if (tagged) {
+          const std::string tag = "t" + std::to_string(texts.size());
+          body += shape == 5 ? " & y.Name = \"" + tag + "\""
+                             : " & x.VehId = \"" + tag + "\"";
+        }
+        texts.push_back(body + ") }");
+      }
+    }
+  }
+  return texts;
+}
+
+/// The distinct terminal disjuncts (Prop 2.1) of `texts`.
+std::vector<ConjunctiveQuery> ExpandedDisjuncts(
+    const Schema& schema, const std::vector<std::string>& texts) {
+  std::vector<ConjunctiveQuery> disjuncts;
+  std::set<std::string> seen;
+  for (const std::string& text : texts) {
+    ConjunctiveQuery query = bench::Must(ParseQuery(schema, text));
+    for (ConjunctiveQuery& disjunct :
+         bench::Must(NormalizeAndExpand(schema, query)).disjuncts) {
+      if (seen.insert(CanonicalKey(disjunct)).second) {
+        disjuncts.push_back(std::move(disjunct));
+      }
+    }
+  }
+  return disjuncts;
+}
+
+/// { x | exists y0 ... (x in C & y0 in D & y0 in x.S & ...) }: k bound
+/// variables nothing tells apart.
+ConjunctiveQuery SymmetricQuery(const Schema& schema, int k) {
+  std::string text = "{ x |";
+  for (int i = 0; i < k; ++i) text += " exists y" + std::to_string(i);
+  text += " (x in C";
+  for (int i = 0; i < k; ++i) {
+    const std::string y = "y" + std::to_string(i);
+    text += " & " + y + " in D & " + y + " in x.S";
+  }
+  return bench::Must(ParseQuery(schema, text + ") }"));
+}
+
+/// Times CanonicalKey on each query of `set` once per iteration and
+/// reports that pass's median as the iteration time, so real_time reads
+/// as p50 per key.
+void RunCanonicalKeys(benchmark::State& state,
+                      const std::vector<ConjunctiveQuery>& set) {
+  std::vector<double> seconds(set.size());
+  for (auto _ : state) {
+    for (size_t i = 0; i < set.size(); ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      std::string key = CanonicalKey(set[i]);
+      const auto stop = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(key);
+      seconds[i] = std::chrono::duration<double>(stop - start).count();
+    }
+    std::nth_element(seconds.begin(), seconds.begin() + seconds.size() / 2,
+                     seconds.end());
+    state.SetIterationTime(seconds[seconds.size() / 2]);
+  }
+  state.counters["keys"] = static_cast<double>(set.size());
+}
+
+void BM_CanonicalKey(benchmark::State& state, bool tagged) {
+  Schema schema = bench::Must(ParseSchema(kFleetSchema));
+  RunCanonicalKeys(state, ExpandedDisjuncts(schema, FleetQueryTexts(tagged)));
+}
+// Iterations are fixed: with manual time, google-benchmark would size the
+// run by the p50 alone, not by the whole pass.
+BENCHMARK_CAPTURE(BM_CanonicalKey, positive, false)
+    ->UseManualTime()
+    ->Iterations(300);
+BENCHMARK_CAPTURE(BM_CanonicalKey, constant_on_free, true)
+    ->UseManualTime()
+    ->Iterations(300);
+
+void BM_CanonicalKeySymmetric(benchmark::State& state) {
+  Schema schema = bench::Must(ParseSchema(kWorkloadSchema));
+  RunCanonicalKeys(state, {SymmetricQuery(schema, static_cast<int>(state.range(0)))});
+}
+BENCHMARK(BM_CanonicalKeySymmetric)
+    ->ArgNames({"k"})
+    ->DenseRange(3, 7)
+    ->UseManualTime()
+    ->Iterations(300);
 
 }  // namespace
 }  // namespace oocq

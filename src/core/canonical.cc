@@ -1,9 +1,11 @@
 #include "core/canonical.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
+#include <cstddef>
+#include <numeric>
 #include <vector>
+
+#include "support/metrics.h"
 
 namespace oocq {
 
@@ -74,88 +76,224 @@ std::string EncodeQuery(const ConjunctiveQuery& query,
   return out;
 }
 
+/// Ranks `strings` lexicographically into `rank` (equal strings share a
+/// rank, ranks dense from 0) and returns the number of distinct strings.
+size_t RankStrings(const std::vector<std::string>& strings,
+                   std::vector<VarId>* order, std::vector<int>* rank) {
+  order->resize(strings.size());
+  std::iota(order->begin(), order->end(), VarId{0});
+  std::sort(order->begin(), order->end(), [&strings](VarId a, VarId b) {
+    return strings[a] < strings[b];
+  });
+  rank->resize(strings.size());
+  int distinct = 0;
+  for (size_t i = 0; i < order->size(); ++i) {
+    if (i > 0 && strings[(*order)[i]] != strings[(*order)[i - 1]]) ++distinct;
+    (*rank)[(*order)[i]] = distinct;
+  }
+  return strings.empty() ? 0 : static_cast<size_t>(distinct) + 1;
+}
+
+/// One side of a binary atom as its variable sees it: the signature
+/// prefix `kind:self.attr>other.attr@` and the other endpoint.
+struct Incidence {
+  std::string prefix;
+  VarId other;
+};
+
 /// Color refinement: stable partition of the variables by structural
 /// role. Returns the color id per variable.
+///
+/// The initial color is the free flag, the sorted range-class lists and
+/// the sorted constants. Each round appends to a variable's color its
+/// sorted incidence signatures (prefix + the other endpoint's color),
+/// then compresses the colors to `c<rank>` strings; it stops once a round
+/// after the first leaves the class count unchanged. Incidence lists are
+/// built once and the round's strings go into reused buffers.
 std::vector<int> RefineColors(const ConjunctiveQuery& query) {
   const size_t n = query.num_vars();
+  std::vector<std::vector<std::string>> ranges(n);
+  std::vector<std::vector<std::string>> constants(n);
+  std::vector<std::vector<Incidence>> incident(n);
+  for (const Atom& atom : query.atoms()) {
+    switch (atom.kind()) {
+      case AtomKind::kRange: {
+        std::string r;
+        for (ClassId c : atom.classes()) {
+          r += std::to_string(c);
+          r += ',';
+        }
+        ranges[atom.var()].push_back(std::move(r));
+        break;
+      }
+      case AtomKind::kNonRange:
+        break;  // Never colored (the key bytes depend on it); encoded only.
+      case AtomKind::kConstant:
+        constants[atom.var()].push_back(ConstantToString(atom.constant()));
+        break;
+      default: {
+        const std::string kind =
+            std::to_string(static_cast<int>(atom.kind())) + ":";
+        const Term& lhs = atom.lhs();
+        const Term& rhs = atom.rhs();
+        incident[lhs.var].push_back(
+            {kind + lhs.attr + ">" + rhs.attr + "@", rhs.var});
+        incident[rhs.var].push_back(
+            {kind + rhs.attr + ">" + lhs.attr + "@", lhs.var});
+        break;
+      }
+    }
+  }
+
   std::vector<std::string> color(n);
   for (VarId v = 0; v < n; ++v) {
     color[v] = v == query.free_var() ? "F" : "B";
-    // All range atoms (robust even for non-well-formed inputs).
-    std::vector<std::string> ranges;
-    for (const Atom& atom : query.atoms()) {
-      if (atom.kind() != AtomKind::kRange || atom.var() != v) continue;
-      std::string r;
-      for (ClassId c : atom.classes()) r += std::to_string(c) + ",";
-      ranges.push_back(std::move(r));
+    std::sort(ranges[v].begin(), ranges[v].end());
+    for (const std::string& r : ranges[v]) {
+      color[v] += '[';
+      color[v] += r;
+      color[v] += ']';
     }
-    std::sort(ranges.begin(), ranges.end());
-    for (const std::string& r : ranges) color[v] += "[" + r + "]";
-    // Constant bindings are part of the initial structural color.
-    std::vector<std::string> constants;
-    for (const Atom& atom : query.atoms()) {
-      if (atom.kind() == AtomKind::kConstant && atom.var() == v) {
-        constants.push_back(ConstantToString(atom.constant()));
-      }
+    std::sort(constants[v].begin(), constants[v].end());
+    for (const std::string& c : constants[v]) {
+      color[v] += '#';
+      color[v] += c;
     }
-    std::sort(constants.begin(), constants.end());
-    for (const std::string& c : constants) color[v] += "#" + c;
   }
 
+  std::vector<std::string> next(n);
+  std::vector<std::string> signatures;
+  std::vector<VarId> order;
+  std::vector<int> rank;
+  size_t classes = 0;
   for (size_t round = 0; round < n; ++round) {
-    std::vector<std::string> next(n);
     for (VarId v = 0; v < n; ++v) {
-      // Signature: for each incident atom, its kind, this variable's
-      // role, the attribute names, and the other endpoint's color.
-      std::vector<std::string> signatures;
-      for (const Atom& atom : query.atoms()) {
-        if (atom.kind() == AtomKind::kRange ||
-            atom.kind() == AtomKind::kNonRange ||
-            atom.kind() == AtomKind::kConstant) {
-          continue;  // Already in the initial color.
-        }
-        const Term& lhs = atom.lhs();
-        const Term& rhs = atom.rhs();
-        for (const auto& [self, other] :
-             {std::make_pair(lhs, rhs), std::make_pair(rhs, lhs)}) {
-          if (self.var != v) continue;
-          signatures.push_back(
-              std::to_string(static_cast<int>(atom.kind())) + ":" +
-              self.attr + ">" + other.attr + "@" + color[other.var]);
-        }
+      signatures.resize(incident[v].size());
+      for (size_t i = 0; i < incident[v].size(); ++i) {
+        signatures[i] = incident[v][i].prefix;
+        signatures[i] += color[incident[v][i].other];
       }
       std::sort(signatures.begin(), signatures.end());
       next[v] = color[v];
-      for (const std::string& s : signatures) next[v] += "{" + s + "}";
+      for (const std::string& s : signatures) {
+        next[v] += '{';
+        next[v] += s;
+        next[v] += '}';
+      }
     }
-    // Compress to keep strings bounded.
-    std::map<std::string, int> ids;
-    for (VarId v = 0; v < n; ++v) ids.emplace(next[v], 0);
-    int id = 0;
-    for (auto& [key, value] : ids) value = id++;
-    std::vector<std::string> compressed(n);
-    bool changed = false;
+    const size_t next_classes = RankStrings(next, &order, &rank);
     for (VarId v = 0; v < n; ++v) {
-      compressed[v] = "c" + std::to_string(ids[next[v]]);
-      // Track whether the partition is finer than before by comparing
-      // color-class counts.
+      color[v] = 'c';
+      color[v] += std::to_string(rank[v]);
     }
-    std::map<std::string, int> before, after;
-    for (VarId v = 0; v < n; ++v) {
-      ++before[color[v]];
-      ++after[compressed[v]];
-    }
-    changed = before.size() != after.size();
-    color = std::move(compressed);
+    // Round 0 always refines once more: the initial colors were never
+    // ranked, so there is no class count to compare against.
+    const bool changed = next_classes != classes;
+    classes = next_classes;
     if (!changed && round > 0) break;
   }
 
-  std::map<std::string, int> ids;
-  for (VarId v = 0; v < n; ++v) ids.emplace(color[v], 0);
-  int id = 0;
-  for (auto& [key, value] : ids) value = id++;
-  std::vector<int> result(n);
-  for (VarId v = 0; v < n; ++v) result[v] = ids[color[v]];
+  // Final ids rank the `c<rank>` strings as strings ("c10" < "c2").
+  RankStrings(color, &order, &rank);
+  return rank;
+}
+
+/// The canonical variable order and EncodeQuery under it.
+struct CanonicalOrder {
+  std::vector<int> index;  // variable -> position
+  std::string encoding;
+};
+
+std::vector<int> IndexOf(const std::vector<VarId>& order) {
+  std::vector<int> index(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    index[order[i]] = static_cast<int>(i);
+  }
+  return index;
+}
+
+/// The canonical order: variables by color, ascending ids within a
+/// color. When colors tie, the search walks the product of per-group
+/// permutations in lexicographic order and keeps the first order whose
+/// encoding is smallest; it is skipped when the product exceeds
+/// `max_tie_permutations`.
+///
+/// A group whose adjacent transpositions each map the identity encoding
+/// onto itself is interchangeable: the transpositions generate every
+/// permutation of the group, so all of them encode alike, and the first
+/// smallest order keeps the group sorted. Such groups stay sorted; the
+/// budget still counts them, so what is over budget is unchanged.
+CanonicalOrder ComputeCanonicalOrder(const ConjunctiveQuery& query,
+                                     uint64_t max_tie_permutations) {
+  const size_t n = query.num_vars();
+  const std::vector<int> colors = RefineColors(query);
+  std::vector<VarId> order(n);
+  std::iota(order.begin(), order.end(), VarId{0});
+  std::stable_sort(order.begin(), order.end(), [&colors](VarId a, VarId b) {
+    return colors[a] < colors[b];
+  });
+  // Group g is order[starts[g], starts[g + 1]).
+  std::vector<size_t> starts;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || colors[order[i]] != colors[order[i - 1]]) starts.push_back(i);
+  }
+  starts.push_back(n);
+
+  uint64_t permutations = 1;
+  bool over_budget = false;
+  for (size_t g = 0; g + 1 < starts.size() && !over_budget; ++g) {
+    for (size_t k = 2; k <= starts[g + 1] - starts[g]; ++k) {
+      if (permutations > max_tie_permutations / k) {
+        over_budget = true;
+        break;
+      }
+      permutations *= k;
+    }
+  }
+
+  CanonicalOrder result;
+  if (over_budget || permutations == 1) {
+    result.index = IndexOf(order);
+    result.encoding = EncodeQuery(query, result.index);
+    return result;
+  }
+
+  std::vector<int> swapped(n);
+  std::iota(swapped.begin(), swapped.end(), 0);
+  const std::string identity_encoding = EncodeQuery(query, swapped);
+  std::vector<size_t> permuted;  // groups the search permutes
+  for (size_t g = 0; g + 1 < starts.size(); ++g) {
+    bool interchangeable = true;
+    for (size_t i = starts[g]; i + 1 < starts[g + 1] && interchangeable; ++i) {
+      std::swap(swapped[order[i]], swapped[order[i + 1]]);
+      interchangeable = EncodeQuery(query, swapped) == identity_encoding;
+      std::swap(swapped[order[i]], swapped[order[i + 1]]);
+    }
+    if (!interchangeable) permuted.push_back(g);
+  }
+
+  std::vector<VarId> best = order;
+  uint64_t encoded = 0;
+  auto search = [&](auto& self, size_t p) -> void {
+    if (p == permuted.size()) {
+      std::string encoding = EncodeQuery(query, IndexOf(order));
+      if (encoded++ == 0 || encoding < result.encoding) {
+        result.encoding = std::move(encoding);
+        best = order;
+      }
+      return;
+    }
+    const auto first =
+        order.begin() + static_cast<std::ptrdiff_t>(starts[permuted[p]]);
+    const auto last =
+        order.begin() + static_cast<std::ptrdiff_t>(starts[permuted[p] + 1]);
+    do {
+      self(self, p + 1);
+    } while (std::next_permutation(first, last));
+  };
+  search(search, 0);
+  OOCQ_METRIC_ADD("canonical/orders_encoded", encoded);
+  result.index = IndexOf(best);
   return result;
 }
 
@@ -164,67 +302,10 @@ std::vector<int> RefineColors(const ConjunctiveQuery& query) {
 ConjunctiveQuery CanonicalizeQuery(const ConjunctiveQuery& query,
                                    uint64_t max_tie_permutations) {
   const size_t n = query.num_vars();
-  std::vector<int> colors = RefineColors(query);
-
-  // Variables grouped by color, groups in color order.
-  std::map<int, std::vector<VarId>> groups;
-  for (VarId v = 0; v < n; ++v) groups[colors[v]].push_back(v);
-
-  // Estimate the tie-breaking search space.
-  uint64_t permutations = 1;
-  bool over_budget = false;
-  for (const auto& [color, members] : groups) {
-    for (size_t k = 2; k <= members.size(); ++k) {
-      if (permutations > max_tie_permutations / k) {
-        over_budget = true;
-        break;
-      }
-      permutations *= k;
-    }
-    if (over_budget) break;
-  }
-
-  // Order = concatenation of groups; search permutations within groups
-  // for the minimal encoding (skipped when over budget).
-  std::vector<VarId> best_order;
-  for (const auto& [color, members] : groups) {
-    best_order.insert(best_order.end(), members.begin(), members.end());
-  }
-  auto encode_for = [&query](const std::vector<VarId>& order) {
-    std::vector<int> index(query.num_vars());
-    for (size_t i = 0; i < order.size(); ++i) index[order[i]] = static_cast<int>(i);
-    return EncodeQuery(query, index);
-  };
-  if (!over_budget && permutations > 1) {
-    std::string best_encoding = encode_for(best_order);
-    std::vector<std::vector<VarId>> group_list;
-    for (auto& [color, members] : groups) group_list.push_back(members);
-    // Recursive product of per-group permutations.
-    std::vector<VarId> current;
-    std::function<void(size_t)> recurse = [&](size_t g) {
-      if (g == group_list.size()) {
-        std::string encoding = encode_for(current);
-        if (encoding < best_encoding) {
-          best_encoding = encoding;
-          best_order = current;
-        }
-        return;
-      }
-      std::vector<VarId> perm = group_list[g];
-      std::sort(perm.begin(), perm.end());
-      do {
-        size_t before = current.size();
-        current.insert(current.end(), perm.begin(), perm.end());
-        recurse(g + 1);
-        current.resize(before);
-      } while (std::next_permutation(perm.begin(), perm.end()));
-    };
-    recurse(0);
-  }
+  const std::vector<int> index =
+      ComputeCanonicalOrder(query, max_tie_permutations).index;
 
   // Materialize: variables renamed v0..v{n-1} in canonical order.
-  std::vector<int> index(n);
-  for (size_t i = 0; i < n; ++i) index[best_order[i]] = static_cast<int>(i);
   ConjunctiveQuery result;
   for (size_t i = 0; i < n; ++i) {
     result.AddVariable("v" + std::to_string(i));
@@ -248,10 +329,10 @@ ConjunctiveQuery CanonicalizeQuery(const ConjunctiveQuery& query,
 
 std::string CanonicalKey(const ConjunctiveQuery& query,
                          uint64_t max_tie_permutations) {
-  ConjunctiveQuery canonical = CanonicalizeQuery(query, max_tie_permutations);
-  std::vector<int> identity(canonical.num_vars());
-  for (size_t i = 0; i < identity.size(); ++i) identity[i] = static_cast<int>(i);
-  return EncodeQuery(canonical, identity);
+  // EncodeQuery under the winning order is EncodeQuery of the
+  // materialized query under the identity: the same atoms under the same
+  // renaming, sorted and deduplicated either way.
+  return ComputeCanonicalOrder(query, max_tie_permutations).encoding;
 }
 
 }  // namespace oocq

@@ -22,12 +22,24 @@ namespace oocq {
 /// function falls back to the refinement order: the result is still a
 /// deterministic function of the input, but two renamings of one query
 /// may then canonicalize differently (safe for deduplication — only
-/// false negatives).
+/// false negatives). A color group whose members are interchangeable
+/// (every permutation of it leaves the encoding unchanged) is not
+/// searched; the cap still counts it, so the fallback is unchanged.
 ConjunctiveQuery CanonicalizeQuery(const ConjunctiveQuery& query,
                                    uint64_t max_tie_permutations = 10'000);
 
 /// A byte encoding of CanonicalizeQuery(query): equal keys imply the
 /// queries are renamings of each other (up to the permutation cap).
+///
+/// Returned directly as the encoding of the winning variable order, with
+/// no canonical query materialized: 2–3 µs p50 for a three-to-five-
+/// variable disjunct when nothing ties (bench_workload BM_CanonicalKey);
+/// k interchangeable variables cost k + 1 encodings, not k!.
+///
+/// The bytes must equal those of the reference implementation in
+/// tests/canonical_reference.h: ContainmentCache keys, persisted
+/// kCacheEntry records and EngineFingerprint() are made of them, and
+/// changing them sets every existing data directory aside.
 std::string CanonicalKey(const ConjunctiveQuery& query,
                          uint64_t max_tie_permutations = 10'000);
 

@@ -139,6 +139,16 @@ TEST(CodecTest, FingerprintIsStable) {
   EXPECT_EQ(EngineFingerprint().size(), 16u);  // 64-bit hash, hex
 }
 
+// The fingerprint hashes CanonicalKey bytes on fixed probes, and every WAL
+// and snapshot header carries it. Changing this value is not free: on
+// upgrade every existing WAL and snapshot is set aside and the server
+// cold-starts, losing its sessions and cached verdicts (docs/
+// persistence.md, "The engine fingerprint"). A key-byte drift would
+// otherwise show only as that silent cold start.
+TEST(CodecTest, FingerprintIsPinned) {
+  EXPECT_EQ(EngineFingerprint(), "fbfff33df3f9bf30");
+}
+
 TEST(WalTest, AppendReplayRoundTrip) {
   const std::string dir = FreshDir("wal_roundtrip");
   const std::string path = dir + "/wal.log";
