@@ -247,7 +247,7 @@ class OpenLoopClient {
     ClientConn& conn = conns_[index];
     conn.want_write = want_write;
     epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0);
+    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
     ev.data.u64 = index;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
   }
@@ -557,7 +557,7 @@ int Run(int argc, char** argv) {
   flags.Uint("rate", &rate, "N", "aggregate requests/sec (default 2000)");
   flags.Uint("duration_s", &duration_s, "N", "measured seconds (default 10)");
   flags.Uint("io_threads", &io_threads, "N",
-             "event-server dispatch threads (default 4)");
+             "event-server server threads (default 4)");
   flags.Uint("slo_p99_ms", &slo_p99_ms, "N",
              "p99 budget (default 250)");
   flags.Bool("client_mode", &client_mode,

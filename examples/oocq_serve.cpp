@@ -12,9 +12,9 @@
 //              [--slow_request_us=N] [--stats-file=FILE]
 //              [--stats_interval_s=N] [--trace=FILE] [--metrics] [--smoke]
 //
-// The socket layer is one epoll event loop (server/event_server.h,
-// docs/server.md) that scales to tens of thousands of concurrent
-// connections.
+// The socket layer is one epoll set shared by --io_threads server threads
+// (server/event_server.h, docs/server.md) that scales to tens of
+// thousands of concurrent connections.
 //
 // With --data-dir the server opens a DurableCatalog in DIR
 // (docs/persistence.md): restart replays snapshot + WAL, re-registers
@@ -170,9 +170,12 @@ bool RunWarmConversation(uint16_t port) {
 }
 
 /// Samples the service's progress counters: requests pending while no
-/// request completes across two consecutive samples means the worker
-/// pool is wedged (e.g. every worker stalled — reproducible with the
-/// pool/dispatch=delay failpoint). Threads can't be safely unwedged from
+/// request completes across two consecutive samples means request
+/// execution is wedged (e.g. every slot held by a stalled request —
+/// reproducible with the service/execute=delay failpoint; the
+/// pool/dispatch=delay failpoint stalls server threads before the
+/// service admits their frames, so only BATCH items show as pending).
+/// Threads can't be safely unwedged from
 /// outside, so the watchdog alarms instead: one stderr line plus the
 /// server/watchdog_stalls counter, and the HEALTH verb exposes the same
 /// pending/completed state to remote probes (docs/robustness.md).
@@ -203,7 +206,7 @@ class Watchdog {
       if (pending > 0 && completed == last_completed) {
         MetricAdd("server/watchdog_stalls", 1);
         OOCQ_LOG(Warn, "watchdog")
-            .Msg("requests pending and none completed — worker pool wedged?")
+            .Msg("requests pending and none completed — execution wedged?")
             .With("pending", static_cast<uint64_t>(pending))
             .With("interval_s", interval_s_);
       }
@@ -378,7 +381,8 @@ int main(int argc, char** argv) {
   flags.Uint("threads", &threads, "N",
              "engine threads per request (default 1)");
   flags.Uint("io_threads", &io_threads, "N",
-             "request dispatch pool size (default 8; "
+             "server threads, each serving the connections it takes "
+             "and running their requests (default 8; "
              "0 = one per hardware thread)");
   flags.Uint("idle_timeout_ms", &idle_timeout_ms, "N",
              "close idle connections after N ms "

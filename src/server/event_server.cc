@@ -11,10 +11,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <list>
-#include <map>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "server/protocol.h"
@@ -26,17 +29,10 @@ namespace oocq::server {
 
 namespace {
 
-/// Sentinel epoll user-data values for the two non-connection fds.
+/// epoll user data of the two fds that are not connections. A
+/// connection's is its Connection*, which is never 0 or 1.
 constexpr uint64_t kListenerTag = 0;
 constexpr uint64_t kWakeTag = 1;
-constexpr uint64_t kFirstConnId = 2;
-
-/// Constant-size retryable refusal, used when transport-level bounds
-/// (pipeline depth, output buffer) shed a request before it reaches the
-/// service. Same wire shape as protocol.cc's ErrReply.
-std::string ShedReply(const char* what) {
-  return std::string("ERR UNAVAILABLE ") + what + "\n.\n";
-}
 
 uint64_t NowMs() {
   return static_cast<uint64_t>(
@@ -94,50 +90,49 @@ StatusOr<int> OpenListener(const EventServerOptions& options, uint16_t* port) {
 
 }  // namespace
 
-/// All state touched only by the loop thread: the connection table, the
-/// idle timer wheel, and the stop-drain bookkeeping. Pool workers talk
-/// to the loop exclusively through the completion queue + eventfd.
-struct EventServer::Loop {
+/// What the server threads share. A connection's framing and reply bytes
+/// belong to its owner: the thread whose epoll_wait returned it, until
+/// that thread re-arms it. The table, the timer wheel and each
+/// connection's wheel position are guarded by `mu`.
+struct EventServer::Shared {
   struct Connection {
     int fd = -1;
     uint64_t id = 0;
     ConnectionHandler framing;
-    /// Parsed requests waiting for their turn (replies must go out in
-    /// request order, so at most one executes at a time). The enqueue
-    /// timestamp feeds the server/dispatch_wait_us histogram and the
-    /// Dispatch span's queue_us annotation.
-    struct QueuedRequest {
-      CommandLine command;
-      std::vector<std::string> payload;
-      uint64_t enqueued_us = 0;
-    };
-    std::deque<QueuedRequest> requests;
     std::string outbox;
     size_t out_off = 0;
-    bool want_write = false;  // EPOLLOUT currently armed
-    bool read_off = false;    // peer EOF or drain: no more reads
-    bool in_flight = false;   // a request of this conn runs on the pool
+    bool want_write = false;  // reply bytes wait for EPOLLOUT
+    bool read_off = false;    // peer EOF or Stop(): no more reads
     bool quit = false;        // QUIT answered: close once flushed
-    /// Timer wheel membership (kNotScheduled when off the wheel).
+    /// Set by the owner for its turn and kept while reply bytes wait; the
+    /// idle sweep reads it without owning the connection. Its
+    /// release/acquire pair also orders one owner's turn before the next
+    /// owner's, which the kernel does through epoll out of sight of the
+    /// C++ memory model (and of ThreadSanitizer).
+    std::atomic<bool> busy{false};
+    /// Re-arms still inside epoll_ctl: the next owner can take the
+    /// connection before the thread that re-armed it returns. Close()
+    /// waits until none is left, so that call happens-before the close
+    /// (the kernel resolved the fd on entry, but only this tells TSan).
+    std::atomic<uint32_t> rearming{0};
+    /// NowMs() of the last traffic; the wheel only hints when to look.
+    std::atomic<uint64_t> last_active_ms{0};
+    /// Timer wheel membership (kNotScheduled when off the wheel); by mu.
     size_t wheel_bucket = kNotScheduled;
     std::list<uint64_t>::iterator wheel_it;
-    /// NowMs() of the last traffic; the wheel only hints when to look.
-    uint64_t last_active_ms = 0;
 
     static constexpr size_t kNotScheduled = static_cast<size_t>(-1);
 
     size_t pending_output() const { return outbox.size() - out_off; }
-    bool idle() const {
-      return !in_flight && requests.empty() && pending_output() == 0;
-    }
   };
 
   /// Hashed timing wheel for idle-session timeouts: one bucket per tick
-  /// across slightly more than one timeout's worth of ticks. Activity
-  /// reschedules the connection into the bucket one full timeout ahead.
-  /// A bucket the cursor reaches is only a hint — a lagging loop sweeps
-  /// several ticks at once, including buckets just scheduled into — so
-  /// ExpireIdle checks each connection's last activity before closing.
+  /// across slightly more than one timeout's worth of ticks. A
+  /// connection is scheduled one full timeout ahead when accepted and
+  /// whenever a sweep finds it busy or recently active. A bucket the
+  /// sweep reaches is only a hint — a lagging sweep covers several ticks
+  /// at once, including buckets just scheduled into — so ExpireIdle
+  /// checks each connection's last activity before shutting it down.
   struct TimerWheel {
     uint64_t tick_ms = 0;
     uint64_t timeout_ticks = 0;
@@ -167,54 +162,76 @@ struct EventServer::Loop {
     }
   };
 
-  explicit Loop(EventServer* server) : server(server) {}
+  explicit Shared(EventServer* server) : server(server) {}
 
   EventServer* server;
   int epoll_fd = -1;
-  std::map<uint64_t, std::unique_ptr<Connection>> conns;
-  uint64_t next_conn_id = kFirstConnId;
-  size_t dispatched = 0;  // requests on the pool, completions not seen
-  TimerWheel wheel;
   uint64_t start_ms = 0;
-  /// EMFILE backoff: the listener is removed from the interest set until
-  /// this deadline, so a level-triggered "still readable" listener does
-  /// not spin the loop while fds are exhausted.
-  uint64_t listener_paused_until_ms = 0;
-  bool listener_armed = false;
-  bool stop_begun = false;
+  /// EMFILE backoff: the one-shot listener stays disarmed until this
+  /// deadline (0 = not paused), so a listener that stays readable while
+  /// fds are exhausted does not spin a thread.
+  std::atomic<uint64_t> listener_paused_until_ms{0};
+  /// The last tick the idle sweep covered; read without `mu` so a thread
+  /// takes the lock only when a tick has passed.
+  std::atomic<uint64_t> swept_tick{0};
+
+  std::mutex mu;
+  std::condition_variable drained;  // the table emptied (Stop() waits)
+  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;  // by mu
+  uint64_t next_conn_id = 1;                                        // by mu
+  TimerWheel wheel;                                                 // by mu
+
+  const EventServerOptions& options() const { return server->options_; }
+  bool stopping() const {
+    return server->stopping_.load(std::memory_order_acquire);
+  }
 
   uint64_t NowTick() const {
     return wheel.enabled() ? (NowMs() - start_ms) / wheel.tick_ms : 0;
   }
 
-  void Touch(Connection* conn) {
-    if (!wheel.enabled()) return;
-    conn->last_active_ms = NowMs();
-    wheel.Schedule(conn, NowTick());
+  /// Takes over a connection epoll just returned: the start of a turn.
+  void Acquire(Connection* conn) {
+    conn->busy.exchange(true, std::memory_order_acquire);
+    if (wheel.enabled()) {
+      conn->last_active_ms.store(NowMs(), std::memory_order_relaxed);
+    }
   }
 
-  void ArmListener(bool arm) {
-    if (arm == listener_armed) return;
+  /// The owner's last act on a connection in its turn: once epoll_ctl
+  /// re-arms it, another thread may own it, and this one touches only
+  /// `rearming` (which keeps the connection alive).
+  void Rearm(Connection* conn) {
     epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kListenerTag;
-    ::epoll_ctl(epoll_fd, arm ? EPOLL_CTL_ADD : EPOLL_CTL_DEL,
-                server->listen_fd_, &ev);
-    listener_armed = arm;
-  }
-
-  void UpdateInterest(Connection* conn) {
-    epoll_event ev{};
-    ev.events = (conn->read_off ? 0u : EPOLLIN) |
+    ev.events = EPOLLONESHOT | (conn->read_off ? 0u : EPOLLIN) |
                 (conn->want_write ? EPOLLOUT : 0u);
-    ev.data.u64 = conn->id;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+    ev.data.ptr = conn;
+    const int fd = conn->fd;
+    conn->rearming.fetch_add(1, std::memory_order_relaxed);
+    conn->busy.store(conn->pending_output() > 0, std::memory_order_release);
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &ev);
+    conn->rearming.fetch_sub(1, std::memory_order_release);
   }
 
+  void ArmListener() {
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    ev.data.u64 = kListenerTag;
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, server->listen_fd_, &ev);
+  }
+
+  /// Only the owner closes, under `mu`: Stop() and the idle sweep call
+  /// shutdown(2) on fds they find in the table, and holding the lock
+  /// here means none of those fd numbers is reused meanwhile.
   void Close(Connection* conn) {
+    while (conn->rearming.load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();  // the previous owner is still in epoll_ctl
+    }
+    std::lock_guard<std::mutex> lock(mu);
     wheel.Remove(conn);
     ::close(conn->fd);  // also removes the fd from the epoll set
     conns.erase(conn->id);
+    if (conns.empty()) drained.notify_all();
   }
 
   Connection* Find(uint64_t id) {
@@ -222,32 +239,30 @@ struct EventServer::Loop {
     return it == conns.end() ? nullptr : it->second.get();
   }
 
+  /// Runs on the thread that took the listener's readiness, which owns
+  /// the one-shot listener until it re-arms it.
   void Accept() {
     while (true) {
       int fd = ::accept4(server->listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
       if (fd < 0) {
         if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
             errno == ENOMEM) {
-          // Out of fds/kernel memory: pause accepting briefly instead of
-          // spinning on a listener that stays level-triggered readable.
+          // Out of fds/kernel memory: leave the listener disarmed for a
+          // while instead of spinning on it. This thread's next wait
+          // times out at the pause's end and re-arms it (Housekeep).
           OOCQ_METRIC_ADD("server/accept_backoff", 1);
-          listener_paused_until_ms = NowMs() + 100;
-          ArmListener(false);
+          listener_paused_until_ms.store(NowMs() + 100,
+                                         std::memory_order_release);
           return;
         }
-        return;  // listener closed by Stop()
+        return;  // listener shut down by Stop(): stays disarmed
       }
       // Chaos hook (after accept returns, before the connection is
       // served): `delay` stalls acceptance, `error` drops the connection
       // on the floor — a retrying client reconnects.
       if (!Failpoints::Hit("tcp/accept")) {
-        ::close(fd);
-        continue;
-      }
-      if (conns.size() >= server->options_.max_connections) {
-        OOCQ_METRIC_ADD("server/overflow_refused", 1);
         ::close(fd);
         continue;
       }
@@ -259,22 +274,41 @@ struct EventServer::Loop {
       // would add up to 40ms per exchange at the tail.
       int nodelay = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-      auto conn = std::make_unique<Connection>();
-      conn->fd = fd;
-      conn->id = next_conn_id++;
+      Connection* conn = nullptr;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        // Checked under the lock Stop() sweeps the table with: a
+        // connection is either shut down by that sweep or never added.
+        if (stopping()) {
+          ::close(fd);
+          continue;
+        }
+        if (conns.size() >= options().max_connections) {
+          OOCQ_METRIC_ADD("server/overflow_refused", 1);
+          ::close(fd);
+          continue;
+        }
+        auto owned = std::make_unique<Connection>();
+        conn = owned.get();
+        conn->fd = fd;
+        conn->id = next_conn_id++;
+        conns.emplace(conn->id, std::move(owned));
+        if (wheel.enabled()) {
+          conn->last_active_ms.store(NowMs(), std::memory_order_relaxed);
+          wheel.Schedule(conn, NowTick());
+        }
+      }
       epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.u64 = conn->id;
+      ev.events = EPOLLIN | EPOLLONESHOT;
+      ev.data.ptr = conn;
       if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        ::close(fd);
+        Close(conn);
         continue;
       }
       server->accepted_.fetch_add(1, std::memory_order_relaxed);
       OOCQ_METRIC_ADD("server/connections", 1);
-      Connection* raw = conn.get();
-      conns.emplace(raw->id, std::move(conn));
-      Touch(raw);
     }
+    if (!stopping()) ArmListener();
   }
 
   void Append(Connection* conn, const std::string& text) {
@@ -289,63 +323,49 @@ struct EventServer::Loop {
     OOCQ_METRIC_RECORD("server/outbox_bytes", conn->pending_output());
   }
 
-  /// Starts the next queued request if the connection is free, shedding
-  /// queued requests outright while the peer is not draining its reply
-  /// bytes (bounded output buffer — the backpressure contract).
-  void Pump(Connection* conn) {
-    while (!conn->in_flight && !conn->quit && !conn->requests.empty()) {
-      if (conn->pending_output() >
-          server->options_.max_output_buffer_bytes) {
-        OOCQ_METRIC_ADD("server/backpressure_shed", 1);
-        Append(conn, ShedReply(
-                         "slow reader: reply buffer over budget, request "
-                         "shed"));
-        conn->requests.pop_front();
+  /// Drains readable bytes, at most 8 × 16 KiB per turn so one
+  /// connection cannot hold its thread on reads alone. Returns false if
+  /// the connection was closed.
+  bool Read(Connection* conn) {
+    char chunk[16384];
+    // First leg of the request's trace path: bytes leaving the kernel.
+    // Linked to the later Dispatch/Request spans through the shared
+    // `conn` annotation (and `id` once parsed).
+    OOCQ_TRACE_SPAN(span, "SocketRead");
+    span.Arg("conn", conn->id);
+    uint64_t total = 0;
+    for (int round = 0; round < 8; ++round) {
+      // Chaos hook: `error` fails the read — the connection is treated
+      // as dropped, which a retrying client must survive.
+      if (!Failpoints::Hit("tcp/read")) {
+        Close(conn);
+        return false;
+      }
+      ssize_t got = ::recv(conn->fd, chunk, sizeof(chunk), 0);
+      if (got > 0) {
+        conn->framing.Feed(chunk, static_cast<size_t>(got));
+        total += static_cast<uint64_t>(got);
+        if (static_cast<size_t>(got) < sizeof(chunk)) break;
         continue;
       }
-      Connection::QueuedRequest next = std::move(conn->requests.front());
-      conn->requests.pop_front();
-      conn->in_flight = true;
-      ++dispatched;
-      // Depth gauge: requests handed to the pool whose completions the
-      // loop has not yet seen — the dispatch backlog a stalled pool grows.
-      OOCQ_METRIC_RECORD("server/dispatch_queue_depth", dispatched);
-      uint64_t id = conn->id;
-      uint64_t enqueued_us = next.enqueued_us;
-      OocqService* service = server->service_;
-      EventServer* owner = server;
-      server->pool_->Submit([owner, service, id, enqueued_us,
-                             command = std::move(next.command),
-                             payload = std::move(next.payload)] {
-        const uint64_t queue_us = NowUs() - enqueued_us;
-        OOCQ_METRIC_RECORD("server/dispatch_wait_us", queue_us);
-        // The queue-wait leg of the request's trace path: parsed on the
-        // loop thread at enqueued_us, picked up by this pool worker now.
-        OOCQ_TRACE_SPAN(span, "Dispatch");
-        span.Arg("conn", id).Arg("queue_us", queue_us);
-        if (!command.request_id.empty()) span.Arg("id", command.request_id);
-        Completion completion;
-        completion.conn_id = id;
-        ProtocolReply reply = ProtocolHandler(service).Handle(command, payload);
-        // Chaos hook: an injected `tcp/write` failure drops the reply
-        // and the connection, exactly like a failed send().
-        if (!Failpoints::Hit("tcp/write")) {
-          completion.drop = true;
-        } else {
-          completion.text = std::move(reply.text);
-          completion.close = reply.close;
-        }
-        owner->PostCompletion(std::move(completion));
-      });
-      return;
+      if (got == 0) {
+        conn->read_off = true;  // half-close: finish what was received
+        break;
+      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
+      Close(conn);
+      return false;
     }
+    span.Arg("bytes", total);
+    return true;
   }
 
-  /// Parses every complete frame out of the connection's read buffer.
-  /// Returns false when the connection was closed (framing violation or
-  /// truncated frame at EOF).
-  bool ParseFrames(Connection* conn) {
-    while (true) {
+  /// Runs every complete frame in the read buffer, in order, each reply
+  /// appended to the outbox before the next frame starts. Returns false
+  /// when the connection was closed (framing violation, truncated frame
+  /// at EOF, injected write failure).
+  bool RunFrames(Connection* conn) {
+    while (!conn->quit) {  // after QUIT, pipelined frames go unanswered
       CommandLine command;
       std::vector<std::string> payload;
       switch (conn->framing.Next(&command, &payload)) {
@@ -363,66 +383,58 @@ struct EventServer::Loop {
         case ConnectionHandler::FrameResult::kRequest:
           break;
       }
-      if (conn->requests.size() >= server->options_.max_pipeline_depth) {
-        OOCQ_METRIC_ADD("server/pipeline_shed", 1);
-        Append(conn, ShedReply("pipeline depth exceeded, request shed"));
-        continue;
-      }
-      conn->requests.push_back(
-          {std::move(command), std::move(payload), NowUs()});
+      if (!RunFrame(conn, command, payload, NowUs())) return false;
     }
+    return true;
   }
 
-  /// Drains readable bytes (bounded per readiness for loop fairness),
-  /// parses frames, pumps. Returns false if the connection was closed.
-  bool OnReadable(Connection* conn) {
-    if (conn->read_off) return true;
-    Touch(conn);
-    char chunk[16384];
+  bool RunFrame(Connection* conn, const CommandLine& command,
+                const std::vector<std::string>& payload, uint64_t parsed_us) {
+    // The bounded output buffer — the backpressure contract: while the
+    // peer is not draining its reply bytes, requests are shed outright.
+    if (conn->pending_output() > options().max_output_buffer_bytes) {
+      if (!conn->want_write && !FlushBytes(conn)) return false;
+      if (conn->pending_output() > options().max_output_buffer_bytes) {
+        OOCQ_METRIC_ADD("server/backpressure_shed", 1);
+        Append(conn, ShedReply(command,
+                               "slow reader: reply buffer over budget, "
+                               "request shed")
+                         .text);
+        return true;
+      }
+    }
+    ProtocolReply reply;
     {
-      // First leg of the request's trace path: bytes leaving the kernel
-      // on the loop thread. Linked to the later Dispatch/Request spans
-      // through the shared `conn` annotation (and `id` once parsed).
-      OOCQ_TRACE_SPAN(span, "SocketRead");
-      span.Arg("conn", conn->id);
-      uint64_t total = 0;
-      for (int round = 0; round < 8; ++round) {
-        // Chaos hook: `error` fails the read — the connection is treated
-        // as dropped, which a retrying client must survive.
-        if (!Failpoints::Hit("tcp/read")) {
-          Close(conn);
-          return false;
-        }
-        ssize_t got = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-        if (got > 0) {
-          conn->framing.Feed(chunk, static_cast<size_t>(got));
-          total += static_cast<uint64_t>(got);
-          if (static_cast<size_t>(got) < sizeof(chunk)) break;
-          continue;
-        }
-        if (got == 0) {
-          conn->read_off = true;  // half-close: finish what was received
-          UpdateInterest(conn);
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-        Close(conn);
-        return false;
+      // The hand-off leg of the request's trace path: this server thread
+      // starts one frame, parsed queue_us ago in the same turn.
+      OOCQ_TRACE_SPAN(span, "Dispatch");
+      if (span.recording()) {
+        span.Arg("conn", conn->id).Arg("queue_us", NowUs() - parsed_us);
+        if (!command.request_id.empty()) span.Arg("id", command.request_id);
       }
-      span.Arg("bytes", total);
+      // Chaos hook: `delay` stalls this server thread as it starts the
+      // request, the way a wedged worker would.
+      Failpoints::Hit("pool/dispatch");
+      reply = ProtocolHandler(server->service_).Handle(command, payload);
     }
-    if (!ParseFrames(conn)) return false;
-    Pump(conn);
-    return Flush(conn);
+    // Chaos hook: an injected `tcp/write` failure drops the reply and the
+    // connection, exactly like a failed send().
+    if (!Failpoints::Hit("tcp/write")) {
+      Close(conn);
+      return false;
+    }
+    Append(conn, reply.text);
+    conn->quit = reply.close;
+    return true;
   }
 
-  /// Sends buffered reply bytes; arms EPOLLOUT when the socket fills.
-  /// Returns false if the connection was closed.
+  /// Sends buffered reply bytes. Returns false if the connection was
+  /// closed.
   bool Flush(Connection* conn) {
     const size_t backlog = conn->pending_output();
     if (backlog > 0 && TracingActive()) {
       // Last leg of the request's trace path: reply bytes entering the
-      // kernel on the loop thread.
+      // kernel.
       OOCQ_TRACE_SPAN(span, "ReplyWrite");
       span.Arg("conn", conn->id).Arg("bytes", backlog);
       return FlushBytes(conn);
@@ -430,6 +442,9 @@ struct EventServer::Loop {
     return FlushBytes(conn);
   }
 
+  /// Sends until the outbox is empty or the socket is full (then
+  /// `want_write` asks the re-arm for EPOLLOUT). Returns false if the
+  /// connection was closed.
   bool FlushBytes(Connection* conn) {
     while (conn->pending_output() > 0) {
       ssize_t sent =
@@ -442,7 +457,6 @@ struct EventServer::Loop {
       if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         if (!conn->want_write) {
           conn->want_write = true;
-          UpdateInterest(conn);
           // The peer's receive window is full; the reply waits in the
           // outbox until EPOLLOUT. Counted once per stall, not per retry.
           OOCQ_METRIC_ADD("server/outbox_stalls", 1);
@@ -450,7 +464,7 @@ struct EventServer::Loop {
         // A reader so slow that even shed replies pile up unread gets
         // dropped — the bound must bound.
         if (conn->pending_output() >
-            4 * server->options_.max_output_buffer_bytes) {
+            4 * options().max_output_buffer_bytes) {
           OOCQ_METRIC_ADD("server/slow_reader_dropped", 1);
           Close(conn);
           return false;
@@ -463,59 +477,38 @@ struct EventServer::Loop {
     }
     conn->outbox.clear();
     conn->out_off = 0;
-    if (conn->want_write) {
-      conn->want_write = false;
-      UpdateInterest(conn);
-    }
-    if (conn->quit || (conn->read_off && conn->idle())) {
-      Close(conn);
-      return false;
-    }
+    conn->want_write = false;
     return true;
   }
 
-  void OnWritable(Connection* conn) {
-    Touch(conn);
-    (void)Flush(conn);
+  /// One owner's turn on a connection epoll returned with `events`: read,
+  /// run the complete frames, write the replies, then close or re-arm.
+  void Turn(Connection* conn, uint32_t events) {
+    Acquire(conn);
+    if (events & (EPOLLERR | EPOLLHUP)) {
+      // Peer reset, or the idle sweep shut the connection down.
+      Close(conn);
+      return;
+    }
+    // After Stop(), requests already received finish; nothing more is
+    // read.
+    if (stopping()) conn->read_off = true;
+    if ((events & EPOLLIN) && !conn->read_off && !Read(conn)) return;
+    if (!RunFrames(conn) || !Flush(conn)) return;
+    if (stopping()) conn->read_off = true;
+    if ((conn->quit || conn->read_off) && conn->pending_output() == 0) {
+      Close(conn);
+      return;
+    }
+    if (conn->quit) conn->read_off = true;  // only the flush is left
+    Rearm(conn);
   }
 
-  /// Applies finished requests: append the rendered reply, mark the
-  /// connection free, start its next queued request, flush.
-  void DrainCompletions() {
-    uint64_t counter;
-    ssize_t drained = ::read(server->wake_fd_, &counter, sizeof(counter));
-    (void)drained;  // EAGAIN when woken by Stop() alone is fine
-    std::vector<Completion> batch;
-    {
-      std::lock_guard<std::mutex> lock(server->completions_mu_);
-      batch.swap(server->completions_);
-    }
-    for (Completion& completion : batch) {
-      --dispatched;
-      Connection* conn = Find(completion.conn_id);
-      if (conn == nullptr) continue;  // connection died while executing
-      conn->in_flight = false;
-      if (completion.drop) {
-        Close(conn);
-        continue;
-      }
-      Append(conn, completion.text);
-      if (completion.close) {
-        // QUIT: anything pipelined after it goes unanswered.
-        conn->quit = true;
-        conn->requests.clear();
-      }
-      Pump(conn);
-      (void)Flush(conn);
-    }
-  }
-
-  /// Advances the timer wheel to `now`, closing connections idle past
-  /// the timeout (busy or recently active ones are rescheduled instead).
-  void ExpireIdle() {
-    if (!wheel.enabled()) return;
+  /// Advances the timer wheel to `now_tick` (caller holds `mu`). A
+  /// connection idle past the timeout is shut down for its owner to
+  /// close; busy or recently active ones are rescheduled instead.
+  void ExpireIdle(uint64_t now_tick) {
     const uint64_t now_ms = NowMs();
-    uint64_t now_tick = NowTick();
     uint64_t steps = now_tick - wheel.last_tick;
     steps = std::min<uint64_t>(steps, wheel.buckets.size());
     for (uint64_t i = 1; i <= steps; ++i) {
@@ -526,58 +519,47 @@ struct EventServer::Loop {
         Connection* conn = Find(id);
         if (conn == nullptr) continue;
         conn->wheel_bucket = Connection::kNotScheduled;
-        if (!conn->idle() ||
-            now_ms - conn->last_active_ms <
-                server->options_.idle_timeout_ms) {
+        if (conn->busy.load(std::memory_order_relaxed) ||
+            now_ms - conn->last_active_ms.load(std::memory_order_relaxed) <
+                options().idle_timeout_ms) {
           wheel.Schedule(conn, now_tick);  // mid-request, or not yet due
           continue;
         }
         OOCQ_METRIC_ADD("server/idle_closed", 1);
-        Close(conn);
+        ::shutdown(conn->fd, SHUT_RDWR);
       }
     }
     wheel.last_tick = now_tick;
+    swept_tick.store(now_tick, std::memory_order_relaxed);
   }
 
-  /// First reaction to Stop(): close the listener and half-close every
-  /// connection's read side, so requests already received still get
-  /// their responses (the graceful-drain contract).
-  void BeginStop() {
-    if (stop_begun) return;
-    stop_begun = true;
-    ArmListener(false);
-    for (auto& [id, conn] : conns) {
-      ::shutdown(conn->fd, SHUT_RD);
-      conn->read_off = true;
+  /// Timed work any thread does after a wakeup: re-arm the listener once
+  /// an EMFILE pause is over, and sweep the idle wheel once per tick.
+  void Housekeep() {
+    uint64_t paused_until =
+        listener_paused_until_ms.load(std::memory_order_acquire);
+    if (paused_until != 0 && NowMs() >= paused_until &&
+        listener_paused_until_ms.compare_exchange_strong(paused_until, 0) &&
+        !stopping()) {
+      ArmListener();
     }
-    // Connections mid-frame can never complete; sweep them (and already
-    // idle ones) now. Close() mutates the map, so collect ids first.
-    std::vector<uint64_t> sweep;
-    for (auto& [id, conn] : conns) {
-      if (conn->idle() || conn->framing.mid_frame()) sweep.push_back(id);
-    }
-    for (uint64_t id : sweep) {
-      if (Connection* conn = Find(id)) Close(conn);
-    }
+    if (!wheel.enabled()) return;
+    const uint64_t now_tick = NowTick();
+    if (now_tick == swept_tick.load(std::memory_order_relaxed)) return;
+    std::lock_guard<std::mutex> lock(mu);
+    if (now_tick > wheel.last_tick) ExpireIdle(now_tick);
   }
 
-  bool DrainComplete() const {
-    if (dispatched != 0) return false;
-    for (const auto& [id, conn] : conns) {
-      if (!conn->idle()) return false;
-    }
-    return true;
-  }
-
-  int EpollTimeoutMs() const {
-    if (stop_begun) return 50;
+  /// A thread's epoll_wait timeout: the end of a listener pause, and for
+  /// the timekeeper the next wheel tick; else none.
+  int EpollTimeoutMs(bool timekeeper) const {
     uint64_t timeout = static_cast<uint64_t>(-1);
-    if (wheel.enabled()) timeout = wheel.tick_ms;
-    if (listener_paused_until_ms != 0) {
+    if (timekeeper && wheel.enabled()) timeout = wheel.tick_ms;
+    uint64_t paused_until =
+        listener_paused_until_ms.load(std::memory_order_acquire);
+    if (paused_until != 0) {
       uint64_t now = NowMs();
-      uint64_t resume =
-          listener_paused_until_ms > now ? listener_paused_until_ms - now : 1;
-      timeout = std::min(timeout, resume);
+      timeout = std::min(timeout, paused_until > now ? paused_until - now : 1);
     }
     if (timeout == static_cast<uint64_t>(-1)) return -1;
     return static_cast<int>(std::min<uint64_t>(timeout, 1000));
@@ -598,131 +580,99 @@ Status EventServer::Start() {
   listen_fd_ = *listener;
 
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (wake_fd_ < 0) {
-    Status failed =
-        Status::Internal(std::string("eventfd: ") + std::strerror(errno));
+  const int epoll_fd = wake_fd_ < 0 ? -1 : ::epoll_create1(0);
+  if (epoll_fd < 0) {
+    Status failed = Status::Internal(
+        std::string(wake_fd_ < 0 ? "eventfd: " : "epoll_create1: ") +
+        std::strerror(errno));
     ::close(listen_fd_);
-    listen_fd_ = -1;
-    return failed;
-  }
-
-  loop_ = std::make_unique<Loop>(this);
-  loop_->epoll_fd = ::epoll_create1(0);
-  if (loop_->epoll_fd < 0) {
-    Status failed =
-        Status::Internal(std::string("epoll_create1: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    ::close(wake_fd_);
+    if (wake_fd_ >= 0) ::close(wake_fd_);
     listen_fd_ = wake_fd_ = -1;
-    loop_.reset();
     return failed;
   }
+  shared_ = std::make_unique<Shared>(this);
+  shared_->epoll_fd = epoll_fd;
+  // Level-triggered and never read: once Stop() writes it, every
+  // epoll_wait on the set returns it.
   epoll_event wake_ev{};
   wake_ev.events = EPOLLIN;
   wake_ev.data.u64 = kWakeTag;
-  ::epoll_ctl(loop_->epoll_fd, EPOLL_CTL_ADD, wake_fd_, &wake_ev);
-  loop_->ArmListener(true);
-  loop_->start_ms = NowMs();
+  ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd_, &wake_ev);
+  epoll_event listen_ev{};
+  listen_ev.events = EPOLLIN | EPOLLONESHOT;
+  listen_ev.data.u64 = kListenerTag;
+  ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd_, &listen_ev);
+  shared_->start_ms = NowMs();
   if (options_.idle_timeout_ms > 0) {
-    loop_->wheel.Init(options_.idle_timeout_ms);
+    shared_->wheel.Init(options_.idle_timeout_ms);
   }
 
-  uint32_t workers = options_.dispatch_threads;
-  if (workers == 0) {
-    workers = std::max(1u, std::thread::hardware_concurrency());
+  uint32_t threads = options_.dispatch_threads;
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  pool_ = std::make_unique<ThreadPool>(workers);
-
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { Run(); });
+  for (uint32_t i = 0; i < threads; ++i) {
+    threads_.emplace_back([this, i] { Run(/*timekeeper=*/i == 0); });
+  }
   return Status::Ok();
 }
 
-void EventServer::Run() {
-  epoll_event events[256];
+void EventServer::Run(bool timekeeper) {
+  epoll_event event;
   while (true) {
-    if (stopping_.load(std::memory_order_acquire)) {
-      loop_->BeginStop();
-      if (loop_->DrainComplete()) break;
-    }
-    if (loop_->listener_paused_until_ms != 0 &&
-        NowMs() >= loop_->listener_paused_until_ms && !loop_->stop_begun) {
-      loop_->listener_paused_until_ms = 0;
-      loop_->ArmListener(true);
-    }
-    int n = ::epoll_wait(loop_->epoll_fd, events,
-                         static_cast<int>(std::size(events)),
-                         loop_->EpollTimeoutMs());
+    // One event per wait: a ready connection goes to an idle thread
+    // rather than queueing behind another connection's request here.
+    int n = ::epoll_wait(shared_->epoll_fd, &event, 1,
+                         shared_->EpollTimeoutMs(timekeeper));
     if (n < 0) {
       if (errno == EINTR) continue;
-      break;  // epoll itself failed; nothing sane left to do
+      return;  // epoll itself failed; nothing sane left to do
     }
     OOCQ_METRIC_ADD("server/loop_wakeups", 1);
-    // Loop lag: wall time the loop thread spends handling one readiness
-    // batch — time during which no other connection's bytes move. A p99
-    // here in the milliseconds means some handler blocks the loop.
-    const uint64_t iteration_start_us = NowUs();
-    for (int i = 0; i < n; ++i) {
-      uint64_t tag = events[i].data.u64;
-      if (tag == kListenerTag) {
-        if (!loop_->stop_begun) loop_->Accept();
-        continue;
-      }
-      if (tag == kWakeTag) {
-        loop_->DrainCompletions();
-        continue;
-      }
-      Loop::Connection* conn = loop_->Find(tag);
-      if (conn == nullptr) continue;  // closed earlier in this batch
-      if (events[i].events & (EPOLLERR | EPOLLHUP)) {
-        // Peer reset. Replies for its in-flight request are discarded at
-        // completion time (the connection will be gone).
-        loop_->Close(conn);
-        continue;
-      }
-      if ((events[i].events & EPOLLIN) && !loop_->OnReadable(conn)) continue;
-      if (events[i].events & EPOLLOUT) loop_->OnWritable(conn);
+    shared_->Housekeep();
+    if (n == 0) continue;
+    if (event.data.u64 == kWakeTag) {
+      // Stop(): pass the wakeup on, so every thread exits.
+      uint64_t one = 1;
+      ssize_t written = ::write(wake_fd_, &one, sizeof(one));
+      (void)written;
+      return;
     }
-    if (n > 0) {
-      OOCQ_METRIC_RECORD("server/loop_iteration_us", NowUs() - iteration_start_us);
+    if (event.data.u64 == kListenerTag) {
+      shared_->Accept();
+      continue;
     }
-    loop_->ExpireIdle();
+    shared_->Turn(static_cast<Shared::Connection*>(event.data.ptr),
+                  event.events);
   }
-  // Loop exit: drain finished (or epoll died). Close whatever remains.
-  std::vector<uint64_t> remaining;
-  for (auto& [id, conn] : loop_->conns) remaining.push_back(id);
-  for (uint64_t id : remaining) {
-    if (Loop::Connection* conn = loop_->Find(id)) loop_->Close(conn);
-  }
-}
-
-void EventServer::PostCompletion(Completion completion) {
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.push_back(std::move(completion));
-  }
-  WakeLoop();
-}
-
-void EventServer::WakeLoop() {
-  uint64_t one = 1;
-  ssize_t written = ::write(wake_fd_, &one, sizeof(one));
-  (void)written;  // eventfd counter saturating still wakes the loop
 }
 
 void EventServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  WakeLoop();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // The loop only exits once every dispatched request completed, so the
-  // pool is idle; destroying it joins the workers.
-  pool_.reset();
-  if (loop_ != nullptr && loop_->epoll_fd >= 0) ::close(loop_->epoll_fd);
-  loop_.reset();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
+  // shutdown(2), not close: a server thread may be inside accept4() on
+  // the listener. Its readiness wakes a thread, whose accept fails and
+  // leaves the listener disarmed.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  {
+    // Every connection's owner sees EOF, finishes the requests already
+    // received, flushes their replies and closes; the last close
+    // notifies. The server threads sleep in epoll_wait meanwhile.
+    std::unique_lock<std::mutex> lock(shared_->mu);
+    for (auto& [id, conn] : shared_->conns) ::shutdown(conn->fd, SHUT_RD);
+    shared_->drained.wait(lock, [this] { return shared_->conns.empty(); });
+  }
+  uint64_t one = 1;
+  ssize_t written = ::write(wake_fd_, &one, sizeof(one));
+  (void)written;
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
+  ::close(shared_->epoll_fd);
+  shared_.reset();
+  ::close(listen_fd_);
+  ::close(wake_fd_);
   listen_fd_ = wake_fd_ = -1;
   service_->Drain();
 }

@@ -1,15 +1,15 @@
 #ifndef OOCQ_SERVER_EVENT_SERVER_H_
 #define OOCQ_SERVER_EVENT_SERVER_H_
 
-/// The server's socket layer: one epoll(7) readiness loop owning every
-/// connection, scaling concurrent sessions with sockets instead of OS
-/// threads. It puts the line protocol (server/protocol.h) on a TCP port;
-/// all engine work, admission control and deadlines stay in the
+/// The server's socket layer: `dispatch_threads` server threads sharing
+/// one epoll(7) set, scaling concurrent sessions with sockets instead of
+/// OS threads. It puts the line protocol (server/protocol.h) on a TCP
+/// port; all engine work, admission control and deadlines stay in the
 /// OocqService it wraps.
 ///
 ///   OocqService service(service_options);
 ///   EventServer server(&service, {.port = 0});  // 0 = ephemeral
-///   OOCQ_RETURN_IF_ERROR(server.Start());       // loop running
+///   OOCQ_RETURN_IF_ERROR(server.Start());       // threads running
 ///   uint16_t port = server.port();              // resolved port
 ///   ...
 ///   server.Stop();  // graceful: stop accepting, drain, join
@@ -23,52 +23,55 @@
 ///    may pipeline.
 ///  * A framing violation (oversized line, EOF mid-payload) drops that
 ///    connection and only that connection.
-///  * Stop() is graceful and idempotent: the listener closes, read sides
-///    are shut down, requests already received finish and their replies
-///    are flushed, then the service drains. Safe to call from a
-///    signal-handling thread; the destructor runs it.
+///  * Stop() is graceful and idempotent: the listener stops accepting,
+///    read sides are shut down, requests already received finish and
+///    their replies are flushed, then the service drains. Safe to call
+///    from a signal-handling thread; the destructor runs it.
 ///  * The `tcp/accept`, `tcp/read` and `tcp/write` failpoints
 ///    (support/failpoint.h) fire after accept() returns, before each
-///    recv(), and before each reply is queued.
+///    recv(), and before each reply is queued; `pool/dispatch` fires as
+///    a server thread starts a parsed frame.
 ///
-/// Architecture — one loop thread, `dispatch_threads` workers:
+/// Architecture — Leader/Followers (Schmidt et al., PLoP 2000), with
+/// EPOLLONESHOT doing the leader hand-off:
 ///
-///   epoll loop ── owns all per-connection state machines
-///     │   level-triggered, non-blocking sockets
-///     │   incremental framing via ConnectionHandler (1 MiB line cap)
-///     │   idle-session timeouts via a timer wheel
-///     │   write buffering; EPOLLOUT-driven flushes
+///   `dispatch_threads` server threads, all in epoll_wait on one set
+///     │   the listener and every connection are registered one-shot:
+///     │   the thread whose epoll_wait returns a connection owns it
 ///     ▼
-///   support/thread_pool ── runs ProtocolHandler::Handle (and thus
-///     │   OocqService::Execute, which blocks on admission + engine)
+///   the owner's turn: read (at most 8 × 16 KiB), frame incrementally
+///     │   (ConnectionHandler, 1 MiB line cap), run each complete frame
+///     │   in order through ProtocolHandler::Handle — and thus
+///     │   OocqService::Execute, which runs the request on this thread
 ///     ▼
-///   completion queue + eventfd ── the worker posts the rendered reply
-///         and wakes the loop, which appends it to the connection's
-///         output buffer and flushes
+///   write the replies, then re-arm the connection (EPOLLIN, plus
+///         EPOLLOUT while reply bytes wait on a full socket)
+///
+/// A request costs one epoll wakeup and two hand-offs: client → server
+/// thread → client.
 ///
 /// Per-connection invariants:
 ///
-///  * At most one request per connection executes at a time (pipelined
-///    frames queue on the connection, bounded by `max_pipeline_depth` —
-///    beyond it, requests are shed with a retryable ERR UNAVAILABLE
-///    instead of queued).
+///  * Only the owner touches a connection's framing and reply bytes, so
+///    replies leave in request order with no queue between threads.
+///  * Only the owner closes a connection, under the connection table's
+///    lock, so an fd number is never reused while another thread holds
+///    it. Stop() and the idle sweep shutdown(2) a connection instead; its
+///    owner sees EOF and closes it.
 ///  * The output buffer is bounded: once a slow reader lets it exceed
 ///    `max_output_buffer_bytes`, further requests are shed with
 ///    UNAVAILABLE (cheap, constant-size replies); a reader so slow that
 ///    even sheds accumulate past 4x the bound is dropped.
-///  * An idle connection (no request in flight, nothing buffered) that
+///  * An idle connection (no request running, nothing buffered) that
 ///    stays silent for `idle_timeout_ms` is closed by the timer wheel.
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "server/service.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 
 namespace oocq::server {
 
@@ -78,20 +81,18 @@ struct EventServerOptions {
   /// Bind only the loopback interface (the safe default for a local
   /// decision-procedure service); false binds all interfaces.
   bool loopback_only = true;
-  /// Workers executing parsed requests (each blocks in
-  /// OocqService::Execute for its request's duration, so this bounds
-  /// server-side concurrency). 0 = one per hardware thread.
+  /// Server threads. Each takes connections from the shared epoll set
+  /// and runs their requests itself, blocking in OocqService::Execute
+  /// for a request's duration, so this bounds the connections served at
+  /// once. 0 = one per hardware thread.
   uint32_t dispatch_threads = 8;
-  /// Close a connection with no traffic, no queued request and nothing
+  /// Close a connection with no traffic, no running request and nothing
   /// to flush after this long. 0 = never.
   uint64_t idle_timeout_ms = 0;
   /// Pending unflushed reply bytes tolerated per connection before new
   /// requests on it are shed with UNAVAILABLE (slow-reader
   /// backpressure). Dropped outright at 4x this bound.
   uint64_t max_output_buffer_bytes = 4 << 20;
-  /// Parsed-but-not-started requests tolerated per connection (clients
-  /// may pipeline); beyond it, requests are shed with UNAVAILABLE.
-  uint32_t max_pipeline_depth = 64;
   /// Concurrent connections accepted; beyond it, new sockets are closed
   /// immediately (counted as server/overflow_refused).
   uint32_t max_connections = 50000;
@@ -125,37 +126,23 @@ class EventServer {
   }
 
  private:
-  struct Loop;  // all loop-thread-only state (connections, timer wheel)
-  friend struct Loop;
+  struct Shared;  // the epoll set, connection table and idle wheel
 
-  /// A finished request on its way back from a pool worker to the loop.
-  struct Completion {
-    uint64_t conn_id = 0;
-    std::string text;   // rendered reply, ready to send
-    bool close = false; // QUIT: close once flushed
-    bool drop = false;  // injected write failure: drop without replying
-  };
-
-  void Run();
-  /// Posts a completion from a pool worker and wakes the loop.
-  void PostCompletion(Completion completion);
-  void WakeLoop();
+  /// One server thread: waits on the shared set and serves what it gets
+  /// until Stop() wakes it. The timekeeper also wakes for the idle wheel.
+  void Run(bool timekeeper);
 
   OocqService* service_;
   EventServerOptions options_;
 
   int listen_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: completions posted, or Stop() requested
+  int wake_fd_ = -1;  // eventfd: Stop() found the table empty
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> accepted_{0};
-  std::thread loop_thread_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<Loop> loop_;
-
-  std::mutex completions_mu_;
-  std::vector<Completion> completions_;
+  std::vector<std::thread> threads_;
+  std::unique_ptr<Shared> shared_;
 };
 
 }  // namespace oocq::server

@@ -236,6 +236,12 @@ ConnectionHandler::FrameResult ConnectionHandler::Next(
   }
 }
 
+ProtocolReply ShedReply(const CommandLine& command, const std::string& why) {
+  ProtocolReply reply = ErrReply(Status::Unavailable(why));
+  if (!command.request_id.empty()) TagReply(command.request_id, &reply);
+  return reply;
+}
+
 ProtocolReply ProtocolHandler::Handle(const CommandLine& command,
                                       const std::vector<std::string>& payload) {
   // The effective request id: the wire `ID` prefix, else a legacy id=
@@ -622,7 +628,7 @@ ProtocolReply ProtocolHandler::HandleRepl(const CommandLine& command) {
     const uint64_t offset =
         std::strtoull(command.args[2].c_str(), nullptr, 10);
     // The long-poll window is capped so a subscriber can never park a
-    // dispatch worker indefinitely; an empty reply just re-subscribes.
+    // server thread indefinitely; an empty reply just re-subscribes.
     const uint64_t wait_ms = std::min<uint64_t>(
         ParamUint(command, "wait_ms"), 10000);
     const uint64_t max_bytes = ParamUint(command, "max_bytes");

@@ -111,6 +111,11 @@ struct ProtocolReply {
   bool close = false;
 };
 
+/// The reply to a frame the transport sheds before Handle (the bounded
+/// output buffer): a retryable ERR UNAVAILABLE carrying `why`, tagged
+/// with the frame's `ID` token exactly as Handle tags its replies.
+ProtocolReply ShedReply(const CommandLine& command, const std::string& why);
+
 /// Executes one parsed request against `service` and renders the reply.
 /// Never throws and never returns an unterminated reply — protocol
 /// errors become ERR status lines.

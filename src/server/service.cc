@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <utility>
 
 #include "core/containment.h"
@@ -101,7 +102,8 @@ const char* RequestKindName(RequestKind kind) {
 }
 
 OocqService::OocqService(ServiceOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      slots_(std::max<uint32_t>(options_.max_in_flight, 1)) {
   if (options_.max_in_flight < 1) options_.max_in_flight = 1;
   if (options_.metrics) metrics_scope_.emplace(&registry_);
   requests_total_ = registry_.Counter("server/requests");
@@ -932,24 +934,23 @@ Response OocqService::Run(const Request& request, Session& session,
   return response;
 }
 
-std::unique_ptr<OocqService::Admission> OocqService::Submit(
-    const Request& request, Response* out, bool batch) {
+bool OocqService::Admit(const Request& request, Admission* admission,
+                        Response* out) {
   const uint64_t admitted_us = NowUs();
   requests_total_->Add(1);
   Status admitted = AdmitOne();
   if (!admitted.ok()) {
     out->status = std::move(admitted);
     out->latency_us = NowUs() - admitted_us;
-    return nullptr;
+    return false;
   }
   StatusOr<std::shared_ptr<Session>> session = FindSession(request.session_id);
   if (!session.ok()) {
     FinishOne();
     out->status = session.status();
     out->latency_us = NowUs() - admitted_us;
-    return nullptr;
+    return false;
   }
-  auto admission = std::make_unique<Admission>();
   admission->admitted_us = admitted_us;
   admission->session = *std::move(session);
   const uint64_t deadline_ms = request.deadline_ms != 0
@@ -959,14 +960,12 @@ std::unique_ptr<OocqService::Admission> OocqService::Submit(
     admission->token.emplace(std::chrono::steady_clock::now() +
                              std::chrono::milliseconds(deadline_ms));
   }
-  Admission* a = admission.get();
-  admission->done = pool_->Submit(
-      [this, &request, out, a, batch] { Serve(request, *a, batch, out); });
-  return admission;
+  return true;
 }
 
 void OocqService::Serve(const Request& request, const Admission& admission,
                         bool batch, Response* out) {
+  slots_.acquire();
   queue_wait_us_->Record(NowUs() - admission.admitted_us);
   const CancellationToken* cancel =
       admission.token.has_value() ? &*admission.token : nullptr;
@@ -981,7 +980,7 @@ void OocqService::Serve(const Request& request, const Admission& admission,
     if (batch) span.Arg("batch", "true");
     if (!request.request_id.empty()) span.Arg("id", request.request_id);
     started_total_->Add(1);
-    // A request that out-waited its deadline in the queue is answered
+    // A request that out-waited its deadline for a slot is answered
     // without touching the engine.
     Status live = cancel != nullptr ? cancel->Check() : Status::Ok();
     if (!live.ok()) {
@@ -993,6 +992,7 @@ void OocqService::Serve(const Request& request, const Admission& admission,
       span.Arg("status", StatusCodeToString(out->status.code()));
     }
   }
+  slots_.release();
   if (capture.has_value()) {
     const uint64_t elapsed_us = NowUs() - admission.admitted_us;
     if (elapsed_us >= options_.slow_request_us) {
@@ -1009,9 +1009,8 @@ void OocqService::Serve(const Request& request, const Admission& admission,
   }
 }
 
-void OocqService::Await(const Request& request, Admission& admission,
-                        Response* out) {
-  admission.done.wait();
+void OocqService::Finish(const Request& request, const Admission& admission,
+                         Response* out) {
   FinishOne();
   out->latency_us = NowUs() - admission.admitted_us;
   latency_us_->Record(out->latency_us);
@@ -1021,9 +1020,10 @@ void OocqService::Await(const Request& request, Admission& admission,
 
 Response OocqService::Execute(const Request& request) {
   Response response;
-  if (std::unique_ptr<Admission> admission =
-          Submit(request, &response, /*batch=*/false)) {
-    Await(request, *admission, &response);
+  Admission admission;
+  if (Admit(request, &admission, &response)) {
+    Serve(request, admission, /*batch=*/false, &response);
+    Finish(request, admission, &response);
   }
   return response;
 }
@@ -1031,18 +1031,25 @@ Response OocqService::Execute(const Request& request) {
 std::vector<Response> OocqService::ExecuteBatch(
     const std::vector<Request>& requests) {
   registry_.Add("server/batches", 1);
-  // Each request is admitted and submitted independently; the pool is the
-  // fan-out. Awaiting in order keeps the caller's thread the single
-  // completion point, so responses come back in request order.
+  // Each request is admitted independently and served on the pool, which
+  // is the fan-out; every item still takes a slot, so max_in_flight
+  // bounds engine work across Execute and ExecuteBatch. Finishing in
+  // order keeps the caller's thread the single completion point, so
+  // responses come back in request order.
   std::vector<Response> responses(requests.size());
-  std::vector<std::unique_ptr<Admission>> admissions(requests.size());
+  std::vector<Admission> admissions(requests.size());
+  std::vector<std::future<void>> served(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    admissions[i] = Submit(requests[i], &responses[i], /*batch=*/true);
+    if (Admit(requests[i], &admissions[i], &responses[i])) {
+      served[i] = pool_->Submit([this, &requests, &admissions, &responses, i] {
+        Serve(requests[i], admissions[i], /*batch=*/true, &responses[i]);
+      });
+    }
   }
   for (size_t i = 0; i < requests.size(); ++i) {
-    if (admissions[i] != nullptr) {
-      Await(requests[i], *admissions[i], &responses[i]);
-    }
+    if (!served[i].valid()) continue;  // refused at admission
+    served[i].wait();
+    Finish(requests[i], admissions[i], &responses[i]);
   }
   return responses;
 }

@@ -17,13 +17,15 @@
 ///   request.deadline_ms = 50;
 ///   Response response = service.Execute(request);   // blocking
 ///
-/// Concurrency model: Execute() admits the request (bounded queue +
-/// max-in-flight — beyond capacity it sheds immediately with retryable
-/// kUnavailable), runs it on the service's support/thread_pool, and
-/// blocks the calling thread until the response is ready. The
-/// EventServer calls Execute() from its dispatch workers; the pool bounds
-/// the engine work actually running. ExecuteBatch() fans a batch out onto
-/// the same pool and returns responses in request order.
+/// Concurrency model: Execute() admits the request (at most
+/// max_in_flight + max_queue_depth at once — beyond that it sheds
+/// immediately with retryable kUnavailable), waits for one of
+/// `max_in_flight` slots, and runs the request on the calling thread.
+/// The EventServer calls Execute() from its server threads, so no thread
+/// hand-off sits between the socket and the engine; the slots bound the
+/// engine work actually running. ExecuteBatch() fans a batch out onto the
+/// service's support/thread_pool, each item taking a slot, and returns
+/// responses in request order.
 ///
 /// Each request gets a CancellationToken from its deadline, threaded
 /// through the engine (ContainmentOptions::cancel), so expiry mid-scan
@@ -34,11 +36,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <semaphore>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -65,10 +67,11 @@ struct ServiceOptions {
   /// right for a loaded server: concurrency comes from running
   /// `max_in_flight` independent requests, not from splitting one.
   EngineOptions engine;
-  /// Requests executing concurrently (the service pool's worker count).
+  /// Requests executing concurrently: the slots Execute() and the items
+  /// of ExecuteBatch() take before running (also the batch pool's size).
   uint32_t max_in_flight = 4;
-  /// Admitted-but-not-running requests tolerated beyond max_in_flight;
-  /// one more is shed with kUnavailable instead of queued.
+  /// Admitted requests tolerated beyond max_in_flight while they wait
+  /// for a slot; one more is shed with kUnavailable instead of waiting.
   uint32_t max_queue_depth = 64;
   /// Deadline applied when a request carries none (0 = unbounded).
   uint64_t default_deadline_ms = 0;
@@ -257,7 +260,8 @@ class OocqService {
       std::function<void(uint64_t, const std::string&)> handler);
 
   // ---- Request execution ------------------------------------------------
-  /// Admission control + pool execution + wait; see the header comment.
+  /// Admission control, then the request on the calling thread once it
+  /// holds a slot; see the header comment.
   Response Execute(const Request& request);
   /// Admits and fans the whole batch onto the pool; responses come back
   /// in request order, and verdicts are identical to running the batch
@@ -288,11 +292,12 @@ class OocqService {
   /// --stats-file` emit (docs/observability.md#stats).
   std::string StatsText() const;
 
-  /// Requests admitted and not yet finished (queued + running).
+  /// Requests admitted and not yet finished (waiting for a slot +
+  /// running).
   uint32_t pending() const { return pending_.load(std::memory_order_relaxed); }
   /// Requests finished since construction (any status). A watchdog that
-  /// sees pending() > 0 while this stops advancing has found a wedged
-  /// worker pool (examples/oocq_serve.cpp).
+  /// sees pending() > 0 while this stops advancing has found request
+  /// execution wedged (examples/oocq_serve.cpp).
   uint64_t completed() const {
     return completed_.load(std::memory_order_relaxed);
   }
@@ -392,32 +397,33 @@ class OocqService {
   /// NOT_FOUND instead of charging bytes nothing will release.
   Status RechargeRegistered(const std::string& session_id, Session& session,
                             uint64_t from, uint64_t to);
-  /// The request body, run on a pool worker. `cancel` may be null.
+  /// The request body, run while holding a slot. `cancel` may be null.
   Response Run(const Request& request, Session& session,
                const CancellationToken* cancel) const;
 
-  /// One request between admission and completion. Heap-held: the pool
-  /// task reads its token and session while the submitter waits.
+  /// One request between admission and completion.
   struct Admission {
     uint64_t admitted_us = 0;
     std::shared_ptr<Session> session;
     std::optional<CancellationToken> token;  // from the request deadline
-    std::future<void> done;
   };
-  /// The per-request front half Execute and ExecuteBatch share: admission
-  /// control, session lookup, the deadline token, and submission of Serve
-  /// to the pool. Null when the request never reached the pool (shed or
-  /// unknown session); `out` then carries the status.
-  std::unique_ptr<Admission> Submit(const Request& request, Response* out,
-                                    bool batch);
-  /// The pool-side body: queue-wait sample, Request span, queue-expiry
-  /// precheck, Run, and the slow-request log.
+  /// The front half Execute and ExecuteBatch share: admission control,
+  /// the session lookup and the deadline token. False when the request
+  /// was refused (shed or unknown session); `out` then carries the
+  /// status. An admitted request is owed one Finish().
+  bool Admit(const Request& request, Admission* admission, Response* out);
+  /// The body, on the thread that runs the request: the wait for a slot,
+  /// the queue-wait sample, the Request span, the queue-expiry precheck,
+  /// Run, the slot release, and the slow-request log.
   void Serve(const Request& request, const Admission& admission, bool batch,
              Response* out);
-  /// Waits for a submitted request and books its latency and outcome.
-  void Await(const Request& request, Admission& admission, Response* out);
+  /// Books a served request: FinishOne, its latency and its outcome.
+  void Finish(const Request& request, const Admission& admission,
+              Response* out);
 
   ServiceOptions options_;
+  /// One per request running (ServiceOptions::max_in_flight).
+  std::counting_semaphore<> slots_;
   MetricsRegistry registry_;
   std::optional<MetricsScope> metrics_scope_;
   /// Per-request hot-path metric handles, resolved once at construction:
@@ -429,7 +435,7 @@ class OocqService {
   MetricHistogram* queue_wait_us_ = nullptr;
   MetricHistogram* latency_us_ = nullptr;
   MetricHistogram* verb_latency_us_[7] = {};  // indexed by RequestKind
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;  // runs ExecuteBatch's items
 
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;

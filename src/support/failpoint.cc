@@ -210,7 +210,8 @@ const std::vector<std::string>& Failpoints::KnownNames() {
       "wal/fsync",         // persist/wal.cc: before the group-commit fsync
       "snapshot/write",    // persist/snapshot.cc: before the durable write
       "snapshot/load",     // persist/snapshot.cc: before reading a file
-      "pool/dispatch",     // support/thread_pool.cc: before a task runs
+      "pool/dispatch",     // support/thread_pool.cc: before a task runs;
+                           // server/event_server.cc: as a frame starts
       "core/subset_scan",  // core/containment.cc: head of the per-mask scan
       "cache/lookup",      // core/containment_cache.cc: on entry
       "service/execute",   // server/service.cc: before the request body

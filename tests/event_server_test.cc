@@ -1,13 +1,16 @@
 // EventServer behavior the e2e and framing suites don't pin down:
 // idle-session timeouts (the timer wheel), slow-reader backpressure
-// shedding (the bounded output buffer), pipelined request ordering, and
-// hundreds of concurrent connections on one loop.
+// shedding (the bounded output buffer), pipelined request ordering,
+// server threads serving connections independently, and hundreds of
+// concurrent connections on one epoll set.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -56,6 +59,36 @@ std::string RecvAll(int fd) {
     all.append(chunk, static_cast<size_t>(got));
   }
   return all;
+}
+
+/// Splits a reply stream after each terminating "." line.
+std::vector<std::string> SplitReplies(const std::string& stream) {
+  std::vector<std::string> replies;
+  size_t start = 0;
+  for (size_t end = stream.find("\n.\n"); end != std::string::npos;
+       end = stream.find("\n.\n", start)) {
+    replies.push_back(stream.substr(start, end + 3 - start));
+    start = end + 3;
+  }
+  return replies;
+}
+
+/// Reads until `count` complete replies arrived, the peer closed, or a
+/// read waited `timeout_ms` for bytes; returns the replies seen.
+std::vector<std::string> ReadReplies(int fd, size_t count,
+                                     int timeout_ms = 10000) {
+  timeval timeout{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
+  EXPECT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+      0);
+  std::string stream;
+  char chunk[16384];
+  while (SplitReplies(stream).size() < count) {
+    ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (got <= 0) break;
+    stream.append(chunk, static_cast<size_t>(got));
+  }
+  return SplitReplies(stream);
 }
 
 size_t CountOccurrences(const std::string& haystack, const std::string& s) {
@@ -142,7 +175,6 @@ TEST(EventServerTest, SlowReaderIsShedWithRetryableUnavailable) {
   // non-reading client, queued requests must shed instead of buffering
   // reply bytes without bound.
   options.max_output_buffer_bytes = 64 * 1024;
-  options.max_pipeline_depth = 1u << 20;  // isolate the output bound
   options.so_sndbuf_bytes = 16 * 1024;    // don't let the kernel hide it
   EventServer server(&service, options);
   OOCQ_ASSERT_OK(server.Start());
@@ -222,60 +254,212 @@ TEST(EventServerTest, PipelinedRepliesArriveInRequestOrder) {
   server.Stop();
 }
 
-TEST(EventServerTest, LoopAndQueueGaugesUnderStalledPool) {
-  // With the only dispatch worker stalled on the pool/dispatch failpoint,
-  // requests from concurrent connections pile up in the dispatch queue
-  // while the loop keeps reading — the depth gauge must see the pile, and
-  // the loop-lag histogram must have sampled the (still-responsive) loop
-  // iterations. One connection alone cannot grow the gauge: Pump keeps at
-  // most one of its requests in flight to preserve reply order.
-  MetricsRegistry registry;
-  MetricsScope scope(&registry);
-  ASSERT_TRUE(scope.active());
-  OOCQ_ASSERT_OK(Failpoints::Configure("pool/dispatch=delay:15"));
+TEST(EventServerTest, SlowReaderShedRepliesCarryTheirIds) {
+  // The slow-reader burst with every frame ID-tagged: the replies the
+  // bound sheds are tagged like the ones Handle renders, so a pipelining
+  // client can still match all 2000 replies to their requests.
+  OocqService service;
+  EventServerOptions options;
+  options.max_output_buffer_bytes = 64 * 1024;
+  options.so_sndbuf_bytes = 16 * 1024;
+  EventServer server(&service, options);
+  OOCQ_ASSERT_OK(server.Start());
 
-  {
-    OocqService service;
-    EventServerOptions options;
-    options.dispatch_threads = 1;  // one stalled worker = a visible queue
-    EventServer server(&service, options);
-    OOCQ_ASSERT_OK(server.Start());
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  int rcvbuf = 8192;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
 
-    constexpr int kConns = 6;
-    std::vector<int> fds;
-    for (int i = 0; i < kConns; ++i) fds.push_back(ConnectTo(server.port()));
-    for (int fd : fds) ASSERT_TRUE(SendString(fd, "PING\nQUIT\n"));
-    for (int fd : fds) {
-      EXPECT_EQ(RecvAll(fd).rfind("OK\n.\nOK", 0), 0u);
-      ::close(fd);
+  // Tags add at most 10 bytes to each reply: 2000 sheds of ~80 B still
+  // stay inside the 4x hard-drop bound (see the untagged test above).
+  constexpr int kRequests = 2000;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    burst += "ID r" + std::to_string(i) + " HELLO\n";
+  }
+  ASSERT_TRUE(SendString(fd, burst));
+  ::shutdown(fd, SHUT_WR);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  std::vector<std::string> replies = SplitReplies(RecvAll(fd));
+  ::close(fd);
+
+  ASSERT_EQ(replies.size(), static_cast<size_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string status = replies[i].substr(0, replies[i].find('\n'));
+    EXPECT_NE(status.find(" id=r" + std::to_string(i) + " "),
+              std::string::npos)
+        << "reply " << i << ": " << status;
+  }
+  EXPECT_GE(service.metrics().CounterValue("server/backpressure_shed"), 1u);
+  EXPECT_EQ(service.metrics().CounterValue("server/slow_reader_dropped"), 0u);
+  server.Stop();
+}
+
+TEST(EventServerTest, PipelinedBurstIsAnsweredInOrder) {
+  // 100 frames in one write: every one is answered, in request order,
+  // with its own id — no reply overtakes replies still owed.
+  OocqService service;
+  EventServer server(&service);
+  OOCQ_ASSERT_OK(server.Start());
+
+  constexpr int kFrames = 100;
+  std::string burst;
+  for (int i = 0; i < kFrames; ++i) {
+    burst += "ID r" + std::to_string(i) + " PING\n";
+  }
+  int fd = ConnectTo(server.port());
+  ASSERT_TRUE(SendString(fd, burst));
+  std::vector<std::string> replies = ReadReplies(fd, kFrames);
+  ::close(fd);
+
+  ASSERT_EQ(replies.size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(replies[i], "OK id=r" + std::to_string(i) + "\n.\n");
+  }
+  server.Stop();
+}
+
+TEST(EventServerTest, StalledRequestDoesNotStallOtherConnections) {
+  // Connection A's heavy CONTAIN holds one of the two server threads for
+  // its whole 250 ms deadline; connection B's PING is served by the other
+  // thread and answered while A still waits.
+  ServiceOptions service_options;
+  service_options.engine.containment.max_membership_candidates = 40;
+  OocqService service(service_options);
+  EventServerOptions options;
+  options.dispatch_threads = 2;
+  EventServer server(&service, options);
+  OOCQ_ASSERT_OK(server.Start());
+
+  int a = ConnectTo(server.port());
+  ASSERT_TRUE(SendString(a, "SESSION NEW\n" +
+                                ::oocq::testing::HeavySchemaText(40) +
+                                "\n.\n"));
+  std::vector<std::string> created = ReadReplies(a, 1);
+  ASSERT_EQ(created.size(), 1u);
+  ASSERT_EQ(created[0].rfind("OK session=s1", 0), 0u) << created[0];
+  ASSERT_TRUE(SendString(a, "CONTAIN s1 deadline_ms=250\n" +
+                                ::oocq::testing::HeavyQ1(40) + "\n" +
+                                ::oocq::testing::HeavyQ2() + "\n.\n"));
+  while (service.metrics().CounterValue("server/started") < 1) {
+    std::this_thread::yield();
+  }
+
+  int b = ConnectTo(server.port());
+  ASSERT_TRUE(SendString(b, "PING\n"));
+  std::vector<std::string> pinged = ReadReplies(b, 1);
+  char byte;
+  const ssize_t early = ::recv(a, &byte, 1, MSG_DONTWAIT | MSG_PEEK);
+  std::vector<std::string> contained = ReadReplies(a, 1);
+  ::close(a);
+  ::close(b);
+
+  ASSERT_EQ(pinged.size(), 1u);
+  EXPECT_EQ(pinged[0], "OK\n.\n");
+  EXPECT_LT(early, 0) << "A's reply arrived before B's PING was answered";
+  ASSERT_EQ(contained.size(), 1u);
+  EXPECT_EQ(contained[0].rfind("ERR DEADLINE_EXCEEDED", 0), 0u)
+      << contained[0];
+  EXPECT_GT(service.metrics().CounterValue("server/loop_wakeups"), 0u);
+  server.Stop();
+}
+
+TEST(EventServerTest, PipelinedConnectionsKeepTheirOrderAcrossThreads) {
+  // 16 connections pipeline 50 frames each at once, a SAT/PING mix: the
+  // server threads interleave the connections, and each connection still
+  // gets its replies in its own request order.
+  OocqService service;
+  StatusOr<std::string> sid =
+      service.CreateSession(::oocq::testing::kVehicleRentalSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  EventServer server(&service);
+  OOCQ_ASSERT_OK(server.Start());
+
+  constexpr int kConns = 16;
+  constexpr int kFrames = 50;
+  auto tag = [](int c, int r) {
+    return "c" + std::to_string(c) + "r" + std::to_string(r);
+  };
+  std::vector<int> fds;
+  for (int c = 0; c < kConns; ++c) fds.push_back(ConnectTo(server.port()));
+  for (int c = 0; c < kConns; ++c) {
+    std::string burst;
+    for (int r = 0; r < kFrames; ++r) {
+      burst += "ID " + tag(c, r);
+      burst += r % 2 == 0 ? " SAT " + *sid + "\n{ x | x in Auto }\n.\n"
+                          : std::string(" PING\n");
     }
-    server.Stop();
+    ASSERT_TRUE(SendString(fds[c], burst));
   }
-  Failpoints::Reset();
+  for (int c = 0; c < kConns; ++c) {
+    std::vector<std::string> replies = ReadReplies(fds[c], kFrames);
+    ::close(fds[c]);
+    ASSERT_EQ(replies.size(), static_cast<size_t>(kFrames)) << "conn " << c;
+    for (int r = 0; r < kFrames; ++r) {
+      const std::string expected =
+          r % 2 == 0 ? "OK id=" + tag(c, r) + " satisfiable=1"
+                     : "OK id=" + tag(c, r) + "\n.\n";
+      EXPECT_EQ(replies[r].rfind(expected, 0), 0u)
+          << "conn " << c << " reply " << r << ": " << replies[r];
+    }
+  }
+  server.Stop();
+}
 
-  MetricsRegistry::Snapshot snap = registry.Snap();
-  const MetricsRegistry::HistogramSnapshot* depth = nullptr;
-  const MetricsRegistry::HistogramSnapshot* loop_lag = nullptr;
-  const MetricsRegistry::HistogramSnapshot* wait = nullptr;
-  for (const auto& histogram : snap.histograms) {
-    if (histogram.name == "server/dispatch_queue_depth") depth = &histogram;
-    if (histogram.name == "server/loop_iteration_us") loop_lag = &histogram;
-    if (histogram.name == "server/dispatch_wait_us") wait = &histogram;
+TEST(EventServerTest, ListenerResumesAfterFdExhaustion) {
+  // With the process out of fds, accept() fails with EMFILE: the server
+  // leaves its listener disarmed for a 100 ms backoff instead of spinning
+  // on it, then re-arms it, and the connection waiting in the backlog is
+  // served. Whichever of the four threads took the listener must wake
+  // for the re-arm while the others sleep; six rounds let more than one
+  // thread take it.
+  OocqService service;
+  EventServerOptions options;
+  options.dispatch_threads = 4;
+  EventServer server(&service, options);
+  OOCQ_ASSERT_OK(server.Start());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  for (uint64_t round = 1; round <= 6; ++round) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int next_fd = ::dup(fd);
+    ASSERT_GE(next_fd, 0);
+    ::close(next_fd);
+    rlimit exhausted = saved;
+    exhausted.rlim_cur = static_cast<rlim_t>(next_fd);  // no fd is left
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &exhausted), 0);
+    const int connected =
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (service.metrics().CounterValue("server/accept_backoff") < round &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    ASSERT_EQ(connected, 0);
+    EXPECT_GE(service.metrics().CounterValue("server/accept_backoff"), round);
+
+    ASSERT_TRUE(SendString(fd, "PING\n"));
+    std::vector<std::string> replies = ReadReplies(fd, 1, /*timeout_ms=*/2000);
+    ::close(fd);
+    ASSERT_EQ(replies.size(), 1u) << "round " << round << ": not re-armed";
+    EXPECT_EQ(replies[0], "OK\n.\n");
   }
-  ASSERT_NE(depth, nullptr);
-  ASSERT_NE(loop_lag, nullptr);
-  ASSERT_NE(wait, nullptr);
-  // 6 PINGs + 6 QUITs behind a worker sleeping 15ms per task: while the
-  // head request stalls, the other connections' requests queue behind it.
-  EXPECT_GE(depth->count, 6u);
-  EXPECT_GE(depth->max, 4u);
-  // The loop itself stayed live and sampled its iterations.
-  EXPECT_GT(loop_lag->count, 0u);
-  EXPECT_GT(registry.CounterValue("server/loop_wakeups"), 0u);
-  // Dispatch wait reflects the stall: every task sits behind at least its
-  // own 15ms failpoint delay, the tail behind several.
-  EXPECT_GE(wait->count, 6u);
-  EXPECT_GE(wait->max, 15000u);
+  server.Stop();
 }
 
 TEST(EventServerTest, TwoHundredConcurrentConnectionsOneLoop) {

@@ -109,6 +109,30 @@ schema Example33 {
 }
 )";
 
+/// A containment whose Thm 3.1 subset scan is 2^(k-1) masks (the Cor 3.2
+/// axis). At k = 40 even the compiled scan runs far longer than any test
+/// deadline, so a deadline trips mid-scan; the candidate cap
+/// (ContainmentOptions::max_membership_candidates, default 24) must admit
+/// the k - 1 candidates for the scan to run at all.
+inline std::string HeavySchemaText(int k) {
+  std::string text = "schema Heavy {\n  class D { }\n  class C { ";
+  for (int i = 0; i < k; ++i) text += "S" + std::to_string(i) + ": {D}; ";
+  return text + "}\n}";
+}
+
+/// One element witness u in every set y.S_i plus the pin x notin y.S0:
+/// the candidate pool is {x in y.S_j : j >= 1}, and HeavyQ1(k) is
+/// contained in HeavyQ2().
+inline std::string HeavyQ1(int k) {
+  std::string text = "{ x | exists y exists u (x in D & y in C & u in D";
+  for (int i = 0; i < k; ++i) text += " & u in y.S" + std::to_string(i);
+  return text + " & x notin y.S0) }";
+}
+
+inline const char* HeavyQ2() {
+  return "{ x | exists y (x in D & y in C & x notin y.S0) }";
+}
+
 }  // namespace oocq::testing
 
 #endif  // OOCQ_TESTS_TEST_UTIL_H_
