@@ -283,10 +283,10 @@ std::vector<ConjunctiveQuery> ExpandedDisjuncts(
   std::set<std::string> seen;
   for (const std::string& text : texts) {
     ConjunctiveQuery query = bench::Must(ParseQuery(schema, text));
-    for (ConjunctiveQuery& disjunct :
-         bench::Must(NormalizeAndExpand(schema, query)).disjuncts) {
-      if (seen.insert(CanonicalKey(disjunct)).second) {
-        disjuncts.push_back(std::move(disjunct));
+    for (const PrunedDisjunct& disjunct :
+         bench::Must(NormalizeAndExpand(schema, query)).pruned) {
+      if (seen.insert(CanonicalKey(disjunct.query())).second) {
+        disjuncts.push_back(disjunct.query());
       }
     }
   }

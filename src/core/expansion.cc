@@ -13,10 +13,14 @@
 
 namespace oocq {
 
-StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
-                                             const ConjunctiveQuery& query,
-                                             const ExpansionOptions& options,
-                                             ExpansionStats* stats) {
+namespace {
+
+// Prop 2.1's disjuncts of a well-formed `query`: pruned and normalized
+// under options.prune_unsatisfiable, the raw combinations otherwise.
+StatusOr<std::vector<ConjunctiveQuery>> Expand(const Schema& schema,
+                                               const ConjunctiveQuery& query,
+                                               const ExpansionOptions& options,
+                                               ExpansionStats* stats) {
   // Prop 2.1: the query is equivalent to the union of its terminal
   // instantiations — the expansion phase of every pipeline run.
   OOCQ_TRACE_SPAN(span, "Expand");
@@ -83,10 +87,10 @@ StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
     return disjunct;
   };
 
-  UnionQuery result;
+  std::vector<ConjunctiveQuery> result;
   if (!options.prune_unsatisfiable) {
     for (uint64_t c = 0; c < product; ++c) {
-      result.disjuncts.push_back(build_combination(c));
+      result.push_back(build_combination(c));
     }
   } else {
     // Each combination's satisfiability check + normalization is
@@ -109,27 +113,54 @@ StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
               return std::optional<ConjunctiveQuery>(std::move(normalized));
             })));
     for (std::optional<ConjunctiveQuery>& disjunct : pruned) {
-      if (disjunct.has_value()) {
-        result.disjuncts.push_back(*std::move(disjunct));
-      }
+      if (disjunct.has_value()) result.push_back(*std::move(disjunct));
     }
   }
 
-  if (stats != nullptr) stats->satisfiable_disjuncts = result.disjuncts.size();
+  if (stats != nullptr) stats->satisfiable_disjuncts = result.size();
   span.Arg("raw", product)
-      .Arg("satisfiable", static_cast<uint64_t>(result.disjuncts.size()));
+      .Arg("satisfiable", static_cast<uint64_t>(result.size()));
   OOCQ_METRIC_ADD("expand/raw_disjuncts", product);
-  OOCQ_METRIC_ADD("expand/satisfiable_disjuncts", result.disjuncts.size());
+  OOCQ_METRIC_ADD("expand/satisfiable_disjuncts", result.size());
   return result;
 }
 
-StatusOr<UnionQuery> NormalizeAndExpand(const Schema& schema,
-                                        const ConjunctiveQuery& query,
-                                        const ExpansionOptions& options,
-                                        ExpansionStats* stats) {
+}  // namespace
+
+StatusOr<UnionQuery> ExpandToTerminalQueries(const Schema& schema,
+                                             const ConjunctiveQuery& query,
+                                             const ExpansionOptions& options,
+                                             ExpansionStats* stats) {
+  UnionQuery result;
+  OOCQ_ASSIGN_OR_RETURN(result.disjuncts,
+                        Expand(schema, query, options, stats));
+  return result;
+}
+
+StatusOr<TerminalExpansion> ExpandTerminal(const Schema& schema,
+                                           const ConjunctiveQuery& query,
+                                           const ExpansionOptions& options) {
+  TerminalExpansion expansion;
+  OOCQ_ASSIGN_OR_RETURN(std::vector<ConjunctiveQuery> disjuncts,
+                        Expand(schema, query, options, &expansion.stats));
+  if (!options.prune_unsatisfiable) {
+    expansion.unpruned = std::move(disjuncts);
+    return expansion;
+  }
+  // Every disjunct here passed the prune above.
+  expansion.pruned.reserve(disjuncts.size());
+  for (ConjunctiveQuery& disjunct : disjuncts) {
+    expansion.pruned.push_back(PrunedDisjunct(std::move(disjunct)));
+  }
+  return expansion;
+}
+
+StatusOr<TerminalExpansion> NormalizeAndExpand(
+    const Schema& schema, const ConjunctiveQuery& query,
+    const ExpansionOptions& options) {
   OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery well_formed,
                         NormalizeToWellFormed(schema, query));
-  return ExpandToTerminalQueries(schema, well_formed, options, stats);
+  return ExpandTerminal(schema, well_formed, options);
 }
 
 }  // namespace oocq

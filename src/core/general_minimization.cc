@@ -129,13 +129,10 @@ StatusOr<MinimizationReport> MinimizeConjunctiveQuery(
 
   MinimizationReport report;
 
-  ExpansionStats expansion_stats;
-  OOCQ_ASSIGN_OR_RETURN(
-      UnionQuery expanded,
-      ExpandToTerminalQueries(schema, query, opts.expansion,
-                              &expansion_stats));
-  report.raw_disjuncts = expansion_stats.raw_disjuncts;
-  report.satisfiable_disjuncts = expansion_stats.satisfiable_disjuncts;
+  OOCQ_ASSIGN_OR_RETURN(TerminalExpansion expanded,
+                        ExpandTerminal(schema, query, opts.expansion));
+  report.raw_disjuncts = expanded.stats.raw_disjuncts;
+  report.satisfiable_disjuncts = expanded.stats.satisfiable_disjuncts;
 
   // RemoveRedundantDisjuncts uses the general Contained test, which is
   // sound for any terminal conjunctive disjuncts.

@@ -1,5 +1,6 @@
 #include "core/minimization.h"
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -84,6 +85,15 @@ Status MinimizeDisjunctsInto(const Schema& schema,
   return Status::Ok();
 }
 
+/// RemoveRedundantDisjuncts over `count` disjuncts, the i-th prepared by
+/// `prepare(i)` (in the screening's fan-out).
+StatusOr<UnionQuery> RemoveRedundant(
+    const Schema& schema, size_t count,
+    const std::function<std::shared_ptr<const PreparedDisjunct>(size_t)>&
+        prepare,
+    const MinimizationOptions& options, ContainmentCache* cache,
+    ContainmentStats* stats);
+
 }  // namespace
 
 StatusOr<ConjunctiveQuery> MinimizeTerminalPositive(
@@ -165,10 +175,43 @@ StatusOr<UnionQuery> RemoveRedundantDisjuncts(const Schema& schema,
                                               const MinimizationOptions& options,
                                               ContainmentCache* cache,
                                               ContainmentStats* stats) {
+  return RemoveRedundant(
+      schema, query.disjuncts.size(),
+      [&](size_t i) {
+        return std::make_shared<const PreparedDisjunct>(schema,
+                                                        query.disjuncts[i]);
+      },
+      options, cache, stats);
+}
+
+StatusOr<UnionQuery> RemoveRedundantDisjuncts(
+    const Schema& schema, const TerminalExpansion& expansion,
+    const MinimizationOptions& options, ContainmentCache* cache,
+    ContainmentStats* stats) {
+  const size_t unpruned = expansion.unpruned.size();
+  return RemoveRedundant(
+      schema, unpruned + expansion.pruned.size(),
+      [&](size_t i) {
+        return i < unpruned ? std::make_shared<const PreparedDisjunct>(
+                                  schema, expansion.unpruned[i])
+                            : std::make_shared<const PreparedDisjunct>(
+                                  schema, expansion.pruned[i - unpruned]);
+      },
+      options, cache, stats);
+}
+
+namespace {
+
+StatusOr<UnionQuery> RemoveRedundant(
+    const Schema& schema, size_t count,
+    const std::function<std::shared_ptr<const PreparedDisjunct>(size_t)>&
+        prepare,
+    const MinimizationOptions& options, ContainmentCache* cache,
+    ContainmentStats* stats) {
   // Thm 4.2: the nonredundant union is unique up to equivalence — this
   // phase finds it via the pairwise containment matrix.
   OOCQ_TRACE_SPAN(span, "RemoveRedundantDisjuncts");
-  span.Arg("disjuncts_in", static_cast<uint64_t>(query.disjuncts.size()));
+  span.Arg("disjuncts_in", static_cast<uint64_t>(count));
   ScopedPhaseTimer timer("phase/redundancy");
   const EngineOptions opts = WithPropagatedParallelism(options);
 
@@ -178,18 +221,18 @@ StatusOr<UnionQuery> RemoveRedundantDisjuncts(const Schema& schema,
   // disjunct — independent work that fans out — and the matrix below
   // reuses its facts and keys; the ordered dedup stays serial. A disjunct
   // that is not well-formed and terminal stays live, so the matrix
-  // reports why.
+  // reports why. A pruned disjunct brings the prune's facts, so its
+  // screening computes only its key.
   PreparedDisjuncts live;
   {
     OOCQ_TRACE_SPAN(screen_span, "ScreenDisjuncts");
-    screen_span.Arg("disjuncts", static_cast<uint64_t>(query.disjuncts.size()));
+    screen_span.Arg("disjuncts", static_cast<uint64_t>(count));
     OOCQ_ASSIGN_OR_RETURN(
         PreparedDisjuncts screened,
         (ParallelMap<std::shared_ptr<const PreparedDisjunct>>(
-            opts.parallel, query.disjuncts.size(),
+            opts.parallel, count,
             [&](size_t i) -> StatusOr<std::shared_ptr<const PreparedDisjunct>> {
-              auto prepared = std::make_shared<const PreparedDisjunct>(
-                  schema, query.disjuncts[i]);
+              std::shared_ptr<const PreparedDisjunct> prepared = prepare(i);
               if (prepared->satisfiable()) (void)prepared->key();
               return prepared;
             })));
@@ -270,6 +313,8 @@ StatusOr<UnionQuery> RemoveRedundantDisjuncts(const Schema& schema,
   return result;
 }
 
+}  // namespace
+
 StatusOr<MinimizationReport> MinimizePositiveUnion(
     const Schema& schema, const UnionQuery& query,
     const MinimizationOptions& options, ContainmentCache* cache) {
@@ -277,34 +322,28 @@ StatusOr<MinimizationReport> MinimizePositiveUnion(
   MinimizationReport report;
 
   // Each input disjunct expands (and prunes) independently.
-  struct ExpandedPart {
-    UnionQuery part;
-    ExpansionStats stats;
-  };
   OOCQ_ASSIGN_OR_RETURN(
-      std::vector<ExpandedPart> parts,
-      (ParallelMap<ExpandedPart>(
+      std::vector<TerminalExpansion> parts,
+      (ParallelMap<TerminalExpansion>(
           opts.parallel, query.disjuncts.size(),
-          [&](size_t i) -> StatusOr<ExpandedPart> {
+          [&](size_t i) -> StatusOr<TerminalExpansion> {
             const ConjunctiveQuery& disjunct = query.disjuncts[i];
             OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, disjunct));
             if (!disjunct.IsPositive()) {
               return Status::FailedPrecondition(
                   "MinimizePositiveUnion requires positive disjuncts");
             }
-            ExpandedPart expanded;
-            OOCQ_ASSIGN_OR_RETURN(
-                expanded.part,
-                ExpandToTerminalQueries(schema, disjunct, opts.expansion,
-                                        &expanded.stats));
-            return expanded;
+            return ExpandTerminal(schema, disjunct, opts.expansion);
           })));
-  UnionQuery expanded;
-  for (ExpandedPart& part : parts) {
+  TerminalExpansion expanded;
+  for (TerminalExpansion& part : parts) {
     report.raw_disjuncts += part.stats.raw_disjuncts;
     report.satisfiable_disjuncts += part.stats.satisfiable_disjuncts;
-    for (ConjunctiveQuery& q : part.part.disjuncts) {
-      expanded.disjuncts.push_back(std::move(q));
+    for (PrunedDisjunct& q : part.pruned) {
+      expanded.pruned.push_back(std::move(q));
+    }
+    for (ConjunctiveQuery& q : part.unpruned) {
+      expanded.unpruned.push_back(std::move(q));
     }
   }
 
@@ -331,13 +370,10 @@ StatusOr<MinimizationReport> MinimizePositiveQuery(
 
   MinimizationReport report;
 
-  ExpansionStats expansion_stats;
-  OOCQ_ASSIGN_OR_RETURN(
-      UnionQuery expanded,
-      ExpandToTerminalQueries(schema, query, opts.expansion,
-                              &expansion_stats));
-  report.raw_disjuncts = expansion_stats.raw_disjuncts;
-  report.satisfiable_disjuncts = expansion_stats.satisfiable_disjuncts;
+  OOCQ_ASSIGN_OR_RETURN(TerminalExpansion expanded,
+                        ExpandTerminal(schema, query, opts.expansion));
+  report.raw_disjuncts = expanded.stats.raw_disjuncts;
+  report.satisfiable_disjuncts = expanded.stats.satisfiable_disjuncts;
 
   OOCQ_ASSIGN_OR_RETURN(
       UnionQuery nonredundant,

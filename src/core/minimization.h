@@ -86,6 +86,14 @@ StatusOr<UnionQuery> RemoveRedundantDisjuncts(
     const MinimizationOptions& options = {},
     ContainmentCache* cache = nullptr, ContainmentStats* stats = nullptr);
 
+/// RemoveRedundantDisjuncts over an expansion ExpandTerminal kept: its
+/// pruned disjuncts bring the prune's facts (PrunedDisjunct), so the
+/// screening derives their keys alone. What the minimizers call.
+StatusOr<UnionQuery> RemoveRedundantDisjuncts(
+    const Schema& schema, const TerminalExpansion& expansion,
+    const MinimizationOptions& options = {},
+    ContainmentCache* cache = nullptr, ContainmentStats* stats = nullptr);
+
 /// Minimizes a union of positive conjunctive queries as a whole: each
 /// disjunct is expanded (Prop 2.1), the combined expansion is made
 /// nonredundant across disjunct boundaries, and each survivor's variables

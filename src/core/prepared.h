@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,16 +31,25 @@ namespace oocq {
 /// form (NormalizeTerminalQuery) and its positivity; the QueryAnalysis
 /// Contained() maps into; and the key a ContainmentCache files decisions
 /// under. Tied to the schema it was built over, which must outlive it.
+///
+/// A disjunct a pruned Prop 2.1 expansion kept (PrunedDisjunct) comes
+/// with the prune's facts established: well-formed and terminal (a
+/// combination of a well-formed query is), satisfiable (the prune ran
+/// Thm 2.2 and kept it), and its own normal form (the prune normalized
+/// it, and NormalizeTerminalQuery maps its output to itself; DESIGN.md
+/// §5.4). Only the positivity is read off the query. Any other input
+/// derives every fact; the analysis and the key are always derived.
 class PreparedDisjunct {
  public:
-  PreparedDisjunct(const Schema& schema, ConjunctiveQuery query)
-      : schema_(&schema), query_(std::move(query)) {}
+  PreparedDisjunct(const Schema& schema, ConjunctiveQuery query);
+  /// The prune's facts, established (see the class comment).
+  PreparedDisjunct(const Schema& schema, const PrunedDisjunct& disjunct);
 
   PreparedDisjunct(const PreparedDisjunct&) = delete;
   PreparedDisjunct& operator=(const PreparedDisjunct&) = delete;
 
   /// The disjunct as given.
-  const ConjunctiveQuery& query() const { return query_; }
+  const ConjunctiveQuery& query() const { return *query_; }
   /// CheckWellFormed(query()).
   const Status& well_formed() const { return facts().well_formed; }
   /// Well-formed and terminal: the precondition of every fact below.
@@ -49,7 +59,10 @@ class PreparedDisjunct {
   /// Why a terminal disjunct is unsatisfiable; empty otherwise.
   const std::string& unsatisfiable_reason() const { return facts().reason; }
   /// NormalizeTerminalQuery(query()); meaningful only when satisfiable().
-  const ConjunctiveQuery& normalized() const { return facts().normalized; }
+  const ConjunctiveQuery& normalized() const {
+    const Facts& f = facts();
+    return f.normalized.has_value() ? *f.normalized : *query_;
+  }
   /// normalized().IsPositive() (false when unsatisfiable).
   bool positive() const { return facts().positive; }
 
@@ -66,12 +79,13 @@ class PreparedDisjunct {
     bool satisfiable = false;
     bool positive = false;
     std::string reason;
-    ConjunctiveQuery normalized;
+    /// Empty when query() is its own normal form.
+    std::optional<ConjunctiveQuery> normalized;
   };
   const Facts& facts() const;
 
   const Schema* schema_;
-  ConjunctiveQuery query_;
+  std::shared_ptr<const ConjunctiveQuery> query_;
   mutable std::once_flag facts_once_;
   mutable Facts facts_;
   mutable std::once_flag analysis_once_;
@@ -100,6 +114,11 @@ struct PreparedQuery {
   /// reuses a prepared operand owes this in place of the expansion.
   Status ChargeReuse(ResourceBudget* budget) const;
 };
+
+/// `expansion`'s disjuncts prepared, in order: a pruned disjunct brings
+/// the prune's facts, an unpruned one derives its own.
+PreparedQuery PrepareExpansion(const Schema& schema,
+                               const TerminalExpansion& expansion);
 
 /// NormalizeAndExpand(query) under `options` (its budget is charged the
 /// raw disjunct count before any disjunct is materialized), with every

@@ -298,6 +298,10 @@ struct EventServer::Shared {
           wheel.Schedule(conn, NowTick());
         }
       }
+      // Counted before the connection is armed: once it is, another
+      // server thread may serve and close it before this one goes on.
+      server->accepted_.fetch_add(1, std::memory_order_relaxed);
+      OOCQ_METRIC_ADD("server/connections", 1);
       epoll_event ev{};
       ev.events = EPOLLIN | EPOLLONESHOT;
       ev.data.ptr = conn;
@@ -305,8 +309,6 @@ struct EventServer::Shared {
         Close(conn);
         continue;
       }
-      server->accepted_.fetch_add(1, std::memory_order_relaxed);
-      OOCQ_METRIC_ADD("server/connections", 1);
     }
     if (!stopping()) ArmListener();
   }

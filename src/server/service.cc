@@ -189,6 +189,11 @@ Status OocqService::DefineQuery(const std::string& session_id,
                                 const std::string& name,
                                 const std::string& query_text) {
   if (read_only()) return fenced() ? FencedError(term()) : ReadonlyError();
+  // Parsed here only to refuse an invalid definition before it is logged:
+  // the registry keeps the text, and the first use parses it again.
+  OOCQ_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
+                        FindSession(session_id));
+  OOCQ_RETURN_IF_ERROR(ParseQuery(session->schema, query_text).status());
   // A failed append leaves the definition live in memory; redefinition is
   // idempotent, so the client's retry converges.
   return Commit({.type = persist::RecordType::kDefineQuery,
@@ -389,19 +394,18 @@ StatusOr<bool> OocqService::ApplyRecord(const persist::Record& record) {
       return true;
     }
     case persist::RecordType::kDefineQuery: {
+      // The text alone: its first use parses it (NamedQuery).
       OOCQ_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
                             FindSession(record.session_id));
-      OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery query,
-                            ParseQuery(session->schema, record.text));
       std::unique_lock<std::shared_mutex> lock(session->mu);
       auto old = session->named.find(record.name);
       OOCQ_RETURN_IF_ERROR(RechargeRegistered(
           record.session_id, *session,
           old != session->named.end() ? old->second.text.size() : 0,
           record.text.size()));
-      // A fresh entry: the old text's expansion goes with it.
+      // A fresh entry: the old text's parse and expansion go with it.
       if (old != session->named.end()) session->named.erase(old);
-      session->named.try_emplace(record.name, record.text, std::move(query));
+      session->named.try_emplace(record.name, record.text);
       return true;
     }
     case persist::RecordType::kSetState: {
@@ -542,30 +546,44 @@ void OocqService::FinishOne() {
   }
 }
 
+StatusOr<const ConjunctiveQuery*> OocqService::NamedQuery::Parsed(
+    const Schema& schema) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ParsedLocked(schema);
+}
+
+StatusOr<const ConjunctiveQuery*> OocqService::NamedQuery::ParsedLocked(
+    const Schema& schema) const {
+  if (parsed_ == nullptr) {
+    OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery query, ParseQuery(schema, text));
+    parsed_ = std::make_unique<const ConjunctiveQuery>(std::move(query));
+  }
+  return parsed_.get();
+}
+
 StatusOr<PreparedQuery> OocqService::NamedQuery::Prepare(
     const Schema& schema, const ExpansionOptions& options) const {
-  // The expansion, once made, is immutable and lives as long as this
-  // entry, which outlasts every request holding the session's lock.
-  const Expansion* expansion = nullptr;
+  // The parse and the expansion, once made, are immutable and live as
+  // long as this entry, which outlasts every request holding the
+  // session's lock.
+  const TerminalExpansion* expansion = nullptr;
   bool charged = false;
   {
-    std::lock_guard<std::mutex> lock(expand_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (expansion_ == nullptr) {
       // First use: the expansion charges options.budget itself.
-      Expansion fresh;
-      ExpansionStats stats;
+      OOCQ_ASSIGN_OR_RETURN(const ConjunctiveQuery* query,
+                            ParsedLocked(schema));
       OOCQ_ASSIGN_OR_RETURN(
-          fresh.terminal, NormalizeAndExpand(schema, parsed, options, &stats));
-      fresh.raw_disjuncts = stats.raw_disjuncts;
-      expansion_ = std::make_unique<const Expansion>(std::move(fresh));
+          TerminalExpansion fresh,
+          NormalizeAndExpand(schema, *query, options));
+      expansion_ = std::make_unique<const TerminalExpansion>(std::move(fresh));
       charged = true;
     }
     expansion = expansion_.get();
   }
-  PreparedQuery prepared;
-  prepared.raw_disjuncts = expansion->raw_disjuncts;
+  PreparedQuery prepared = PrepareExpansion(schema, *expansion);
   if (!charged) OOCQ_RETURN_IF_ERROR(prepared.ChargeReuse(options.budget));
-  prepared.disjuncts = PrepareDisjuncts(schema, expansion->terminal.disjuncts);
   return prepared;
 }
 
@@ -715,9 +733,9 @@ Response OocqService::Run(const Request& request, Session& session,
   const Schema& schema = session.schema;
   ContainmentCache* cache = session.cache.get();
 
-  // A query field: `@name` reads a registered query, anything else is
-  // parsed into `*parsed`. Returns the registered entry, or null for
-  // parsed text.
+  // A query field: `@name` reads a registered query (parsed on its first
+  // use), anything else is parsed into `*parsed`. Returns the registered
+  // entry, or null for parsed text.
   auto lookup = [&](const std::string& text, ConjunctiveQuery* parsed)
       -> StatusOr<const NamedQuery*> {
     if (text.empty() || text[0] != '@') {
@@ -730,13 +748,22 @@ Response OocqService::Run(const Request& request, Session& session,
     if (it == session.named.end()) {
       return Status::NotFound("no registered query '" + name + "'");
     }
+    // Only a recovered text can fail here (a client DEFINE is parsed
+    // before it is logged); it answers as if it were never registered.
+    if (Status parses = it->second.Parsed(schema).status(); !parses.ok()) {
+      return Status::NotFound("no registered query '" + name +
+                              "': its text does not parse: " +
+                              parses.message());
+    }
     return &it->second;
   };
   auto resolve = [&](const std::string& text) -> StatusOr<ConjunctiveQuery> {
     ConjunctiveQuery parsed;
     OOCQ_ASSIGN_OR_RETURN(const NamedQuery* named, lookup(text, &parsed));
-    if (named != nullptr) return named->parsed;
-    return parsed;
+    if (named == nullptr) return parsed;
+    OOCQ_ASSIGN_OR_RETURN(const ConjunctiveQuery* query,
+                          named->Parsed(schema));
+    return *query;
   };
   // A decision operand: looked up (or parsed) first, so a bad second
   // operand reports before the first expands, as it always has; then

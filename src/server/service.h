@@ -317,30 +317,37 @@ class OocqService {
     T parsed;
   };
 
-  /// A registered query, with a slot for its Prop 2.1 expansion. The
-  /// first decision that resolves the name fills the slot; DEFINE and
-  /// replay never do. A redefinition replaces the whole entry, slot
-  /// included, under the session's exclusive lock.
-  struct NamedQuery : Registered<ConjunctiveQuery> {
-    NamedQuery(std::string t, ConjunctiveQuery q)
-        : Registered<ConjunctiveQuery>{std::move(t), std::move(q)} {}
+  /// A registered query: its verbatim text, and a slot for its parse and
+  /// its Prop 2.1 expansion. DEFINE, replay and replication store the
+  /// text alone; the first request that reads the name parses it, and the
+  /// first decision expands it. A redefinition replaces the whole entry,
+  /// slot included, under the session's exclusive lock.
+  class NamedQuery {
+   public:
+    explicit NamedQuery(std::string t) : text(std::move(t)) {}
+
+    const std::string text;
+
+    /// The parsed text, from the slot. A text that does not parse (a
+    /// recovered record from a hand-edited file or a removed feature)
+    /// returns the parser's error on every call.
+    StatusOr<const ConjunctiveQuery*> Parsed(const Schema& schema) const;
     /// The query prepared for one request (core/prepared.h): its
-    /// expansion comes from the slot, its disjuncts' facts and keys are
-    /// derived for this request. The first caller expands under
-    /// `options`, whose budget the expansion charges; a later caller
-    /// charges options.budget the raw disjunct count instead, as
-    /// expanding again would. A failed expansion is not kept: the next
-    /// caller expands again.
+    /// expansion comes from the slot, and its disjuncts carry the
+    /// prune's facts; their analyses and keys are derived for this
+    /// request. The first caller expands under `options`, whose budget
+    /// the expansion charges; a later caller charges options.budget the
+    /// raw disjunct count instead, as expanding again would. A failed
+    /// expansion is not kept: the next caller expands again.
     StatusOr<PreparedQuery> Prepare(const Schema& schema,
                                     const ExpansionOptions& options) const;
 
    private:
-    struct Expansion {
-      UnionQuery terminal;
-      uint64_t raw_disjuncts = 0;
-    };
-    mutable std::mutex expand_mu_;
-    mutable std::unique_ptr<const Expansion> expansion_;  // by expand_mu_
+    StatusOr<const ConjunctiveQuery*> ParsedLocked(const Schema& schema) const;
+
+    mutable std::mutex mu_;
+    mutable std::unique_ptr<const ConjunctiveQuery> parsed_;      // by mu_
+    mutable std::unique_ptr<const TerminalExpansion> expansion_;  // by mu_
   };
 
   struct Session {

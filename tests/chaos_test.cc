@@ -33,6 +33,9 @@ namespace {
 
 using persist::DurableCatalog;
 using persist::DurableCatalogOptions;
+using ::oocq::testing::HeavyQ1;
+using ::oocq::testing::HeavyQ2;
+using ::oocq::testing::HeavySchemaText;
 using ::oocq::testing::MustParseQuery;
 using ::oocq::testing::MustParseSchema;
 
@@ -124,24 +127,6 @@ constexpr const char* kSchemaPayload =
     "  class A2 under A { }\n"
     "}\n"
     ".\n";
-
-/// The Cor 3.2 exponential workload: k set-valued attributes make the
-/// Thm 3.1 subset scan walk up to 2^(k-1) membership masks.
-std::string HeavySchemaText(int k) {
-  std::string text = "schema Heavy {\n  class D { }\n  class C { ";
-  for (int i = 0; i < k; ++i) text += "S" + std::to_string(i) + ": {D}; ";
-  text += "}\n}";
-  return text;
-}
-
-std::string HeavyQ1(int k) {
-  std::string q1 = "{ x | exists y exists u (x in D & y in C & u in D";
-  for (int i = 0; i < k; ++i) q1 += " & u in y.S" + std::to_string(i);
-  q1 += " & x notin y.S0) }";
-  return q1;
-}
-
-const char* HeavyQ2() { return "{ x | exists y (x in D & y in C & x notin y.S0) }"; }
 
 // Every failpoint in Failpoints::KnownNames() fires (delay:0 — a no-op
 // action, so this doubles as the fault-free baseline) across one

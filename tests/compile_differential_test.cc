@@ -92,12 +92,13 @@ TEST(CompileDifferentialTest, ThousandRandomPairsAgreeWithTreeWalker) {
   GeneratorParams state_params;
   state_params.objects_per_class = 5;
 
-  // 10 random states × 100 well-formed random queries each: 1000
-  // distinct (query, state) pairs.
+  // 20 random states × 100 well-formed random queries each: 2000
+  // distinct (query, state) pairs (1000 left the set-owner count near
+  // its floor once the generator emitted non-range atoms).
   int compared = 0;
   int ref_owner_programs = 0;
   int set_owner_programs = 0;
-  for (uint64_t state_seed = 1; state_seed <= 10; ++state_seed) {
+  for (uint64_t state_seed = 1; state_seed <= 20; ++state_seed) {
     state_params.seed = state_seed;
     State state = GenerateRandomState(schema, state_params);
     int in_state = 0;

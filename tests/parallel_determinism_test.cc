@@ -160,7 +160,7 @@ TEST_P(ParallelDeterminism, ContainmentVerdictsIdenticalAcrossThreadCounts) {
   // thread count: its ContainmentStats equal the serial run's exactly.
   std::mt19937_64 terminal_rng(GetParam() + 12000);
   int scans = 0;  // pairs whose scan reached past mask 0
-  for (int round = 0; round < 1000; ++round) {
+  for (int round = 0; round < 2000; ++round) {
     std::optional<ConjunctiveQuery> q1 =
         Draw(terminal_rng, /*allow_negative=*/true, /*terminal_only=*/true);
     if (!q1.has_value() || !CheckSatisfiable(schema_, *q1).satisfiable) {

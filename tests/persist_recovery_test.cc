@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -183,6 +184,94 @@ TEST(ServicePersistenceTest, WarmRestartRestoresSessionsQueriesAndCache) {
   Response answers = service.Execute(eval);
   OOCQ_ASSERT_OK(answers.status);
   EXPECT_TRUE(answers.verdict);
+}
+
+// Recovery keeps a definition as its text, and its first use parses it:
+// after a restart it answers CONTAIN, SAT, MINIMIZE and EVAL as before,
+// and the catalog dump holds its text byte for byte, before and after
+// that first use.
+TEST(ServicePersistenceTest, RecoveredDefinitionAnswersAsBeforeAndKeepsText) {
+  const std::string dir = FreshDir("first_use");
+  DurableCatalogOptions catalog_options;
+  catalog_options.data_dir = dir;
+  catalog_options.snapshot_interval_s = 0;
+  catalog_options.group_commit_window_us = 0;
+  ServiceOptions service_options;
+  service_options.metrics = false;
+  // Odd spacing and a comment, which a print-reparse would not keep.
+  const std::map<std::string, std::string> texts = {
+      {"rented",
+       "{ x |  exists y (x in Vehicle & y in Client &\n"
+       "   x in y.VehRented) }  # any rented vehicle"},
+      {"discounted",
+       "{ x | exists y (x in Auto & y in Discount & x in y.VehRented) }"},
+  };
+  auto answers = [](OocqService& service, const std::string& sid) {
+    std::vector<std::string> out;
+    for (const auto& [kind, q1, q2] :
+         std::vector<std::tuple<RequestKind, std::string, std::string>>{
+             {RequestKind::kContained, "@rented", "{ x | x in Vehicle }"},
+             {RequestKind::kContained, "@discounted", "@rented"},
+             {RequestKind::kEquivalent, "@rented", "@discounted"},
+             {RequestKind::kSatisfiable, "@discounted", ""},
+             {RequestKind::kMinimize, "@rented", ""},
+             {RequestKind::kEvaluate, "@rented", ""},
+             {RequestKind::kEvaluate, "@discounted", ""},
+         }) {
+      Request request;
+      request.kind = kind;
+      request.session_id = sid;
+      request.query = q1;
+      request.query2 = q2;
+      Response response = service.Execute(request);
+      out.push_back(response.status.ToString() + " " +
+                    std::to_string(response.verdict) + " " + response.body);
+    }
+    return out;
+  };
+  auto dumped = [](const OocqService& service) {
+    std::map<std::string, std::string> out;
+    StatusOr<DurableCatalog::PositionedDump> dump =
+        service.options().catalog->DumpWithPosition();
+    EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+    if (!dump.ok()) return out;
+    for (const Record& record : dump->records) {
+      if (record.type == RecordType::kDefineQuery) {
+        out[record.name] = record.text;
+      }
+    }
+    return out;
+  };
+
+  std::string sid;
+  std::vector<std::string> before;
+  {
+    service_options.catalog = MustOpen(catalog_options);
+    OocqService service(service_options);
+    StatusOr<std::string> created = service.CreateSession(kVehicleRentalSchema);
+    OOCQ_ASSERT_OK(created.status());
+    sid = *created;
+    for (const auto& [name, text] : texts) {
+      OOCQ_ASSERT_OK(service.DefineQuery(sid, name, text));
+    }
+    OOCQ_ASSERT_OK(service.LoadState(
+        sid, "state { a1: Auto { } t1: Truck { } "
+             "d1: Discount { VehRented = { a1 }; } "
+             "r1: Regular { VehRented = { t1 }; } }"));
+    before = answers(service, sid);
+    EXPECT_EQ(dumped(service), texts);
+  }
+  ASSERT_EQ(before.size(), 7u);
+  EXPECT_EQ(before[0], "OK 1 ");
+  EXPECT_EQ(before[1], "OK 1 ");
+  EXPECT_EQ(before[2], "OK 0 ");
+  EXPECT_EQ(before[3], "OK 1 ");
+
+  service_options.catalog = MustOpen(catalog_options);
+  OocqService service(service_options);
+  EXPECT_EQ(dumped(service), texts);  // recovered, not yet used
+  EXPECT_EQ(answers(service, sid), before);
+  EXPECT_EQ(dumped(service), texts);  // parsed by the requests above
 }
 
 TEST(ServicePersistenceTest, DropSessionIsDurable) {

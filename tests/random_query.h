@@ -19,7 +19,7 @@ namespace oocq::testing {
 struct RandomQueryParams {
   uint32_t max_vars = 4;
   uint32_t max_extra_atoms = 4;
-  /// Also emit inequality and non-membership atoms.
+  /// Also emit inequality, non-membership and non-range atoms.
   bool allow_negative = false;
   /// Range atoms name single terminal classes only; otherwise any class
   /// (or a two-class disjunction) may appear.
@@ -112,7 +112,7 @@ inline ConjunctiveQuery GenerateRandomQuery(const Schema& schema,
           break;  // Fall through to a structural atom.
       }
     }
-    switch (pick(params.allow_negative ? 5 : 3)) {
+    switch (pick(params.allow_negative ? 6 : 3)) {
       case 0:  // var = var
         query.AddAtom(Atom::Equality(Term::Var(a), Term::Var(b)));
         break;
@@ -138,6 +138,12 @@ inline ConjunctiveQuery GenerateRandomQuery(const Schema& schema,
         std::vector<std::string> names = set_attrs(b);
         if (names.empty()) break;
         query.AddAtom(Atom::NonMembership(a, b, names[pick(names.size())]));
+        break;
+      }
+      case 5: {  // var notin C1 | C2 (normalization drops it when implied)
+        std::vector<ClassId> classes = {any_pool[pick(any_pool.size())]};
+        if (pick(3) == 0) classes.push_back(any_pool[pick(any_pool.size())]);
+        query.AddAtom(Atom::NonRange(a, std::move(classes)));
         break;
       }
     }

@@ -94,19 +94,14 @@ EventServerOptions TestServerOptions() {
   return options;
 }
 
-// The heavy Cor 3.2 workload of server_service_test, as wire payload.
+// The heavy Cor 3.2 workload (test_util.h), as wire payload.
 std::string HeavySchemaPayload(int k) {
-  std::string text = "schema Heavy {\n  class D { }\n  class C { ";
-  for (int i = 0; i < k; ++i) text += "S" + std::to_string(i) + ": {D}; ";
-  text += "}\n}\n.\n";
-  return text;
+  return ::oocq::testing::HeavySchemaText(k) + "\n.\n";
 }
 
 std::string HeavyContainPayload(int k) {
-  std::string q1 = "{ x | exists y exists u (x in D & y in C & u in D";
-  for (int i = 0; i < k; ++i) q1 += " & u in y.S" + std::to_string(i);
-  q1 += " & x notin y.S0) }";
-  return q1 + "\n{ x | exists y (x in D & y in C & x notin y.S0) }\n.\n";
+  return ::oocq::testing::HeavyQ1(k) + "\n" + ::oocq::testing::HeavyQ2() +
+         "\n.\n";
 }
 
 // Options for the heavy workload at k=40: the candidate cap admits the 39

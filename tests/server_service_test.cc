@@ -16,45 +16,24 @@
 #include "server/protocol.h"
 #include "server/service.h"
 #include "support/cancellation.h"
+#include "support/metrics.h"
 #include "test_util.h"
 
 namespace oocq::server {
 namespace {
 
+using ::oocq::testing::HeavyQ1;
+using ::oocq::testing::HeavyQ2;
+using ::oocq::testing::HeavySchemaText;
 using ::oocq::testing::kVehicleRentalSchema;
 using ::oocq::testing::MustParseQuery;
 using ::oocq::testing::MustParseSchema;
 
-// ---- Heavy workload: a containment whose Thm 3.1 subset scan is 2^(k-1)
-// masks (the Cor 3.2 axis; bench_containment_general measures the same
-// shape). At k=40 even the compiled scan (the production path) takes far
-// longer than any test deadline, and cancellation is polled inside it,
-// so a deadline trips mid-scan deterministically.
-
-std::string HeavySchemaText(int k) {
-  std::string text = "schema Heavy {\n  class D { }\n  class C { ";
-  for (int i = 0; i < k; ++i) {
-    text += "S" + std::to_string(i) + ": {D}; ";
-  }
-  text += "}\n}";
-  return text;
-}
-
-// One element witness u in every set y.S_i plus the pin x notin y.S0:
-// the candidate pool T is {x in y.S_j : j >= 1}, all 2^(k-1) subsets
-// are scanned, and the containment holds.
-std::string HeavyQ1(int k) {
-  std::string text = "{ x | exists y exists u (x in D & y in C & u in D";
-  for (int i = 0; i < k; ++i) {
-    text += " & u in y.S" + std::to_string(i);
-  }
-  text += " & x notin y.S0) }";
-  return text;
-}
-
-const char* HeavyQ2() {
-  return "{ x | exists y (x in D & y in C & x notin y.S0) }";
-}
+// ---- Heavy workload (test_util.h): a containment whose Thm 3.1 subset
+// scan is 2^(k-1) masks (the Cor 3.2 axis; bench_containment_general
+// measures the same shape). At k=40 even the compiled scan (the production
+// path) takes far longer than any test deadline, and cancellation is
+// polled inside it, so a deadline trips mid-scan deterministically.
 
 // Service options for the heavy workload at k=40: the candidate cap admits
 // its 39 membership atoms (the default cap of 24 would refuse them).
@@ -548,6 +527,46 @@ TEST(ServicePreparedTest, ConcurrentFirstUseExpandsEachNameOnce) {
   EXPECT_EQ(service.metrics().CounterValue("expand/raw_disjuncts"), 2u + 4u);
 }
 
+// A cache-hot decision on @names runs no Thm 2.2 check: the slot's
+// disjuncts carry the facts the expansion's prune established, and a
+// cached verdict needs only their keys.
+TEST(ServicePreparedTest, CacheHotDecisionsRunNoSatisfiabilityCheck) {
+  ServiceOptions options;
+  options.metrics = false;
+  OocqService service(options);
+  StatusOr<std::string> sid = service.CreateSession(kLeafSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "a", kTwoWay));
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "b", kFourWay));
+  Request equivalent = MakeContain(*sid, "@a", "@b");
+  equivalent.kind = RequestKind::kEquivalent;
+  const std::vector<Request> requests = {
+      MakeContain(*sid, "@a", "@b"), MakeContain(*sid, "@b", "@a"),
+      equivalent};
+  // Warm-up: fills both slots and the cache with every pair.
+  for (const Request& request : requests) {
+    Response response = service.Execute(request);
+    OOCQ_ASSERT_OK(response.status);
+    EXPECT_TRUE(response.verdict);
+  }
+
+  MetricsRegistry registry;
+  {
+    MetricsScope scope(&registry);
+    ASSERT_TRUE(scope.active());
+    for (int round = 0; round < 3; ++round) {
+      for (const Request& request : requests) {
+        Response response = service.Execute(request);
+        OOCQ_ASSERT_OK(response.status);
+        EXPECT_TRUE(response.verdict);
+      }
+    }
+  }
+  EXPECT_GT(registry.CounterValue("cache/hit"), 0u);
+  EXPECT_EQ(registry.CounterValue("cache/miss"), 0u);
+  EXPECT_EQ(registry.CounterValue("satisfiability/checks"), 0u);
+}
+
 // A redefinition replaces the expansion with the text: no request after
 // the DEFINE sees the old one.
 TEST(ServicePreparedTest, RedefinitionReplacesTheExpansion) {
@@ -601,10 +620,10 @@ TEST(ServicePreparedTest, PersistedCacheKeysAreByteIdentical) {
   const char* b = "{ x | x in A1 }";
   Schema schema = MustParseSchema(kLeafSchema);
   auto key_of = [&](const char* text) {
-    StatusOr<UnionQuery> expanded =
+    StatusOr<TerminalExpansion> expanded =
         NormalizeAndExpand(schema, MustParseQuery(schema, text));
-    EXPECT_TRUE(expanded.ok() && expanded->disjuncts.size() == 1u) << text;
-    return expanded.ok() ? CanonicalKey(expanded->disjuncts[0]) : "";
+    EXPECT_TRUE(expanded.ok() && expanded->pruned.size() == 1u) << text;
+    return expanded.ok() ? CanonicalKey(expanded->pruned[0].query()) : "";
   };
   const std::string k1 = key_of(a);
   const std::string key = std::to_string(k1.size()) + ":" + k1 + key_of(b);
