@@ -1,5 +1,5 @@
-// Observability overhead benchmark: the same redundancy-heavy positive
-// union (dense containment matrix, as in bench_parallel.cpp) pushed
+// Observability overhead benchmark: a redundancy-heavy positive union
+// (chains of length 1..k, so the containment matrix is dense) pushed
 // through MinimizePositiveUnion in three modes — sinks disabled, metrics
 // collecting, and full tracing — plus a micro-measurement of the
 // disabled-path cost of one span+counter site (a relaxed atomic load and

@@ -47,7 +47,7 @@ using namespace oocq;
 /// The flag registry doubles as the usage text; main() binds the same
 /// instance, so Dispatch's arity errors print identical help.
 examples::FlagSet MakeFlagSet(std::string* trace_path, bool* want_metrics,
-                              uint64_t* num_threads, bool* no_compile) {
+                              bool* no_compile) {
   examples::FlagSet flags(
       "oocq_cli",
       "SCHEMA (minimize Q | contain Q1 Q2 | equiv Q1 Q2 | satisfiable Q | "
@@ -57,9 +57,6 @@ examples::FlagSet MakeFlagSet(std::string* trace_path, bool* want_metrics,
             "write a Chrome trace of the run to FILE (implies --metrics)");
   flags.Bool("metrics", want_metrics,
              "print the engine metrics registry as STATS text");
-  flags.Uint("threads", num_threads, "N",
-             "engine worker threads (1 = serial, 0 = one per hardware "
-             "thread)");
   flags.Bool("no-compile", no_compile,
              "disable the query-compilation fast paths (bytecode VM + "
              "compiled subset scan; docs/compilation.md) for A/B runs");
@@ -69,10 +66,8 @@ examples::FlagSet MakeFlagSet(std::string* trace_path, bool* want_metrics,
 int Usage() {
   std::string trace_path;
   bool want_metrics = false;
-  uint64_t num_threads = 1;
   bool no_compile = false;
-  return MakeFlagSet(&trace_path, &want_metrics, &num_threads, &no_compile)
-      .UsageError();
+  return MakeFlagSet(&trace_path, &want_metrics, &no_compile).UsageError();
 }
 
 std::string ReadFileOrDie(const char* path) {
@@ -213,10 +208,9 @@ int Dispatch(const Schema& schema, const MinimizationOptions& options,
 int main(int argc, char** argv) {
   std::string trace_path;
   bool want_metrics = false;
-  uint64_t num_threads = 1;
   bool no_compile = false;
   examples::FlagSet flags =
-      MakeFlagSet(&trace_path, &want_metrics, &num_threads, &no_compile);
+      MakeFlagSet(&trace_path, &want_metrics, &no_compile);
   int arg = flags.Parse(argc, argv);
   if (argc - arg < 3) return Usage();
 
@@ -228,7 +222,6 @@ int main(int argc, char** argv) {
   const bool observing = want_metrics || !trace_path.empty();
   MinimizationOptions options;
   options.observability.metrics = observing;
-  options.parallel.num_threads = static_cast<uint32_t>(num_threads);
   options.enable_compilation = !no_compile;
 
   TraceLog trace_log;

@@ -2,8 +2,8 @@
 // deadlines, batching and (optionally) a durable catalog over the line
 // protocol of docs/server.md.
 //
-//   oocq_serve [--port=N] [--workers=N] [--queue=N] [--threads=N]
-//              [--io_threads=N] [--idle_timeout_ms=N] [--deadline_ms=N]
+//   oocq_serve [--port=N] [--workers=N] [--queue=N] [--io_threads=N]
+//              [--idle_timeout_ms=N] [--deadline_ms=N]
 //              [--data-dir=DIR] [--snapshot_interval_s=N] [--failpoints=SPEC]
 //              [--max_disjuncts=N] [--max_work_units=N]
 //              [--max_resident_bytes=N] [--watchdog_s=N]
@@ -351,7 +351,7 @@ class RejoinCoordinator {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t port = 7733, workers = 4, queue = 64, threads = 1, deadline_ms = 0;
+  uint64_t port = 7733, workers = 4, queue = 64, deadline_ms = 0;
   uint64_t snapshot_interval_s = 60;
   uint64_t max_disjuncts = 0, max_work_units = 0, max_resident_bytes = 0;
   uint64_t watchdog_s = 5;
@@ -378,8 +378,6 @@ int main(int argc, char** argv) {
   flags.Uint("queue", &queue, "N",
              "waiting requests beyond --workers before shedding with "
              "UNAVAILABLE (default 64)");
-  flags.Uint("threads", &threads, "N",
-             "engine threads per request (default 1)");
   flags.Uint("io_threads", &io_threads, "N",
              "server threads, each serving the connections it takes "
              "and running their requests (default 8; "
@@ -473,7 +471,6 @@ int main(int argc, char** argv) {
 
   ServiceOptions service_options;
   service_options.engine.enable_compilation = !no_compile;
-  service_options.engine.parallel.num_threads = static_cast<uint32_t>(threads);
   service_options.max_in_flight = static_cast<uint32_t>(workers);
   service_options.max_queue_depth = static_cast<uint32_t>(queue);
   service_options.default_deadline_ms = deadline_ms;
@@ -561,8 +558,6 @@ int main(int argc, char** argv) {
       .With("port", static_cast<uint64_t>(server->port()))
       .With("workers", static_cast<uint64_t>(service_options.max_in_flight))
       .With("queue", static_cast<uint64_t>(service_options.max_queue_depth))
-      .With("threads",
-            static_cast<uint64_t>(service_options.engine.parallel.num_threads))
       .With("deadline_ms", deadline_ms)
       .With("data_dir", data_dir);
   coordinator.Adopt(std::move(follower));

@@ -1,7 +1,6 @@
 #include "core/containment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <set>
 #include <utility>
@@ -17,7 +16,6 @@
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/status_macros.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace oocq {
@@ -37,18 +35,6 @@ bool HasAtomKind(const ConjunctiveQuery& query, AtomKind kind) {
   return std::any_of(
       query.atoms().begin(), query.atoms().end(),
       [kind](const Atom& atom) { return atom.kind() == kind; });
-}
-
-/// Atomically lowers `target` to `value` if `value` is smaller. Workers
-/// publish decisive events through this so later indices can stop early;
-/// the final minimum is schedule-independent because indices are claimed
-/// in order (support/thread_pool.h).
-template <typename T>
-void AtomicMin(std::atomic<T>& target, T value) {
-  T current = target.load(std::memory_order_relaxed);
-  while (value < current && !target.compare_exchange_weak(
-                                current, value, std::memory_order_acq_rel)) {
-  }
 }
 
 /// The pool T of Thm 3.1 for a (possibly augmented) satisfiable terminal
@@ -413,63 +399,23 @@ StatusOr<bool> UnionContained(const Schema& schema, const PreparedDisjuncts& m,
     }
   }
 
-  // Thm 4.1 fan-out: each disjunct of M is tested independently. The
-  // verdict is the smallest decisive disjunct index (a "not contained
-  // anywhere" or an error), matching the serial in-order scan.
-  struct DisjunctResult {
-    bool decisive = false;
-    bool is_error = false;
-    Status error = Status::Ok();
-    ContainmentStats stats;
-  };
-  std::atomic<size_t> first_event{static_cast<size_t>(-1)};
-  OOCQ_ASSIGN_OR_RETURN(
-      std::vector<DisjunctResult> outcomes,
-      (ParallelMap<DisjunctResult>(
-          options.parallel, m.size(),
-          [&](size_t i) -> StatusOr<DisjunctResult> {
-            DisjunctResult result;
-            if (i > first_event.load(std::memory_order_acquire)) {
-              return result;  // a smaller index already decided
-            }
-            if (options.cancel != nullptr) {
-              Status live = options.cancel->Check();
-              if (!live.ok()) {
-                result.decisive = true;
-                result.is_error = true;
-                result.error = std::move(live);
-                AtomicMin(first_event, i);
-                return result;
-              }
-            }
-            const PreparedDisjunct& qi = *m[i];
-            if (!qi.satisfiable()) return result;
-            for (const std::shared_ptr<const PreparedDisjunct>& pj : n) {
-              StatusOr<bool> contained =
-                  cache != nullptr
-                      ? cache->Contained(qi, *pj, &result.stats,
-                                         options.cancel, options.budget)
-                      : Contained(schema, qi, *pj, options, &result.stats);
-              if (!contained.ok()) {
-                result.decisive = true;
-                result.is_error = true;
-                result.error = contained.status();
-                AtomicMin(first_event, i);
-                return result;
-              }
-              if (*contained) return result;
-            }
-            result.decisive = true;  // contained in no disjunct of N
-            AtomicMin(first_event, i);
-            return result;
-          })));
-  for (const DisjunctResult& outcome : outcomes) {
-    if (stats != nullptr) stats->Add(outcome.stats);
-  }
-  for (const DisjunctResult& outcome : outcomes) {
-    if (!outcome.decisive) continue;
-    if (outcome.is_error) return outcome.error;
-    return false;
+  // Thm 4.1: each satisfiable disjunct of M must be contained in some
+  // disjunct of N; the first that is not decides.
+  for (const std::shared_ptr<const PreparedDisjunct>& qi : m) {
+    if (options.cancel != nullptr) {
+      OOCQ_RETURN_IF_ERROR(options.cancel->Check());
+    }
+    if (!qi->satisfiable()) continue;
+    bool contained_somewhere = false;
+    for (const std::shared_ptr<const PreparedDisjunct>& pj : n) {
+      OOCQ_ASSIGN_OR_RETURN(
+          contained_somewhere,
+          cache != nullptr ? cache->Contained(*qi, *pj, stats, options.cancel,
+                                              options.budget)
+                           : Contained(schema, *qi, *pj, options, stats));
+      if (contained_somewhere) break;
+    }
+    if (!contained_somewhere) return false;
   }
   return true;
 }

@@ -11,7 +11,6 @@
 #include "support/cancellation.h"
 #include "support/resource_budget.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 
 namespace oocq {
 
@@ -42,20 +41,12 @@ struct ContainmentOptions {
   /// identical to the interpreted scan (the serial per-mask reference,
   /// which stays the fallback for shapes the compiled scan refuses).
   bool enable_compilation = true;
-  /// Fan-out knobs for the per-disjunct tests of UnionContained();
-  /// Contained() itself runs serially. Default serial; the pipeline entry
-  /// points overwrite this with EngineOptions::parallel
-  /// (core/engine_options.h). Verdicts are schedule-independent; only
-  /// UnionContained()'s work counters may differ when an early exit races
-  /// (docs/parallelism.md).
-  ParallelOptions parallel;
   /// Cooperative cancellation (support/cancellation.h), polled between
   /// independent work items — per membership-subset mask, per
   /// augmentation, per disjunct test, per self-mapping search. When the
   /// token trips, the test aborts with its retryable status
-  /// (kDeadlineExceeded / kUnavailable) instead of finishing the scan;
-  /// every fan-out worker polls the same token, so one expiry drains the
-  /// whole region. Null (the default) disables polling. Not owned.
+  /// (kDeadlineExceeded / kUnavailable) instead of finishing the scan.
+  /// Null (the default) disables polling. Not owned.
   const CancellationToken* cancel = nullptr;
   /// Optional shared budget, charged one subset work unit per membership
   /// mask scanned — the same cadence the cancellation token is polled at.
@@ -66,10 +57,6 @@ struct ContainmentOptions {
 };
 
 /// Work counters filled by Contained() when non-null (benches E4/E8).
-/// Contained() runs serially, so its counters are the same at every
-/// thread count. Under UnionContained()'s fan-out they measure the work
-/// actually done: identical to the serial run except on early-exit
-/// paths, where cancelled workers may have completed extra units first.
 struct ContainmentStats {
   uint64_t augmentations = 0;
   /// Membership-subset masks actually tested (a mapping search ran, or
@@ -85,13 +72,11 @@ struct ContainmentStats {
   uint64_t mapping_steps = 0;
   /// Containment-cache traffic of the decisions this call routed through
   /// a ContainmentCache (both zero when no cache was involved). Misses
-  /// equal the distinct decisions computed — deterministic across thread
-  /// counts on the positive pipeline (docs/parallelism.md).
+  /// equal the distinct decisions computed.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
 
-  /// Accumulates `other` into this (fan-out workers aggregate task-local
-  /// counters through this).
+  /// Accumulates `other` into this.
   void Add(const ContainmentStats& other) {
     augmentations += other.augmentations;
     membership_subsets += other.membership_subsets;
@@ -164,9 +149,10 @@ class ContainmentCache;
 /// M ⊆ N iff every satisfiable disjunct of M is contained in some disjunct
 /// of N. Returns FailedPrecondition when a satisfiable disjunct is not
 /// positive or not terminal (the componentwise characterization does not
-/// hold for general queries). The per-disjunct tests are independent and
-/// fan out over options.parallel; the verdict is schedule-independent.
-/// When `cache` is non-null the per-disjunct tests route through it (its
+/// hold for general queries). M's disjuncts are tested in order, and the
+/// first one contained in no disjunct of N (or the first error) decides:
+/// `stats` counts the tests run up to it and none after. When `cache` is
+/// non-null the per-disjunct tests route through it (its
 /// ContainmentOptions govern those decisions) and its hit/miss traffic
 /// lands in `stats`.
 StatusOr<bool> UnionContained(const Schema& schema,

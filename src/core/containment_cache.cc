@@ -24,10 +24,6 @@ ContainmentCache::ContainmentCache(const Schema* schema, Options options)
           : std::max<size_t>(1, options_.max_entries / num_shards);
 }
 
-ContainmentCache::ContainmentCache(const Schema* schema,
-                                   ContainmentOptions containment)
-    : ContainmentCache(schema, Options{.containment = containment}) {}
-
 std::unique_ptr<ContainmentCache> MakeContainmentCache(
     const Schema* schema, const EngineOptions& options) {
   if (!options.cache.enabled) return nullptr;

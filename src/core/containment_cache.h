@@ -27,12 +27,11 @@ namespace oocq {
 /// view-selection matrices) hits the cache for every renamed duplicate.
 ///
 /// Thread-safe: the table is split into independently mutex-guarded
-/// shards, so the engine's parallel fan-outs share one memo table instead
-/// of one engine per thread. Each decision is computed exactly once — a
-/// thread requesting a key another thread is already computing blocks on
-/// that shard until the value lands and then counts a hit. This keeps
-/// hit/miss counters and the aggregated work statistics deterministic
-/// across thread counts (misses == distinct keys decided).
+/// shards, so the concurrent requests of a server session share one memo
+/// table. Each decision is computed exactly once — a thread requesting a
+/// key another thread is already computing blocks on that shard until the
+/// value lands and then counts a hit, so misses equal the distinct keys
+/// decided, however the requests interleave.
 ///
 /// The table is capped: when a shard reaches its share of
 /// `Options::max_entries`, its oldest finished entry is evicted (FIFO).
@@ -51,8 +50,6 @@ class ContainmentCache {
   explicit ContainmentCache(const Schema* schema)
       : ContainmentCache(schema, Options()) {}
   ContainmentCache(const Schema* schema, Options options);
-  /// Back-compat constructor: containment limits only, default sharding.
-  ContainmentCache(const Schema* schema, ContainmentOptions containment);
 
   ContainmentCache(const ContainmentCache&) = delete;
   ContainmentCache& operator=(const ContainmentCache&) = delete;
@@ -134,9 +131,8 @@ class ContainmentCache {
 
 /// The memo table an engine run (or a server session) shares, built from
 /// `options`: its decisions compute under options.containment with
-/// `parallel` and `enable_compilation` propagated
-/// (WithPropagatedParallelism), and options.cache sizes it. Null when
-/// options.cache.enabled is false.
+/// `enable_compilation` propagated (WithPropagatedParallelism), and
+/// options.cache sizes it. Null when options.cache.enabled is false.
 std::unique_ptr<ContainmentCache> MakeContainmentCache(
     const Schema* schema, const EngineOptions& options);
 

@@ -7,7 +7,6 @@
 #include "core/containment.h"
 #include "core/expansion.h"
 #include "support/resource_budget.h"
-#include "support/thread_pool.h"
 
 namespace oocq {
 
@@ -28,7 +27,7 @@ struct ObservabilityOptions {
 };
 
 /// Sizing knobs for the shared containment memo table the optimizer
-/// pipeline threads through its fan-out (core/containment_cache.h).
+/// pipeline threads through its phases (core/containment_cache.h).
 struct CacheOptions {
   /// Memoize Contained() decisions across the pipeline. Disabling falls
   /// back to recomputing every pair.
@@ -41,21 +40,21 @@ struct CacheOptions {
   uint32_t num_shards = 16;
 };
 
+/// Ignored: every request runs on the thread that called it. Kept only
+/// so existing callers that set `num_threads` still build.
+struct ParallelOptions {
+  uint32_t num_threads = 1;
+};
+
 /// The unified option set for the engine: one struct configures the whole
-/// §3/§4 pipeline — containment limits, Prop 2.1 expansion caps, parallel
-/// fan-out, and the shared containment cache. `MinimizationOptions`
-/// (core/minimization.h) is an alias, so existing call sites compile
-/// unchanged; new code should say EngineOptions.
-///
-/// `parallel` governs the pipeline-level fan-outs (the containment matrix
-/// of RemoveRedundantDisjuncts, per-disjunct pruning/minimization, the
-/// per-disjunct tests of UnionContained). The pipeline entry points copy
-/// it into `containment.parallel` so the Thm 3.1 subset enumeration inside
-/// Contained() sees the same knobs; set `containment.parallel` directly
-/// only when calling Contained() outside the pipeline.
+/// §3/§4 pipeline — containment limits, Prop 2.1 expansion caps and the
+/// shared containment cache. `MinimizationOptions` (core/minimization.h)
+/// is an alias, so existing call sites compile unchanged; new code should
+/// say EngineOptions.
 struct EngineOptions {
   ContainmentOptions containment;
   ExpansionOptions expansion;
+  /// Ignored, like ParallelOptions itself.
   ParallelOptions parallel;
   CacheOptions cache;
   ObservabilityOptions observability;
@@ -76,11 +75,10 @@ struct EngineOptions {
   ResourceLimits limits;
 };
 
-/// Returns `options` with `parallel` propagated into the containment and
-/// expansion sub-structs — what the pipeline entry points apply on entry.
+/// Returns `options` with `enable_compilation` propagated into the
+/// containment sub-struct — what the pipeline entry points apply on entry.
+/// The name is historical; it is kept so existing callers still build.
 inline EngineOptions WithPropagatedParallelism(EngineOptions options) {
-  options.containment.parallel = options.parallel;
-  options.expansion.parallel = options.parallel;
   options.containment.enable_compilation = options.enable_compilation;
   return options;
 }

@@ -8,7 +8,6 @@
 #include "query/well_formed.h"
 #include "support/metrics.h"
 #include "support/status_macros.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace oocq {
@@ -93,27 +92,17 @@ StatusOr<std::vector<ConjunctiveQuery>> Expand(const Schema& schema,
       result.push_back(build_combination(c));
     }
   } else {
-    // Each combination's satisfiability check + normalization is
-    // independent: fan out, keep survivors in enumeration order.
+    // Keep each satisfiable combination's normal form, in enumeration
+    // order.
     OOCQ_TRACE_SPAN(prune_span, "SatisfiabilityPrune");
     prune_span.Arg("raw", product);
     ScopedPhaseTimer prune_timer("phase/satisfiability_prune");
-    OOCQ_ASSIGN_OR_RETURN(
-        std::vector<std::optional<ConjunctiveQuery>> pruned,
-        (ParallelMap<std::optional<ConjunctiveQuery>>(
-            options.parallel, static_cast<size_t>(product),
-            [&](size_t c) -> StatusOr<std::optional<ConjunctiveQuery>> {
-              ConjunctiveQuery disjunct = build_combination(c);
-              if (!CheckSatisfiable(schema, disjunct, *graph).satisfiable) {
-                return std::optional<ConjunctiveQuery>();
-              }
-              OOCQ_ASSIGN_OR_RETURN(
-                  ConjunctiveQuery normalized,
-                  NormalizeTerminalQuery(schema, disjunct, *graph));
-              return std::optional<ConjunctiveQuery>(std::move(normalized));
-            })));
-    for (std::optional<ConjunctiveQuery>& disjunct : pruned) {
-      if (disjunct.has_value()) result.push_back(*std::move(disjunct));
+    for (uint64_t c = 0; c < product; ++c) {
+      ConjunctiveQuery disjunct = build_combination(c);
+      if (!CheckSatisfiable(schema, disjunct, *graph).satisfiable) continue;
+      OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery normalized,
+                            NormalizeTerminalQuery(schema, disjunct, *graph));
+      result.push_back(std::move(normalized));
     }
   }
 

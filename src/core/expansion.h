@@ -9,7 +9,6 @@
 #include "schema/schema.h"
 #include "support/resource_budget.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 
 namespace oocq {
 
@@ -26,11 +25,6 @@ struct ExpansionOptions {
   /// (remove non-range atoms etc.). Disable to obtain the raw Prop 2.1
   /// expansion.
   bool prune_unsatisfiable = true;
-  /// Fan-out knobs for the per-combination satisfiability pruning; each
-  /// Prop 2.1 combination is checked independently and the surviving
-  /// disjuncts keep enumeration order. Default serial; the pipeline entry
-  /// points overwrite this with EngineOptions::parallel.
-  ParallelOptions parallel;
 };
 
 /// Statistics about one expansion (reported by the minimizer).

@@ -12,7 +12,6 @@
 #include "query/well_formed.h"
 #include "support/metrics.h"
 #include "support/status_macros.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace oocq {
@@ -142,35 +141,19 @@ StatusOr<MinimizationReport> MinimizeConjunctiveQuery(
                                &report.containment));
   report.nonredundant_disjuncts = nonredundant.disjuncts.size();
 
-  // Verified folding of each survivor is independent work (Thm 4.3 does
-  // not extend to general disjuncts, so each fold re-verifies; the
-  // verification containments are per-disjunct and fan out with them).
-  struct FoldOutcome {
-    ConjunctiveQuery folded;
-    uint64_t removed = 0;
-    ContainmentStats stats;
-  };
+  // Verified folding of each survivor (Thm 4.3 does not extend to
+  // general disjuncts, so each fold re-verifies).
   OOCQ_TRACE_SPAN(fold_span, "FoldDisjuncts");
   fold_span.Arg("disjuncts",
                 static_cast<uint64_t>(nonredundant.disjuncts.size()));
   ScopedPhaseTimer fold_timer("phase/fold_vars");
-  OOCQ_ASSIGN_OR_RETURN(
-      std::vector<FoldOutcome> outcomes,
-      (ParallelMap<FoldOutcome>(
-          opts.parallel, nonredundant.disjuncts.size(),
-          [&](size_t i) -> StatusOr<FoldOutcome> {
-            FoldOutcome outcome;
-            OOCQ_ASSIGN_OR_RETURN(
-                outcome.folded,
-                FoldTerminalQueryVerified(schema, nonredundant.disjuncts[i],
-                                          opts, &outcome.removed,
-                                          &outcome.stats));
-            return outcome;
-          })));
-  for (FoldOutcome& outcome : outcomes) {
-    report.variables_removed += outcome.removed;
-    report.containment.Add(outcome.stats);
-    report.minimized.disjuncts.push_back(std::move(outcome.folded));
+  for (const ConjunctiveQuery& disjunct : nonredundant.disjuncts) {
+    OOCQ_ASSIGN_OR_RETURN(
+        ConjunctiveQuery folded,
+        FoldTerminalQueryVerified(schema, disjunct, opts,
+                                  &report.variables_removed,
+                                  &report.containment));
+    report.minimized.disjuncts.push_back(std::move(folded));
   }
   fold_span.Arg("vars_removed", report.variables_removed);
   OOCQ_METRIC_ADD("minimize/vars_removed", report.variables_removed);

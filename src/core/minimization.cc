@@ -1,6 +1,5 @@
 #include "core/minimization.h"
 
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -16,7 +15,6 @@
 #include "query/well_formed.h"
 #include "support/metrics.h"
 #include "support/status_macros.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace oocq {
@@ -45,9 +43,8 @@ MappingResult FindEliminatingSelfMapping(const Schema& schema,
   return mapping;
 }
 
-/// Fans the variable minimization of each disjunct out over
-/// options.parallel and appends the results (and their work counters) to
-/// `report` in input order.
+/// Minimizes the variables of each disjunct in order and appends the
+/// results (and their work counters) to `report`.
 Status MinimizeDisjunctsInto(const Schema& schema,
                              const UnionQuery& nonredundant,
                              const EngineOptions& options,
@@ -57,42 +54,18 @@ Status MinimizeDisjunctsInto(const Schema& schema,
   OOCQ_TRACE_SPAN(span, "MinimizeVariables");
   span.Arg("disjuncts", static_cast<uint64_t>(nonredundant.disjuncts.size()));
   ScopedPhaseTimer timer("phase/minimize_vars");
-  struct DisjunctOutcome {
-    ConjunctiveQuery minimal;
-    uint64_t removed = 0;
-    ContainmentStats stats;
-  };
-  OOCQ_ASSIGN_OR_RETURN(
-      std::vector<DisjunctOutcome> outcomes,
-      (ParallelMap<DisjunctOutcome>(
-          options.parallel, nonredundant.disjuncts.size(),
-          [&](size_t i) -> StatusOr<DisjunctOutcome> {
-            DisjunctOutcome outcome;
-            OOCQ_ASSIGN_OR_RETURN(
-                outcome.minimal,
-                MinimizeTerminalPositive(schema, nonredundant.disjuncts[i],
-                                         options, &outcome.removed,
-                                         &outcome.stats));
-            return outcome;
-          })));
-  for (DisjunctOutcome& outcome : outcomes) {
-    report.variables_removed += outcome.removed;
-    report.containment.Add(outcome.stats);
-    report.minimized.disjuncts.push_back(std::move(outcome.minimal));
+  for (const ConjunctiveQuery& disjunct : nonredundant.disjuncts) {
+    OOCQ_ASSIGN_OR_RETURN(
+        ConjunctiveQuery minimal,
+        MinimizeTerminalPositive(schema, disjunct, options,
+                                 &report.variables_removed,
+                                 &report.containment));
+    report.minimized.disjuncts.push_back(std::move(minimal));
   }
   span.Arg("vars_removed", report.variables_removed);
   OOCQ_METRIC_ADD("minimize/vars_removed", report.variables_removed);
   return Status::Ok();
 }
-
-/// RemoveRedundantDisjuncts over `count` disjuncts, the i-th prepared by
-/// `prepare(i)` (in the screening's fan-out).
-StatusOr<UnionQuery> RemoveRedundant(
-    const Schema& schema, size_t count,
-    const std::function<std::shared_ptr<const PreparedDisjunct>(size_t)>&
-        prepare,
-    const MinimizationOptions& options, ContainmentCache* cache,
-    ContainmentStats* stats);
 
 }  // namespace
 
@@ -170,130 +143,71 @@ StatusOr<bool> IsMinimalTerminalPositive(const Schema& schema,
   return true;
 }
 
-StatusOr<UnionQuery> RemoveRedundantDisjuncts(const Schema& schema,
-                                              const UnionQuery& query,
-                                              const MinimizationOptions& options,
-                                              ContainmentCache* cache,
-                                              ContainmentStats* stats) {
-  return RemoveRedundant(
-      schema, query.disjuncts.size(),
-      [&](size_t i) {
-        return std::make_shared<const PreparedDisjunct>(schema,
-                                                        query.disjuncts[i]);
-      },
-      options, cache, stats);
-}
-
-StatusOr<UnionQuery> RemoveRedundantDisjuncts(
-    const Schema& schema, const TerminalExpansion& expansion,
-    const MinimizationOptions& options, ContainmentCache* cache,
-    ContainmentStats* stats) {
-  const size_t unpruned = expansion.unpruned.size();
-  return RemoveRedundant(
-      schema, unpruned + expansion.pruned.size(),
-      [&](size_t i) {
-        return i < unpruned ? std::make_shared<const PreparedDisjunct>(
-                                  schema, expansion.unpruned[i])
-                            : std::make_shared<const PreparedDisjunct>(
-                                  schema, expansion.pruned[i - unpruned]);
-      },
-      options, cache, stats);
-}
-
 namespace {
 
-StatusOr<UnionQuery> RemoveRedundant(
-    const Schema& schema, size_t count,
-    const std::function<std::shared_ptr<const PreparedDisjunct>(size_t)>&
-        prepare,
-    const MinimizationOptions& options, ContainmentCache* cache,
-    ContainmentStats* stats) {
+/// RemoveRedundantDisjuncts over prepared disjuncts.
+StatusOr<UnionQuery> RemoveRedundant(const Schema& schema,
+                                     const PreparedDisjuncts& disjuncts,
+                                     const MinimizationOptions& options,
+                                     ContainmentCache* cache,
+                                     ContainmentStats* stats) {
   // Thm 4.2: the nonredundant union is unique up to equivalence — this
   // phase finds it via the pairwise containment matrix.
   OOCQ_TRACE_SPAN(span, "RemoveRedundantDisjuncts");
-  span.Arg("disjuncts_in", static_cast<uint64_t>(count));
+  span.Arg("disjuncts_in", static_cast<uint64_t>(disjuncts.size()));
   ScopedPhaseTimer timer("phase/redundancy");
   const EngineOptions opts = WithPropagatedParallelism(options);
 
   // Drop unsatisfiable disjuncts, and collapse disjuncts that are
   // syntactic renamings of an earlier one (canonical-key pre-pass) before
-  // paying for pairwise containment tests. Screening prepares each
-  // disjunct — independent work that fans out — and the matrix below
-  // reuses its facts and keys; the ordered dedup stays serial. A disjunct
-  // that is not well-formed and terminal stays live, so the matrix
-  // reports why. A pruned disjunct brings the prune's facts, so its
-  // screening computes only its key.
+  // paying for pairwise containment tests. The matrix below reuses the
+  // screening's facts and keys. A disjunct that is not well-formed and
+  // terminal stays live, so the matrix reports why. A pruned disjunct
+  // brings the prune's facts, so its screening computes only its key.
   PreparedDisjuncts live;
   {
     OOCQ_TRACE_SPAN(screen_span, "ScreenDisjuncts");
-    screen_span.Arg("disjuncts", static_cast<uint64_t>(count));
-    OOCQ_ASSIGN_OR_RETURN(
-        PreparedDisjuncts screened,
-        (ParallelMap<std::shared_ptr<const PreparedDisjunct>>(
-            opts.parallel, count,
-            [&](size_t i) -> StatusOr<std::shared_ptr<const PreparedDisjunct>> {
-              std::shared_ptr<const PreparedDisjunct> prepared = prepare(i);
-              if (prepared->satisfiable()) (void)prepared->key();
-              return prepared;
-            })));
+    screen_span.Arg("disjuncts", static_cast<uint64_t>(disjuncts.size()));
     std::set<std::string_view> seen_keys;
-    for (std::shared_ptr<const PreparedDisjunct>& disjunct : screened) {
+    for (const std::shared_ptr<const PreparedDisjunct>& disjunct : disjuncts) {
       if (disjunct->terminal() && !disjunct->satisfiable()) continue;
       if (disjunct->satisfiable() &&
           !seen_keys.insert(disjunct->key()).second) {
         continue;
       }
-      live.push_back(std::move(disjunct));
+      live.push_back(disjunct);
     }
     screen_span.Arg("live", static_cast<uint64_t>(live.size()));
   }
 
   const size_t n = live.size();
-  // contained[i][j] == live[i] ⊆ live[j]. The n·(n-1) tests are
-  // independent; every pair is decided (no early exit), so the matrix —
-  // and therefore the kept set and `stats` — is deterministic under any
-  // schedule.
-  struct PairOutcome {
-    bool contained = false;
-    ContainmentStats stats;
-  };
+  // contained[i][j] == live[i] ⊆ live[j]. Every pair is decided (no early
+  // exit), so `stats` counts all n·(n-1) tests.
   const size_t num_pairs = n < 2 ? 0 : n * (n - 1);
   OOCQ_TRACE_SPAN(matrix_span, "ContainmentMatrix");
   matrix_span.Arg("pairs", static_cast<uint64_t>(num_pairs));
   OOCQ_METRIC_ADD("redundancy/pairs", num_pairs);
-  OOCQ_ASSIGN_OR_RETURN(
-      std::vector<PairOutcome> pairs,
-      (ParallelMap<PairOutcome>(
-          opts.parallel, num_pairs,
-          [&](size_t p) -> StatusOr<PairOutcome> {
-            const size_t i = p / (n - 1);
-            const size_t off = p % (n - 1);
-            const size_t j = off < i ? off : off + 1;
-            PairOutcome outcome;
-            // Poll per matrix cell so an n² scan aborts within one test
-            // of a tripped token (ParallelMap then drains cooperatively).
-            if (opts.containment.cancel != nullptr) {
-              OOCQ_RETURN_IF_ERROR(opts.containment.cancel->Check());
-            }
-            StatusOr<bool> contained =
-                cache != nullptr
-                    ? cache->Contained(*live[i], *live[j], &outcome.stats,
-                                       opts.containment.cancel,
-                                       opts.containment.budget)
-                    : Contained(schema, *live[i], *live[j], opts.containment,
-                                &outcome.stats);
-            if (!contained.ok()) return contained.status();
-            outcome.contained = *contained;
-            return outcome;
-          })));
+  ContainmentStats matrix_stats;
   std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
-  for (size_t p = 0; p < num_pairs; ++p) {
-    const size_t i = p / (n - 1);
-    const size_t off = p % (n - 1);
-    const size_t j = off < i ? off : off + 1;
-    contained[i][j] = pairs[p].contained;
-    if (stats != nullptr) stats->Add(pairs[p].stats);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      // Poll per matrix cell so an n² scan aborts within one test of a
+      // tripped token.
+      if (opts.containment.cancel != nullptr) {
+        OOCQ_RETURN_IF_ERROR(opts.containment.cancel->Check());
+      }
+      OOCQ_ASSIGN_OR_RETURN(
+          contained[i][j],
+          cache != nullptr
+              ? cache->Contained(*live[i], *live[j], &matrix_stats,
+                                 opts.containment.cancel,
+                                 opts.containment.budget)
+              : Contained(schema, *live[i], *live[j], opts.containment,
+                          &matrix_stats));
+    }
   }
+  if (stats != nullptr) stats->Add(matrix_stats);
 
   // Keep the first member of each equivalence group; drop anything
   // contained in a surviving disjunct.
@@ -315,28 +229,39 @@ StatusOr<UnionQuery> RemoveRedundant(
 
 }  // namespace
 
+StatusOr<UnionQuery> RemoveRedundantDisjuncts(const Schema& schema,
+                                              const UnionQuery& query,
+                                              const MinimizationOptions& options,
+                                              ContainmentCache* cache,
+                                              ContainmentStats* stats) {
+  return RemoveRedundant(schema, PrepareDisjuncts(schema, query.disjuncts),
+                         options, cache, stats);
+}
+
+StatusOr<UnionQuery> RemoveRedundantDisjuncts(
+    const Schema& schema, const TerminalExpansion& expansion,
+    const MinimizationOptions& options, ContainmentCache* cache,
+    ContainmentStats* stats) {
+  return RemoveRedundant(schema, PrepareExpansion(schema, expansion).disjuncts,
+                         options, cache, stats);
+}
+
 StatusOr<MinimizationReport> MinimizePositiveUnion(
     const Schema& schema, const UnionQuery& query,
     const MinimizationOptions& options, ContainmentCache* cache) {
   const EngineOptions opts = WithPropagatedParallelism(options);
   MinimizationReport report;
 
-  // Each input disjunct expands (and prunes) independently.
-  OOCQ_ASSIGN_OR_RETURN(
-      std::vector<TerminalExpansion> parts,
-      (ParallelMap<TerminalExpansion>(
-          opts.parallel, query.disjuncts.size(),
-          [&](size_t i) -> StatusOr<TerminalExpansion> {
-            const ConjunctiveQuery& disjunct = query.disjuncts[i];
-            OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, disjunct));
-            if (!disjunct.IsPositive()) {
-              return Status::FailedPrecondition(
-                  "MinimizePositiveUnion requires positive disjuncts");
-            }
-            return ExpandTerminal(schema, disjunct, opts.expansion);
-          })));
+  // Each input disjunct expands (and prunes) on its own.
   TerminalExpansion expanded;
-  for (TerminalExpansion& part : parts) {
+  for (const ConjunctiveQuery& disjunct : query.disjuncts) {
+    OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, disjunct));
+    if (!disjunct.IsPositive()) {
+      return Status::FailedPrecondition(
+          "MinimizePositiveUnion requires positive disjuncts");
+    }
+    OOCQ_ASSIGN_OR_RETURN(TerminalExpansion part,
+                          ExpandTerminal(schema, disjunct, opts.expansion));
     report.raw_disjuncts += part.stats.raw_disjuncts;
     report.satisfiable_disjuncts += part.stats.satisfiable_disjuncts;
     for (PrunedDisjunct& q : part.pruned) {

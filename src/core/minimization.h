@@ -28,9 +28,8 @@ struct MinimizationReport {
   uint64_t nonredundant_disjuncts = 0; // after redundancy removal (Thm 4.1)
   uint64_t variables_removed = 0;      // folded by self-mappings (Thm 4.3)
   /// Aggregate work counters of every containment / self-mapping search
-  /// the pipeline ran. Deterministic across thread counts for positive
-  /// inputs (the containment matrix has no early exit and the shared
-  /// cache computes each decision exactly once).
+  /// the pipeline ran (the containment matrix has no early exit, and the
+  /// shared cache computes each decision exactly once).
   ContainmentStats containment;
 };
 
@@ -42,11 +41,8 @@ struct MinimizationReport {
 /// Cor 4.4). The result is search-space-optimal among all unions of
 /// positive conjunctive queries (Thms 4.2/4.5).
 ///
-/// The per-disjunct stages (satisfiability pruning, the redundancy
-/// containment matrix, variable minimization) fan out over
-/// options.parallel; results are deterministic and identical to the
-/// serial run. `cache` (optional) memoizes the containment matrix — pass
-/// a ContainmentCache built over the same schema and containment options.
+/// `cache` (optional) memoizes the containment matrix — pass a
+/// ContainmentCache built over the same schema and containment options.
 ///
 /// Precondition: `query` is well-formed and positive (returns
 /// FailedPrecondition otherwise; run NormalizeToWellFormed first for raw
@@ -75,12 +71,10 @@ StatusOr<bool> IsMinimalTerminalPositive(const Schema& schema,
 /// Removes from the union every satisfiable disjunct that is contained in
 /// another kept disjunct (unsatisfiable disjuncts are dropped outright);
 /// of an equivalence group the first disjunct survives. The result is a
-/// nonredundant union (§4). The O(n²) containment matrix consists of
-/// independent tests and fans out over options.parallel; all pairs are
-/// always decided (no early exit), so the kept set — and the aggregated
-/// `stats` — are deterministic. `cache` (optional) memoizes decisions
-/// across renamed-duplicate pairs; when given, its containment options
-/// govern the cached tests.
+/// nonredundant union (§4). Every pair of the O(n²) containment matrix is
+/// decided (no early exit), and `stats` counts them all. `cache`
+/// (optional) memoizes decisions across renamed-duplicate pairs; when
+/// given, its containment options govern the cached tests.
 StatusOr<UnionQuery> RemoveRedundantDisjuncts(
     const Schema& schema, const UnionQuery& query,
     const MinimizationOptions& options = {},

@@ -247,8 +247,8 @@ StatusOr<OptimizeReport> QueryOptimizer::Optimize(
     OOCQ_ASSIGN_OR_RETURN(well_formed, NormalizeToWellFormed(schema_, query));
   }
 
-  // One memo table per run: every containment the fan-out performs lands
-  // in the same sharded cache, so repeated pairs (matrix symmetry,
+  // One memo table per run: every containment the pipeline performs
+  // lands in the same cache, so repeated pairs (matrix symmetry,
   // re-checks after folding) are computed once.
   std::unique_ptr<ContainmentCache> cache =
       MakeContainmentCache(&schema_, opts);

@@ -33,8 +33,8 @@ struct RunMetrics {
   /// Phases in pipeline order; only phases that actually ran appear.
   std::vector<PhaseMetrics> phases;
   /// Every named counter the run touched, name-sorted. Work counters are
-  /// deterministic across thread counts on the positive pipeline; *.ns
-  /// timing counters are not (docs/observability.md).
+  /// the same on every run of one input; *.ns timing counters are not
+  /// (docs/observability.md).
   std::vector<std::pair<std::string, uint64_t>> counters;
 };
 
@@ -55,7 +55,7 @@ struct OptimizeReport {
   ContainmentStats containment;
   /// Containment-cache traffic of this run (EngineOptions::cache); both
   /// zero when the cache is disabled. Misses equal the distinct
-  /// containment decisions computed — deterministic across thread counts.
+  /// containment decisions computed.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Entries the cache's entry cap pushed out during this run.
@@ -83,7 +83,8 @@ class ContainmentCache;
 /// contained in it (Contained(), exact for any atom kinds, so general
 /// queries are decided here); an empty N (unsatisfiable Q2) contains M
 /// iff M is empty too; otherwise Thm 4.1 (UnionContained) decides.
-/// `options` must already carry the propagated parallelism and budget;
+/// `options` must already carry the propagated compilation switch and
+/// budget;
 /// per-disjunct decisions route through `cache` when non-null. `stats`
 /// accumulates the work counters. Charges no expansion: whoever prepared
 /// (or reuses, PreparedQuery::ChargeReuse) M and N did.
@@ -112,9 +113,9 @@ StatusOr<MinimizationReport> MinimizeWellFormedQuery(
 
 /// The library facade: owns a schema and drives the full pipeline
 /// (well-forming, expansion, satisfiability pruning, redundancy removal,
-/// variable minimization) for user queries. Configure parallel fan-out
-/// and the shared containment cache through EngineOptions
-/// (MinimizationOptions is its historical alias).
+/// variable minimization) for user queries. Configure the limits and the
+/// shared containment cache through EngineOptions (MinimizationOptions is
+/// its historical alias).
 class QueryOptimizer {
  public:
   explicit QueryOptimizer(Schema schema, MinimizationOptions options = {})

@@ -62,10 +62,9 @@
 namespace oocq::server {
 
 struct ServiceOptions {
-  /// Engine configuration applied to every request (parallel fan-out,
-  /// containment limits, cache sizing). The default (serial engine) is
-  /// right for a loaded server: concurrency comes from running
-  /// `max_in_flight` independent requests, not from splitting one.
+  /// Engine configuration applied to every request (containment limits,
+  /// cache sizing). A request runs on one thread: concurrency comes from
+  /// running `max_in_flight` independent requests, not from splitting one.
   EngineOptions engine;
   /// Requests executing concurrently: the slots Execute() and the items
   /// of ExecuteBatch() take before running (also the batch pool's size).

@@ -16,11 +16,10 @@
 ///   // verdict.status().code() == kDeadlineExceeded when the 50 ms passed
 ///
 /// The token is owned by the caller (typically one per service request)
-/// and shared by address: every worker of a parallel fan-out polls the
-/// same token, so one expiry aborts the whole region cooperatively —
-/// workers finish their current item, the region joins its pool, and no
-/// thread is left spinning. Checks are a relaxed atomic load plus (when a
-/// deadline is set) one steady_clock read; they are safe from any thread.
+/// and shared by address: the engine polls it between work items, so an
+/// expiry aborts the request after its current item. Checks are a
+/// relaxed atomic load plus (when a deadline is set) one steady_clock
+/// read; they are safe from any thread.
 ///
 /// Check() distinguishes the two causes: an expired deadline yields
 /// kDeadlineExceeded, an explicit Cancel() yields kUnavailable — both

@@ -19,11 +19,10 @@
 /// via MetricCounterPtr() are lock-free afterwards. When no scope is
 /// installed, MetricAdd/MetricRecord are a single relaxed atomic load.
 ///
-/// Determinism: work counters inherit the pipeline's contract
-/// (docs/parallelism.md) — byte-identical across thread counts on the
-/// positive pipeline. Timing metrics (phase/*.ns, pool/*_ns) and queue
-/// depths are scheduling-dependent by nature and excluded from any
-/// determinism comparison.
+/// Determinism: work counters count algorithmic events, so a run repeats
+/// them on the same input (docs/observability.md). Timing metrics
+/// (phase/*.ns, pool/*_ns) and queue depths vary from run to run and are
+/// excluded from any determinism comparison.
 #include <atomic>
 #include <cstdint>
 #include <memory>

@@ -28,7 +28,7 @@
 /// service budget directly and released explicitly.
 ///
 /// All counters are atomics; Charge*() is one fetch_add plus a compare,
-/// safe from every worker of a parallel fan-out. Overruns undo their
+/// safe from the concurrent requests sharing a budget. Overruns undo their
 /// charge, so a shared budget never sticks above its limit because of a
 /// refused request.
 

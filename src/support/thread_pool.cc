@@ -1,38 +1,11 @@
 #include "support/thread_pool.h"
 
-#include <algorithm>
-#include <chrono>
+#include <utility>
 
 #include "support/failpoint.h"
 #include "support/metrics.h"
 
 namespace oocq {
-
-namespace {
-
-thread_local bool t_in_parallel_region = false;
-
-/// RAII flag marking the current thread as a parallel worker for the
-/// duration of a drained region.
-class ParallelRegionGuard {
- public:
-  ParallelRegionGuard() : previous_(t_in_parallel_region) {
-    t_in_parallel_region = true;
-  }
-  ~ParallelRegionGuard() { t_in_parallel_region = previous_; }
-
- private:
-  bool previous_;
-};
-
-}  // namespace
-
-uint32_t EffectiveThreads(const ParallelOptions& options) {
-  if (options.num_threads != 0) return options.num_threads;
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
-bool InParallelRegion() { return t_in_parallel_region; }
 
 ThreadPool::ThreadPool(uint32_t num_threads) {
   workers_.reserve(num_threads);
@@ -68,7 +41,7 @@ const ThreadPool::PoolMetrics* ThreadPool::ResolvePoolMetrics(
 std::future<void> ThreadPool::Submit(std::function<void()> task) {
   // With a metrics scope installed, the entry carries the enqueue time
   // and resolved handles so the worker can sample queue wait and run
-  // time; the registry outlives the region (the caller owns both and
+  // time; the registry outlives the task (the caller owns both and
   // drains the pool before the scope ends). Handles are cached per
   // registry, so the steady state never touches a registry shard mutex.
   Entry entry;
@@ -118,41 +91,6 @@ void ThreadPool::WorkerLoop() {
       entry.task();
     }
   }
-}
-
-void ParallelFor(const ParallelOptions& options, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  const uint32_t threads = EffectiveThreads(options);
-  if (threads <= 1 || n < options.min_parallel_items || InParallelRegion()) {
-    OOCQ_METRIC_ADD("pool/regions_inline", 1);
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  OOCQ_METRIC_ADD("pool/regions", 1);
-
-  // Indices are claimed in order from a shared counter, so the set of
-  // started indices is always a prefix — the property ParallelMap's
-  // smallest-failure determinism relies on.
-  std::atomic<size_t> next{0};
-  auto drain = [&next, n, &fn] {
-    ParallelRegionGuard guard;
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
-    }
-  };
-
-  const uint32_t workers =
-      static_cast<uint32_t>(std::min<size_t>(threads, n));
-  ThreadPool pool(workers - 1);  // the caller is worker #0
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers - 1);
-  for (uint32_t w = 0; w + 1 < workers; ++w) {
-    futures.push_back(pool.Submit(drain));
-  }
-  drain();
-  for (std::future<void>& future : futures) future.get();
 }
 
 }  // namespace oocq

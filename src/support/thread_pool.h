@@ -3,18 +3,14 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
-#include <utility>
 #include <vector>
-
-#include "support/status.h"
 
 namespace oocq {
 
@@ -22,37 +18,13 @@ class MetricsRegistry;
 class MetricCounter;
 class MetricHistogram;
 
-/// Fan-out knobs shared by every parallel region in the engine. The
-/// default is fully serial (num_threads = 1): parallelism is opt-in and
-/// the serial path is byte-for-byte the pre-parallel pipeline.
-struct ParallelOptions {
-  /// Worker count for parallel regions. 1 = serial; 0 = one worker per
-  /// hardware thread.
-  uint32_t num_threads = 1;
-  /// Regions with fewer independent items than this run inline on the
-  /// calling thread (fan-out overhead would dominate).
-  uint32_t min_parallel_items = 2;
-};
-
-/// Resolves ParallelOptions::num_threads: 0 means hardware concurrency
-/// (at least 1).
-uint32_t EffectiveThreads(const ParallelOptions& options);
-
-/// True while the calling thread is executing a ParallelFor task. Nested
-/// parallel regions detect this and run serially, so a fan-out of fan-outs
-/// never multiplies threads beyond one pool.
-bool InParallelRegion();
-
 /// A fixed pool of worker threads draining a task queue. Tasks submitted
 /// after construction run on the first free worker; the destructor drains
-/// the queue and joins. Used by ParallelFor, which remains the intended
-/// entry point — the pool is exposed for callers that need long-lived
-/// workers with futures.
+/// the queue and joins. OocqService::ExecuteBatch runs its items on one.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers. 0 is allowed and spawns none — tasks
-  /// submitted to an empty pool never run, so size pools with
-  /// EffectiveThreads() first.
+  /// submitted to an empty pool never run.
   explicit ThreadPool(uint32_t num_threads);
   ~ThreadPool();
 
@@ -98,54 +70,6 @@ class ThreadPool {
   std::atomic<const PoolMetrics*> pool_metrics_{nullptr};
   std::vector<std::unique_ptr<PoolMetrics>> pool_metrics_storage_;  // mu_
 };
-
-/// Runs fn(0), …, fn(n-1), distributing indices over up to
-/// EffectiveThreads(options) threads; the calling thread participates as
-/// one worker. Falls back to a plain in-order serial loop when the region
-/// is too small (n < min_parallel_items), one thread is requested, or the
-/// caller is already inside a parallel region. Returns only after every
-/// claimed index finished; `fn` synchronizes its own writes to shared
-/// state (index-addressed slots need no locking — the join publishes them).
-void ParallelFor(const ParallelOptions& options, size_t n,
-                 const std::function<void(size_t)>& fn);
-
-/// Runs `n` independent fallible tasks and collects their values in index
-/// order. Deterministic regardless of scheduling:
-///
-///  * success: returns exactly {fn(0), …, fn(n-1)};
-///  * failure: returns the error of the *smallest* failing index — the
-///    same error a serial in-order loop would surface — and cancels
-///    cooperatively (indices greater than the smallest failure seen so
-///    far are skipped, never indices below it).
-template <typename T>
-StatusOr<std::vector<T>> ParallelMap(
-    const ParallelOptions& options, size_t n,
-    const std::function<StatusOr<T>(size_t)>& fn) {
-  std::vector<std::optional<T>> slots(n);
-  std::vector<Status> errors(n, Status::Ok());
-  std::atomic<size_t> first_error{static_cast<size_t>(-1)};
-  ParallelFor(options, n, [&](size_t i) {
-    // Cooperative cancellation: never skips an index below the smallest
-    // failure, so the returned error is schedule-independent.
-    if (i > first_error.load(std::memory_order_acquire)) return;
-    StatusOr<T> result = fn(i);
-    if (result.ok()) {
-      slots[i] = *std::move(result);
-      return;
-    }
-    errors[i] = result.status();
-    size_t cur = first_error.load(std::memory_order_relaxed);
-    while (i < cur && !first_error.compare_exchange_weak(
-                          cur, i, std::memory_order_acq_rel)) {
-    }
-  });
-  const size_t e = first_error.load(std::memory_order_acquire);
-  if (e != static_cast<size_t>(-1)) return errors[e];
-  std::vector<T> out;
-  out.reserve(n);
-  for (std::optional<T>& slot : slots) out.push_back(*std::move(slot));
-  return out;
-}
 
 }  // namespace oocq
 

@@ -214,8 +214,8 @@ TraceSession::~TraceSession() {
     trace_internal::g_core.reset();
     trace_internal::g_epoch.fetch_add(1, std::memory_order_relaxed);
   }
-  // The session thread's own pending spans (engine worker threads exited
-  // — and flushed — when their per-region pools joined).
+  // The session thread's own pending spans (other threads flush theirs
+  // per batch and on exit; see trace.h).
   LocalBuffer().Flush();
   {
     std::lock_guard<std::mutex> lock(core_->mu);
@@ -346,27 +346,6 @@ TraceSpan& TraceSpan::Arg(const char* key, const std::string& value) {
 TraceSpan& TraceSpan::Arg(const char* key, uint64_t value) {
   if (recording()) args_.emplace_back(key, std::to_string(value));
   return *this;
-}
-
-std::vector<std::string> TraceLog::SpanSignatures() const {
-  std::vector<std::string> signatures;
-  signatures.reserve(events_.size());
-  for (const TraceEvent& event : events_) signatures.push_back(event.Signature());
-  std::sort(signatures.begin(), signatures.end());
-  return signatures;
-}
-
-uint64_t TraceLog::StructureDigest() const {
-  uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const std::string& signature : SpanSignatures()) {
-    for (char c : signature) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
-    hash ^= 0xffu;  // separator so concatenation is unambiguous
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 std::string TraceLog::ChromeTraceJson() const {

@@ -26,12 +26,11 @@
 ///    session end flush the remainder. A thread that neither exits nor
 ///    records again after session end keeps its (empty-by-then) binding
 ///    until the next session; late flushes after finalize are dropped.
-///  * Span *structure* — the multiset of `name(k=v,…)` signatures — is
-///    byte-deterministic across thread counts for the positive pipeline
-///    (the same contract as docs/parallelism.md); timing, thread indices
-///    and nesting depth are scheduling-dependent and excluded from it.
-///    Span ids are assigned at finalize in signature-sorted order, so
-///    they are deterministic wherever the structure is.
+///  * Span *structure* — the multiset of `name(k=v,…)` signatures —
+///    leaves out timing, thread indices and nesting depth, which vary
+///    from run to run. Span ids are assigned at finalize in
+///    signature-sorted order, so they are deterministic wherever the
+///    structure is.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -84,12 +83,6 @@ class TraceLog {
   const std::vector<TraceEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
 
-  /// Sorted multiset of span signatures — the deterministic "structure"
-  /// of the run. Equal across thread counts for the positive pipeline.
-  std::vector<std::string> SpanSignatures() const;
-  /// FNV-1a hash of SpanSignatures(), for cheap equality checks.
-  uint64_t StructureDigest() const;
-
   /// Chrome tracing / Perfetto JSON ("X" complete events, µs timestamps).
   std::string ChromeTraceJson() const;
   Status WriteChromeTrace(const std::string& path) const;
@@ -139,7 +132,7 @@ struct CapturedSpan {
 /// (docs/observability.md#logging) uses one per suspect request so the
 /// offending span tree can be logged without tracing the whole server.
 /// Nested captures are inert (outermost wins), spans started on other
-/// threads (engine fan-out workers) are not seen, and under
+/// threads are not seen, and under
 /// -DOOCQ_DISABLE_TRACING the capture stays empty. The extra cost on the
 /// span fast path when no capture is installed is one thread-local load.
 class ThreadSpanCapture {

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+
 #include "core/containment.h"
+#include "core/containment_cache.h"
 #include "test_util.h"
 
 namespace oocq {
@@ -375,6 +379,55 @@ TEST_F(UnionContainmentTest, CrossClassInequalityNormalizesToPositive) {
   StatusOr<bool> result = UnionContained(schema_, m, n);
   OOCQ_ASSERT_OK(result.status());
   EXPECT_TRUE(*result);
+}
+
+// Thm 4.1 decides at the first disjunct of M contained in no disjunct of
+// N: the tests run in order up to it, and none after it.
+TEST_F(UnionContainmentTest, EarlyExitCountsOnlyTheTestsItRan) {
+  const UnionQuery m = Union(
+      "{ x | x in E } union { x | x in F } union "
+      "{ x | exists y (x in C & y in E & y = x.A) }");
+  const UnionQuery n = Union(
+      "{ x | exists y (x in C & y in E & y = x.A) } union { x | x in E }");
+  ASSERT_EQ(m.disjuncts.size(), 3u);
+  ASSERT_EQ(n.disjuncts.size(), 2u);
+
+  // d0 ⊄ n0, d0 ⊆ n1, then d1 in neither: four tests, in this order.
+  ContainmentStats expected;
+  for (const auto& [i, j] : {std::pair{0, 0}, {0, 1}, {1, 0}, {1, 1}}) {
+    OOCQ_ASSERT_OK(
+        Contained(schema_, m.disjuncts[i], n.disjuncts[j], {}, &expected)
+            .status());
+  }
+  // The test of d2 the early exit skips does count work.
+  ContainmentStats skipped;
+  StatusOr<bool> d2_in_n0 =
+      Contained(schema_, m.disjuncts[2], n.disjuncts[0], {}, &skipped);
+  OOCQ_ASSERT_OK(d2_in_n0.status());
+  EXPECT_TRUE(*d2_in_n0);
+  EXPECT_GT(skipped.mapping_searches, 0u);
+
+  auto fields = [](const ContainmentStats& s) {
+    return std::make_tuple(s.augmentations, s.membership_subsets,
+                           s.membership_subsets_skipped, s.mapping_searches,
+                           s.mapping_steps, s.cache_hits, s.cache_misses);
+  };
+  ContainmentStats stats;
+  StatusOr<bool> result = UnionContained(schema_, m, n, {}, &stats);
+  OOCQ_ASSERT_OK(result.status());
+  EXPECT_FALSE(*result);
+  EXPECT_EQ(fields(stats), fields(expected));
+
+  // Through a cache: one miss per test run, and no lookup for d2.
+  ContainmentCache cache(&schema_);
+  ContainmentStats cached;
+  result = UnionContained(schema_, m, n, {}, &cached, &cache);
+  OOCQ_ASSERT_OK(result.status());
+  EXPECT_FALSE(*result);
+  EXPECT_EQ(cached.cache_misses, 4u);
+  EXPECT_EQ(cached.cache_hits, 0u);
+  expected.cache_misses = 4;
+  EXPECT_EQ(fields(cached), fields(expected));
 }
 
 TEST_F(UnionContainmentTest, UnionEquivalence) {

@@ -7,6 +7,7 @@
 #include "core/containment.h"
 #include "core/minimization.h"
 #include "query/printer.h"
+#include "support/cancellation.h"
 #include "support/metrics.h"
 #include "test_util.h"
 
@@ -278,6 +279,34 @@ TEST_F(MinimizationTest, PipelineReportsCounts) {
   for (const ConjunctiveQuery& disjunct : report->minimized.disjuncts) {
     EXPECT_EQ(disjunct.num_vars(), 2u);
   }
+}
+
+// A tripped token aborts the pipeline with its retryable status, and
+// leaves nothing behind: the same input then minimizes as it always does.
+TEST_F(MinimizationTest, CancelledPipelineAbortsRetryably) {
+  StatusOr<UnionQuery> parsed = ParseUnionQuery(
+      schema_,
+      "{ x | exists u (x in C & u in E & u in x.S) } union "
+      "{ x | exists u exists v (x in C & u in E & v in F & u in x.S & "
+      "v in x.S) } union { x | x in E }");
+  OOCQ_ASSERT_OK(parsed.status());
+  StatusOr<MinimizationReport> fresh = MinimizePositiveUnion(schema_, *parsed);
+  OOCQ_ASSERT_OK(fresh.status());
+
+  CancellationToken cancelled;
+  cancelled.Cancel();
+  MinimizationOptions options;
+  options.containment.cancel = &cancelled;
+  StatusOr<MinimizationReport> aborted =
+      MinimizePositiveUnion(schema_, *parsed, options);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_TRUE(IsRetryable(aborted.status().code()))
+      << aborted.status().ToString();
+
+  StatusOr<MinimizationReport> rerun = MinimizePositiveUnion(schema_, *parsed);
+  OOCQ_ASSERT_OK(rerun.status());
+  EXPECT_EQ(UnionQueryToString(schema_, rerun->minimized),
+            UnionQueryToString(schema_, fresh->minimized));
 }
 
 TEST_F(MinimizationTest, PipelineRejectsNonPositive) {

@@ -4,9 +4,8 @@
 // Fleet-like schema, answered through OocqService with @name operands and
 // with the same texts inline; before and after each name's expansion slot
 // is filled; with the containment cache on and off; with the compiled
-// subset scan on and off; and at one and four engine threads. Every
-// variant must answer every request with the same status code, verdict
-// and body.
+// subset scan on and off. Every variant must answer every request with
+// the same status code, verdict and body.
 
 #include <gtest/gtest.h>
 
@@ -268,7 +267,6 @@ std::string Describe(const Answer& a) {
 struct Variant {
   bool cache = true;
   bool compile = true;
-  uint32_t threads = 1;
 };
 
 // Answers every request three times on one fresh service: with @name
@@ -279,7 +277,6 @@ std::vector<std::vector<Answer>> AnswerAll(const Workload& w,
   ServiceOptions options;
   options.engine.cache.enabled = v.cache;
   options.engine.enable_compilation = v.compile;
-  options.engine.parallel.num_threads = v.threads;
   OocqService service(options);
   StatusOr<std::string> sid = service.CreateSession(FleetSchema());
   EXPECT_TRUE(sid.ok()) << sid.status().ToString();
@@ -334,20 +331,17 @@ TEST(PreparedContainmentTest, EveryVariantAnswersEveryPopulationAlike) {
 
     for (bool cache : {true, false}) {
       for (bool compile : {true, false}) {
-        for (uint32_t threads : {1u, 4u}) {
-          const Variant variant{cache, compile, threads};
-          SCOPED_TRACE("cache=" + std::to_string(cache) + " compile=" +
-                       std::to_string(compile) +
-                       " threads=" + std::to_string(threads));
-          const std::vector<std::vector<Answer>> passes = AnswerAll(w, variant);
-          ASSERT_EQ(passes.size(), reference.size());
-          for (size_t pass = 0; pass < passes.size(); ++pass) {
-            for (size_t r = 0; r < w.requests.size(); ++r) {
-              EXPECT_EQ(passes[pass][r], reference[0][r])
-                  << "pass " << pass << " request " << r << ": "
-                  << Describe(passes[pass][r]) << " vs "
-                  << Describe(reference[0][r]);
-            }
+        const Variant variant{cache, compile};
+        SCOPED_TRACE("cache=" + std::to_string(cache) +
+                     " compile=" + std::to_string(compile));
+        const std::vector<std::vector<Answer>> passes = AnswerAll(w, variant);
+        ASSERT_EQ(passes.size(), reference.size());
+        for (size_t pass = 0; pass < passes.size(); ++pass) {
+          for (size_t r = 0; r < w.requests.size(); ++r) {
+            EXPECT_EQ(passes[pass][r], reference[0][r])
+                << "pass " << pass << " request " << r << ": "
+                << Describe(passes[pass][r]) << " vs "
+                << Describe(reference[0][r]);
           }
         }
       }

@@ -1,16 +1,13 @@
-// Unit tests for the fan-out primitives behind the parallel engine:
-// ThreadPool task execution, ParallelFor coverage and nesting, and
-// ParallelMap's ordered results + smallest-failing-index error contract.
+// Unit tests for ThreadPool, which runs OocqService::ExecuteBatch's
+// items: every submitted task runs, and the destructor drains the queue.
 
 #include "support/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
+#include <future>
 #include <vector>
-
-#include "support/status.h"
 
 namespace oocq {
 namespace {
@@ -41,115 +38,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
     // No explicit wait: the destructor must drain before joining.
   }
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(EffectiveThreadsTest, ZeroMeansHardwareConcurrency) {
-  ParallelOptions options;
-  options.num_threads = 0;
-  EXPECT_GE(EffectiveThreads(options), 1u);
-  options.num_threads = 3;
-  EXPECT_EQ(EffectiveThreads(options), 3u);
-}
-
-TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    ParallelOptions options;
-    options.num_threads = threads;
-    const size_t n = 257;
-    std::vector<std::atomic<int>> visits(n);
-    ParallelFor(options, n, [&](size_t i) {
-      visits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(visits[i].load(), 1) << "index " << i << " at " << threads
-                                     << " thread(s)";
-    }
-  }
-}
-
-TEST(ParallelForTest, SmallRegionsRunInlineInOrder) {
-  ParallelOptions options;
-  options.num_threads = 8;
-  options.min_parallel_items = 100;
-  std::vector<size_t> order;  // unsynchronized: must stay single-threaded
-  ParallelFor(options, 10, [&](size_t i) {
-    EXPECT_FALSE(InParallelRegion());
-    order.push_back(i);
-  });
-  ASSERT_EQ(order.size(), 10u);
-  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ParallelForTest, NestedRegionsRunSerially) {
-  ParallelOptions options;
-  options.num_threads = 4;
-  std::atomic<int> inner_total{0};
-  ParallelFor(options, 8, [&](size_t) {
-    EXPECT_TRUE(InParallelRegion());
-    // The nested region must not spawn another pool; it runs inline on
-    // this worker, which keeps thread counts bounded by one pool.
-    ParallelFor(options, 8, [&](size_t) {
-      EXPECT_TRUE(InParallelRegion());
-      inner_total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(inner_total.load(), 64);
-}
-
-TEST(ParallelMapTest, ReturnsValuesInIndexOrder) {
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    ParallelOptions options;
-    options.num_threads = threads;
-    StatusOr<std::vector<int>> result = ParallelMap<int>(
-        options, 100, [](size_t i) -> StatusOr<int> {
-          return static_cast<int>(i * i);
-        });
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result->size(), 100u);
-    for (size_t i = 0; i < 100; ++i) {
-      EXPECT_EQ((*result)[i], static_cast<int>(i * i));
-    }
-  }
-}
-
-TEST(ParallelMapTest, ReportsSmallestFailingIndex) {
-  // Indices 10, 40 and 70 fail; every schedule must surface index 10's
-  // error — what the serial in-order loop would return.
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    ParallelOptions options;
-    options.num_threads = threads;
-    StatusOr<std::vector<int>> result = ParallelMap<int>(
-        options, 100, [](size_t i) -> StatusOr<int> {
-          if (i == 10 || i == 40 || i == 70) {
-            return Status::InvalidArgument("fail at " + std::to_string(i));
-          }
-          return static_cast<int>(i);
-        });
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().message(), "fail at 10")
-        << "at " << threads << " thread(s)";
-  }
-}
-
-TEST(ParallelMapTest, EmptyRegion) {
-  ParallelOptions options;
-  options.num_threads = 8;
-  StatusOr<std::vector<int>> result = ParallelMap<int>(
-      options, 0, [](size_t) -> StatusOr<int> { return 1; });
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->empty());
-}
-
-TEST(ParallelMapTest, MoveOnlyResults) {
-  ParallelOptions options;
-  options.num_threads = 4;
-  StatusOr<std::vector<std::unique_ptr<int>>> result =
-      ParallelMap<std::unique_ptr<int>>(
-          options, 20, [](size_t i) -> StatusOr<std::unique_ptr<int>> {
-            return std::make_unique<int>(static_cast<int>(i));
-          });
-  ASSERT_TRUE(result.ok());
-  for (size_t i = 0; i < 20; ++i) EXPECT_EQ(*(*result)[i], static_cast<int>(i));
 }
 
 }  // namespace
