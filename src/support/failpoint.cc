@@ -212,7 +212,7 @@ const std::vector<std::string>& Failpoints::KnownNames() {
       "snapshot/load",     // persist/snapshot.cc: before reading a file
       "pool/dispatch",     // support/thread_pool.cc: before a task runs;
                            // server/event_server.cc: as a frame starts
-      "core/subset_scan",  // core/containment.cc: head of the per-mask scan
+      "core/subset_scan",  // core/containment.cc: head of every subset decision
       "cache/lookup",      // core/containment_cache.cc: on entry
       "service/execute",   // server/service.cc: before the request body
       "tcp/accept",        // server/event_server.cc: after accept() returns
@@ -223,7 +223,7 @@ const std::vector<std::string>& Failpoints::KnownNames() {
       "repl/promote",      // server/service.cc: before a follower promotes
       "repl/fence",        // server/service.cc: when a primary fences itself
       "net/partition",     // replicate/peer.cc + follower.cc: per-peer black-hole
-      "compile/exec",      // compile fast paths: force interpreter bailout
+      "compile/exec",      // state/evaluation.cc: force the tree-walker bailout
   };
   return *names;
 }

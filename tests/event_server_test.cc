@@ -327,27 +327,25 @@ TEST(EventServerTest, PipelinedBurstIsAnsweredInOrder) {
 }
 
 TEST(EventServerTest, StalledRequestDoesNotStallOtherConnections) {
-  // Connection A's heavy CONTAIN holds one of the two server threads for
+  // Connection A's slow CONTAIN holds one of the two server threads for
   // its whole 250 ms deadline; connection B's PING is served by the other
   // thread and answered while A still waits.
-  ServiceOptions service_options;
-  service_options.engine.containment.max_membership_candidates = 40;
-  OocqService service(service_options);
+  OocqService service(::oocq::testing::SlowServiceOptions());
   EventServerOptions options;
   options.dispatch_threads = 2;
   EventServer server(&service, options);
   OOCQ_ASSERT_OK(server.Start());
 
   int a = ConnectTo(server.port());
-  ASSERT_TRUE(SendString(a, "SESSION NEW\n" +
-                                ::oocq::testing::HeavySchemaText(40) +
-                                "\n.\n"));
+  ASSERT_TRUE(SendString(a, std::string("SESSION NEW\n") +
+                                ::oocq::testing::SlowSchemaText() + "\n.\n"));
   std::vector<std::string> created = ReadReplies(a, 1);
   ASSERT_EQ(created.size(), 1u);
   ASSERT_EQ(created[0].rfind("OK session=s1", 0), 0u) << created[0];
-  ASSERT_TRUE(SendString(a, "CONTAIN s1 deadline_ms=250\n" +
-                                ::oocq::testing::HeavyQ1(40) + "\n" +
-                                ::oocq::testing::HeavyQ2() + "\n.\n"));
+  ASSERT_TRUE(SendString(
+      a, "CONTAIN s1 deadline_ms=250\n" +
+             ::oocq::testing::SlowQ1(::oocq::testing::kSlowN) + "\n" +
+             ::oocq::testing::SlowQ2() + "\n.\n"));
   while (service.metrics().CounterValue("server/started") < 1) {
     std::this_thread::yield();
   }

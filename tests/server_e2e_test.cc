@@ -94,35 +94,19 @@ EventServerOptions TestServerOptions() {
   return options;
 }
 
-// The heavy Cor 3.2 workload (test_util.h), as wire payload.
-std::string HeavySchemaPayload(int k) {
-  return ::oocq::testing::HeavySchemaText(k) + "\n.\n";
+using ::oocq::testing::ExpectCompiledScan;
+using ::oocq::testing::kSlowDeadlineMs;
+using ::oocq::testing::SlowServiceOptions;
+
+// The slow Cor 3.3 request (test_util.h), as wire payload: seconds of
+// augmentation checks, far longer than any test deadline.
+std::string SlowSchemaPayload() {
+  return std::string(::oocq::testing::SlowSchemaText()) + "\n.\n";
 }
 
-std::string HeavyContainPayload(int k) {
-  return ::oocq::testing::HeavyQ1(k) + "\n" + ::oocq::testing::HeavyQ2() +
-         "\n.\n";
-}
-
-// Options for the heavy workload at k=40: the candidate cap admits the 39
-// membership atoms, so the compiled subset scan (the production path)
-// runs 2^39 masks — far longer than any test deadline.
-ServiceOptions HeavyServiceOptions() {
-  ServiceOptions options;
-  options.engine.containment.max_membership_candidates = 40;
-  return options;
-}
-
-// Deadline for a heavy request that must expire inside the compiled scan:
-// long enough for the work before the scan (parse, normalization, the
-// candidate pool; ~10 ms under ThreadSanitizer) to finish first.
-constexpr uint64_t kHeavyDeadlineMs = 50;
-
-// The request ran on the compiled scan and never fell back to the
-// interpreted one.
-void ExpectCompiledScan(const OocqService& service) {
-  EXPECT_GE(service.metrics().CounterValue("compile/mask_scans"), 1u);
-  EXPECT_EQ(service.metrics().CounterValue("compile/mask_fallbacks"), 0u);
+std::string SlowContainPayload() {
+  return ::oocq::testing::SlowQ1(::oocq::testing::kSlowN) + "\n" +
+         ::oocq::testing::SlowQ2() + "\n.\n";
 }
 
 TEST(ServerE2eTest, EightConcurrentClients) {
@@ -248,19 +232,19 @@ TEST(RequestTraceE2eTest, TaggedRequestLinksSpansAcrossLayers) {
 }
 
 TEST(ServerE2eTest, DeadlineEnforcedOverTheWire) {
-  OocqService service(HeavyServiceOptions());
+  OocqService service(SlowServiceOptions());
   EventServer server(&service, TestServerOptions());
   OOCQ_ASSERT_OK(server.Start());
 
   TestClient client(server.port());
   ASSERT_TRUE(client.connected());
-  client.Send(std::string("SESSION NEW\n") + HeavySchemaPayload(40));
+  client.Send(std::string("SESSION NEW\n") + SlowSchemaPayload());
   ASSERT_EQ(client.ReadReply().rfind("OK session=", 0), 0u);
 
-  // The deadline trips inside the 2^39-mask subset scan; the client gets a
+  // The deadline trips inside the augmentation loop; the client gets a
   // distinct retryable status — not a hang, not a dropped connection.
-  client.Send("CONTAIN s1 deadline_ms=" + std::to_string(kHeavyDeadlineMs) +
-              "\n" + HeavyContainPayload(40));
+  client.Send("CONTAIN s1 deadline_ms=" + std::to_string(kSlowDeadlineMs) +
+              "\n" + SlowContainPayload());
   std::string expired = client.ReadReply();
   EXPECT_EQ(expired.rfind("ERR DEADLINE_EXCEEDED", 0), 0u) << expired;
   ExpectCompiledScan(service);
@@ -272,7 +256,7 @@ TEST(ServerE2eTest, DeadlineEnforcedOverTheWire) {
 }
 
 TEST(ServerE2eTest, GracefulShutdownDrainsInFlightRequest) {
-  ServiceOptions service_options = HeavyServiceOptions();
+  ServiceOptions service_options = SlowServiceOptions();
   service_options.max_in_flight = 2;
   OocqService service(service_options);
   EventServer server(&service, TestServerOptions());
@@ -280,13 +264,13 @@ TEST(ServerE2eTest, GracefulShutdownDrainsInFlightRequest) {
 
   TestClient client(server.port());
   ASSERT_TRUE(client.connected());
-  client.Send(std::string("SESSION NEW\n") + HeavySchemaPayload(40));
+  client.Send(std::string("SESSION NEW\n") + SlowSchemaPayload());
   ASSERT_EQ(client.ReadReply().rfind("OK session=", 0), 0u);
 
   // Launch a request bounded at 250 ms and shut the server down while it
   // runs. Graceful drain means the reply still arrives before the
   // connection closes.
-  client.Send("CONTAIN s1 deadline_ms=250\n" + HeavyContainPayload(40));
+  client.Send("CONTAIN s1 deadline_ms=250\n" + SlowContainPayload());
   while (service.metrics().CounterValue("server/started") < 1) {
     std::this_thread::yield();
   }

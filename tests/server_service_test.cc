@@ -22,38 +22,24 @@
 namespace oocq::server {
 namespace {
 
+using ::oocq::testing::ExpectCompiledScan;
 using ::oocq::testing::HeavyQ1;
 using ::oocq::testing::HeavyQ2;
 using ::oocq::testing::HeavySchemaText;
+using ::oocq::testing::kSlowDeadlineMs;
+using ::oocq::testing::kSlowN;
 using ::oocq::testing::kVehicleRentalSchema;
 using ::oocq::testing::MustParseQuery;
 using ::oocq::testing::MustParseSchema;
+using ::oocq::testing::SlowQ1;
+using ::oocq::testing::SlowQ2;
+using ::oocq::testing::SlowSchemaText;
+using ::oocq::testing::SlowServiceOptions;
 
-// ---- Heavy workload (test_util.h): a containment whose Thm 3.1 subset
-// scan is 2^(k-1) masks (the Cor 3.2 axis; bench_containment_general
-// measures the same shape). At k=40 even the compiled scan (the production
-// path) takes far longer than any test deadline, and cancellation is
-// polled inside it, so a deadline trips mid-scan deterministically.
-
-// Service options for the heavy workload at k=40: the candidate cap admits
-// its 39 membership atoms (the default cap of 24 would refuse them).
-ServiceOptions HeavyServiceOptions() {
-  ServiceOptions options;
-  options.engine.containment.max_membership_candidates = 40;
-  return options;
-}
-
-// Deadline for a heavy request that must expire inside the compiled scan:
-// long enough for the work before the scan (parse, normalization, the
-// candidate pool; ~10 ms under ThreadSanitizer) to finish first.
-constexpr uint64_t kHeavyDeadlineMs = 50;
-
-// The heavy request ran on the compiled scan and never fell back to the
-// interpreted one.
-void ExpectCompiledScan(const OocqService& service) {
-  EXPECT_GE(service.metrics().CounterValue("compile/mask_scans"), 1u);
-  EXPECT_EQ(service.metrics().CounterValue("compile/mask_fallbacks"), 0u);
-}
+// Slow requests use test_util.h's Cor 3.3 fixture: SlowQ1(kSlowN) runs
+// seconds of augmentation checks, far longer than any test deadline, and
+// cancellation is polled per augmentation, so a deadline trips mid-
+// containment deterministically. SlowQ1(3) is the quick request.
 
 Request MakeContain(const std::string& session_id, const std::string& q1,
                     const std::string& q2, uint64_t deadline_ms = 0) {
@@ -245,45 +231,43 @@ TEST(ServiceDeadlineTest, PreExpiredTokenAbortsContainment) {
 }
 
 TEST(ServiceDeadlineTest, DeadlineExpiresMidContainment) {
-  OocqService service(HeavyServiceOptions());
-  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(40));
+  OocqService service(SlowServiceOptions());
+  StatusOr<std::string> sid = service.CreateSession(SlowSchemaText());
   OOCQ_ASSERT_OK(sid.status());
 
-  // At k=40 the scan is 2^39 masks — the deadline trips inside it.
+  // SlowQ1(kSlowN) runs for seconds — the deadline trips inside it.
   Response expired = service.Execute(
-      MakeContain(*sid, HeavyQ1(40), HeavyQ2(), kHeavyDeadlineMs));
+      MakeContain(*sid, SlowQ1(kSlowN), SlowQ2(), kSlowDeadlineMs));
   EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded)
       << expired.status.ToString();
   EXPECT_TRUE(IsRetryable(expired.status.code()));
   ExpectCompiledScan(service);
 
-  // Sanity: the same query shape at a small k decides quickly.
-  StatusOr<std::string> small = service.CreateSession(HeavySchemaText(6));
+  // Sanity: the same query shape at a small n decides quickly.
+  StatusOr<std::string> small = service.CreateSession(SlowSchemaText());
   OOCQ_ASSERT_OK(small.status());
-  Response quick =
-      service.Execute(MakeContain(*small, HeavyQ1(6), HeavyQ2()));
+  Response quick = service.Execute(MakeContain(*small, SlowQ1(3), SlowQ2()));
   OOCQ_ASSERT_OK(quick.status);
   EXPECT_TRUE(quick.verdict);
 
   // The expired decision was not memoized: the session still answers.
-  Response after =
-      service.Execute(MakeContain(*sid, HeavyQ1(6), HeavyQ2()));
+  Response after = service.Execute(MakeContain(*sid, SlowQ1(3), SlowQ2()));
   OOCQ_ASSERT_OK(after.status);
 }
 
 TEST(ServiceDeadlineTest, QueuedRequestExpiresBeforeStarting) {
-  ServiceOptions options = HeavyServiceOptions();
+  ServiceOptions options = SlowServiceOptions();
   options.max_in_flight = 1;
   options.max_queue_depth = 4;
   OocqService service(options);
-  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(40));
+  StatusOr<std::string> sid = service.CreateSession(SlowSchemaText());
   OOCQ_ASSERT_OK(sid.status());
 
-  // Occupy the only worker with a heavy request whose own 250 ms deadline
+  // Occupy the only worker with a slow request whose own 250 ms deadline
   // bounds the test's runtime.
   std::thread occupant([&service, &sid] {
     Response heavy = service.Execute(
-        MakeContain(*sid, HeavyQ1(40), HeavyQ2(), /*deadline_ms=*/250));
+        MakeContain(*sid, SlowQ1(kSlowN), SlowQ2(), /*deadline_ms=*/250));
     EXPECT_EQ(heavy.status.code(), StatusCode::kDeadlineExceeded);
   });
   AwaitStarted(service, 1);
@@ -292,7 +276,7 @@ TEST(ServiceDeadlineTest, QueuedRequestExpiresBeforeStarting) {
   // the deadline has passed, and the queue-expiry precheck answers
   // without touching the engine.
   Response queued = service.Execute(
-      MakeContain(*sid, HeavyQ1(6), HeavyQ2(), /*deadline_ms=*/1));
+      MakeContain(*sid, SlowQ1(3), SlowQ2(), /*deadline_ms=*/1));
   EXPECT_EQ(queued.status.code(), StatusCode::kDeadlineExceeded);
   occupant.join();
   ExpectCompiledScan(service);
@@ -351,33 +335,32 @@ TEST(ServiceExplainTest, ExplainRunsTheCompiledScanAndCountsItsSpec) {
 }
 
 TEST(ServiceExplainTest, DeadlineExpiresMidExplain) {
-  OocqService service(HeavyServiceOptions());
-  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(40));
+  OocqService service(SlowServiceOptions());
+  StatusOr<std::string> sid = service.CreateSession(SlowSchemaText());
   OOCQ_ASSERT_OK(sid.status());
   Response expired = service.Execute(
-      MakeExplain(*sid, HeavyQ1(40), HeavyQ2(), kHeavyDeadlineMs));
+      MakeExplain(*sid, SlowQ1(kSlowN), SlowQ2(), kSlowDeadlineMs));
   EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded)
       << expired.status.ToString();
   ExpectCompiledScan(service);
 }
 
 TEST(ServiceAdmissionTest, ShedsUnderOverloadAndRecovers) {
-  ServiceOptions options = HeavyServiceOptions();
+  ServiceOptions options = SlowServiceOptions();
   options.max_in_flight = 1;
   options.max_queue_depth = 0;  // capacity: exactly one admitted request
   OocqService service(options);
-  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(40));
+  StatusOr<std::string> sid = service.CreateSession(SlowSchemaText());
   OOCQ_ASSERT_OK(sid.status());
 
   std::thread occupant([&service, &sid] {
     Response heavy = service.Execute(
-        MakeContain(*sid, HeavyQ1(40), HeavyQ2(), /*deadline_ms=*/250));
+        MakeContain(*sid, SlowQ1(kSlowN), SlowQ2(), /*deadline_ms=*/250));
     EXPECT_EQ(heavy.status.code(), StatusCode::kDeadlineExceeded);
   });
   AwaitStarted(service, 1);
 
-  Response shed =
-      service.Execute(MakeContain(*sid, HeavyQ1(6), HeavyQ2()));
+  Response shed = service.Execute(MakeContain(*sid, SlowQ1(3), SlowQ2()));
   EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable)
       << shed.status.ToString();
   EXPECT_TRUE(IsRetryable(shed.status.code()));
@@ -386,8 +369,7 @@ TEST(ServiceAdmissionTest, ShedsUnderOverloadAndRecovers) {
   ExpectCompiledScan(service);
 
   // Capacity freed: the retry the status promised now succeeds.
-  Response retry =
-      service.Execute(MakeContain(*sid, HeavyQ1(6), HeavyQ2()));
+  Response retry = service.Execute(MakeContain(*sid, SlowQ1(3), SlowQ2()));
   OOCQ_ASSERT_OK(retry.status);
   EXPECT_TRUE(retry.verdict);
 }
@@ -726,16 +708,15 @@ TEST(ProtocolTest, FullConversation) {
 }
 
 TEST(ProtocolTest, DeadlineParamSurfacesRetryableError) {
-  OocqService service(HeavyServiceOptions());
+  OocqService service(SlowServiceOptions());
   ProtocolHandler handler(&service);
-  ProtocolReply created =
-      handler.Handle(ParseCommandLine("SESSION NEW"),
-                     Payload({HeavySchemaText(40).c_str()}));
+  ProtocolReply created = handler.Handle(ParseCommandLine("SESSION NEW"),
+                                         Payload({SlowSchemaText()}));
   ASSERT_EQ(created.text, "OK session=s1\n.\n");
   ProtocolReply expired = handler.Handle(
       ParseCommandLine("CONTAIN s1 deadline_ms=" +
-                       std::to_string(kHeavyDeadlineMs)),
-      {HeavyQ1(40), HeavyQ2()});
+                       std::to_string(kSlowDeadlineMs)),
+      {SlowQ1(kSlowN), SlowQ2()});
   EXPECT_EQ(expired.text.rfind("ERR DEADLINE_EXCEEDED", 0), 0u)
       << expired.text;
   ExpectCompiledScan(service);
