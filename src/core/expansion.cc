@@ -98,11 +98,11 @@ StatusOr<std::vector<ConjunctiveQuery>> Expand(const Schema& schema,
     prune_span.Arg("raw", product);
     ScopedPhaseTimer prune_timer("phase/satisfiability_prune");
     for (uint64_t c = 0; c < product; ++c) {
-      ConjunctiveQuery disjunct = build_combination(c);
-      if (!CheckSatisfiable(schema, disjunct, *graph).satisfiable) continue;
-      OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery normalized,
-                            NormalizeTerminalQuery(schema, disjunct, *graph));
-      result.push_back(std::move(normalized));
+      // NormalizeTerminalQuery decides Thm 2.2 first and fails only on an
+      // unsatisfiable combination, which the prune drops.
+      StatusOr<ConjunctiveQuery> normalized =
+          NormalizeTerminalQuery(schema, build_combination(c), *graph);
+      if (normalized.ok()) result.push_back(*std::move(normalized));
     }
   }
 

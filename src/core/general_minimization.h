@@ -23,13 +23,16 @@ class ContainmentCache;
 ///     avoids one variable is applied only if the folded disjunct is
 ///     proven equivalent to the original by the general containment test
 ///     in both directions. (Thm 4.3 makes the check superfluous for
-///     positive disjuncts; for general ones it is required — the theorem
-///     does not extend, so we verify instead of trusting the mapping.)
+///     positive disjuncts, so only the others are checked; for them it
+///     is required — the theorem does not extend, so we verify instead of
+///     trusting the mapping.)
 ///
 /// Unlike MinimizePositiveQuery, the result carries no optimality
 /// guarantee — `minimized` is an equivalent, usually smaller union of
 /// terminal conjunctive queries, reduced as far as the verified
-/// transformations allow.
+/// transformations allow. It shares MinimizePositiveQuery's pipeline and
+/// fold loop (core/minimization.cc defines this function and the next),
+/// so on a positive input the two reports are equal.
 StatusOr<MinimizationReport> MinimizeConjunctiveQuery(
     const Schema& schema, const ConjunctiveQuery& query,
     const MinimizationOptions& options = {},

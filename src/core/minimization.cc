@@ -1,6 +1,7 @@
 #include "core/minimization.h"
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -9,6 +10,7 @@
 
 #include "core/containment_cache.h"
 #include "core/derivability.h"
+#include "core/general_minimization.h"
 #include "core/mapping.h"
 #include "core/prepared.h"
 #include "core/satisfiability.h"
@@ -43,53 +45,29 @@ MappingResult FindEliminatingSelfMapping(const Schema& schema,
   return mapping;
 }
 
-/// Minimizes the variables of each disjunct in order and appends the
-/// results (and their work counters) to `report`.
-Status MinimizeDisjunctsInto(const Schema& schema,
-                             const UnionQuery& nonredundant,
-                             const EngineOptions& options,
-                             MinimizationReport& report) {
-  // §4 variable minimization (Thm 4.3 / Cor 4.4) of every surviving
-  // disjunct.
-  OOCQ_TRACE_SPAN(span, "MinimizeVariables");
-  span.Arg("disjuncts", static_cast<uint64_t>(nonredundant.disjuncts.size()));
-  ScopedPhaseTimer timer("phase/minimize_vars");
-  for (const ConjunctiveQuery& disjunct : nonredundant.disjuncts) {
-    OOCQ_ASSIGN_OR_RETURN(
-        ConjunctiveQuery minimal,
-        MinimizeTerminalPositive(schema, disjunct, options,
-                                 &report.variables_removed,
-                                 &report.containment));
-    report.minimized.disjuncts.push_back(std::move(minimal));
-  }
-  span.Arg("vars_removed", report.variables_removed);
-  OOCQ_METRIC_ADD("minimize/vars_removed", report.variables_removed);
-  return Status::Ok();
-}
-
-}  // namespace
-
-StatusOr<ConjunctiveQuery> MinimizeTerminalPositive(
-    const Schema& schema, const ConjunctiveQuery& query,
-    const MinimizationOptions& options, uint64_t* removed,
-    ContainmentStats* stats) {
-  OOCQ_TRACE_SPAN(span, "MinimizeTerminalPositive");
-  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
-  if (!query.IsTerminal(schema) || !query.IsPositive()) {
-    return Status::FailedPrecondition(
-        "MinimizeTerminalPositive requires a terminal positive query");
-  }
-  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery current,
-                        NormalizeTerminalQuery(schema, query));
-  span.Arg("vars_in", static_cast<uint64_t>(current.num_vars()));
-
+/// The fold loop (Thm 4.3 / Cor 4.4): starting from the analyzed normal
+/// form, applies non-bijective non-contradictory self-mappings that
+/// preserve the free variable until only bijective ones exist. A fold of a
+/// positive query is an equivalence (Thm 4.3); the theorem does not extend
+/// to general queries, so a fold of one is kept only when EquivalentQueries
+/// proves it (§5). `removed` counts eliminated variables; `stats`
+/// accumulates the self-mapping and verification work.
+StatusOr<ConjunctiveQuery> FoldVariables(const Schema& schema,
+                                         const QueryAnalysis& start,
+                                         const char* span_name,
+                                         const EngineOptions& options,
+                                         uint64_t* removed,
+                                         ContainmentStats* stats) {
+  OOCQ_TRACE_SPAN(span, span_name);
+  span.Arg("vars_in", static_cast<uint64_t>(start.query().num_vars()));
+  // The query changes only on a fold, so one analysis serves every
+  // candidate variable until then: `start`, then each fold's own.
+  const QueryAnalysis* analysis = &start;
+  std::optional<QueryAnalysis> folded_analysis;
   bool progress = true;
   while (progress) {
     progress = false;
-    // `current` changes only on a fold, so one analysis serves every
-    // candidate variable until then.
-    OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
-                          QueryAnalysis::Create(schema, current));
+    const ConjunctiveQuery& current = analysis->query();
     for (VarId v = 0; v < current.num_vars(); ++v) {
       // One poll per candidate variable: each self-mapping search is an
       // independent work item, the granularity the cancellation contract
@@ -98,59 +76,56 @@ StatusOr<ConjunctiveQuery> MinimizeTerminalPositive(
         OOCQ_RETURN_IF_ERROR(options.containment.cancel->Check());
       }
       MappingResult mapping =
-          FindEliminatingSelfMapping(schema, analysis, v, options, stats);
+          FindEliminatingSelfMapping(schema, *analysis, v, options, stats);
       if (mapping.exhausted) {
         return Status::ResourceExhausted(
             "self-mapping search exceeded max_mapping_steps");
       }
       if (!mapping.found()) continue;
-      // Thm 4.3: μ(Q) ≡ Q; v is outside the image so at least one
-      // variable disappears.
+      // v is outside the image, so at least one variable disappears.
       ConjunctiveQuery folded = ApplyVariableMapping(current, *mapping.image);
+      if (!current.IsPositive()) {
+        OOCQ_ASSIGN_OR_RETURN(
+            bool equivalent, EquivalentQueries(schema, current, folded,
+                                               options.containment, stats));
+        if (!equivalent) continue;
+      }
       if (removed != nullptr) {
         *removed += current.num_vars() - folded.num_vars();
       }
-      current = std::move(folded);
+      // `current` belongs to the analysis replaced here: leave its loop.
+      OOCQ_ASSIGN_OR_RETURN(QueryAnalysis next,
+                            QueryAnalysis::Create(schema, folded));
+      folded_analysis.emplace(std::move(next));
+      analysis = &*folded_analysis;
       progress = true;
       break;
     }
   }
-  span.Arg("vars_out", static_cast<uint64_t>(current.num_vars()));
-  return current;
+  span.Arg("vars_out", static_cast<uint64_t>(analysis->query().num_vars()));
+  return analysis->query();
 }
 
-StatusOr<bool> IsMinimalTerminalPositive(const Schema& schema,
-                                         const ConjunctiveQuery& query,
-                                         const MinimizationOptions& options) {
-  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
-  if (!query.IsTerminal(schema) || !query.IsPositive()) {
-    return Status::FailedPrecondition(
-        "IsMinimalTerminalPositive requires a terminal positive query");
-  }
-  // A non-bijective self-mapping on a finite variable set misses some
-  // variable, so trying every variable as the missing one is exhaustive.
+/// The fold loop on a terminal query's normal form.
+StatusOr<ConjunctiveQuery> FoldNormalForm(const Schema& schema,
+                                          const ConjunctiveQuery& query,
+                                          const char* span_name,
+                                          const EngineOptions& options,
+                                          uint64_t* removed,
+                                          ContainmentStats* stats) {
+  OOCQ_ASSIGN_OR_RETURN(ConjunctiveQuery normalized,
+                        NormalizeTerminalQuery(schema, query));
   OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
-                        QueryAnalysis::Create(schema, query));
-  for (VarId v = 0; v < query.num_vars(); ++v) {
-    MappingResult mapping =
-        FindEliminatingSelfMapping(schema, analysis, v, options, nullptr);
-    if (mapping.exhausted) {
-      return Status::ResourceExhausted(
-          "self-mapping search exceeded max_mapping_steps");
-    }
-    if (mapping.found()) return false;
-  }
-  return true;
+                        QueryAnalysis::Create(schema, normalized));
+  return FoldVariables(schema, analysis, span_name, options, removed, stats);
 }
 
-namespace {
-
-/// RemoveRedundantDisjuncts over prepared disjuncts.
-StatusOr<UnionQuery> RemoveRedundant(const Schema& schema,
-                                     const PreparedDisjuncts& disjuncts,
-                                     const MinimizationOptions& options,
-                                     ContainmentCache* cache,
-                                     ContainmentStats* stats) {
+/// RemoveRedundantDisjuncts over prepared disjuncts; returns the kept ones.
+StatusOr<PreparedDisjuncts> RemoveRedundant(const Schema& schema,
+                                            const PreparedDisjuncts& disjuncts,
+                                            const MinimizationOptions& options,
+                                            ContainmentCache* cache,
+                                            ContainmentStats* stats) {
   // Thm 4.2: the nonredundant union is unique up to equivalence — this
   // phase finds it via the pairwise containment matrix.
   OOCQ_TRACE_SPAN(span, "RemoveRedundantDisjuncts");
@@ -219,39 +194,148 @@ StatusOr<UnionQuery> RemoveRedundant(const Schema& schema,
     }
   }
 
-  UnionQuery result;
+  PreparedDisjuncts result;
   for (size_t i = 0; i < n; ++i) {
-    if (kept[i]) result.disjuncts.push_back(live[i]->query());
+    if (kept[i]) result.push_back(live[i]);
   }
-  span.Arg("kept", static_cast<uint64_t>(result.disjuncts.size()));
+  span.Arg("kept", static_cast<uint64_t>(result.size()));
   return result;
 }
 
+UnionQuery QueriesOf(const PreparedDisjuncts& disjuncts) {
+  UnionQuery result;
+  for (const std::shared_ptr<const PreparedDisjunct>& disjunct : disjuncts) {
+    result.disjuncts.push_back(disjunct->query());
+  }
+  return result;
+}
+
+/// The names one run reports its fold step under (docs/observability.md).
+struct FoldLabels {
+  const char* step_span;      // the fold step over every kept disjunct
+  const char* step_phase;     // its ScopedPhaseTimer
+  const char* disjunct_span;  // one disjunct's fold loop
+};
+constexpr FoldLabels kExactRun = {"MinimizeVariables", "phase/minimize_vars",
+                                  "MinimizeTerminalPositive"};
+constexpr FoldLabels kVerifiedRun = {"FoldDisjuncts", "phase/fold_vars",
+                                     "FoldTerminalQueryVerified"};
+
+/// The pipeline body after Prop 2.1, shared by §4's exact run and §5's
+/// verified run: Thm 4.1/4.2 redundancy removal over `expansion`, then the
+/// fold loop on each kept disjunct. A kept disjunct is satisfiable and
+/// terminal, and a pruned one is its own normal form (DESIGN.md §5.4), so
+/// its fold starts from the analysis the containment matrix built.
+StatusOr<MinimizationReport> MinimizeExpansion(
+    const Schema& schema, const TerminalExpansion& expansion,
+    const EngineOptions& options, ContainmentCache* cache,
+    const FoldLabels& labels) {
+  const EngineOptions opts = WithPropagatedParallelism(options);
+  MinimizationReport report;
+  report.raw_disjuncts = expansion.stats.raw_disjuncts;
+  report.satisfiable_disjuncts = expansion.stats.satisfiable_disjuncts;
+
+  OOCQ_ASSIGN_OR_RETURN(
+      PreparedDisjuncts kept,
+      RemoveRedundant(schema, PrepareExpansion(schema, expansion).disjuncts,
+                      opts, cache, &report.containment));
+  report.nonredundant_disjuncts = kept.size();
+
+  OOCQ_TRACE_SPAN(span, labels.step_span);
+  span.Arg("disjuncts", static_cast<uint64_t>(kept.size()));
+  ScopedPhaseTimer timer(labels.step_phase);
+  for (const std::shared_ptr<const PreparedDisjunct>& disjunct : kept) {
+    const StatusOr<QueryAnalysis>& analysis = disjunct->analysis();
+    if (!analysis.ok()) return analysis.status();
+    OOCQ_ASSIGN_OR_RETURN(
+        ConjunctiveQuery minimal,
+        FoldVariables(schema, *analysis, labels.disjunct_span, opts,
+                      &report.variables_removed, &report.containment));
+    report.minimized.disjuncts.push_back(std::move(minimal));
+  }
+  span.Arg("vars_removed", report.variables_removed);
+  OOCQ_METRIC_ADD("minimize/vars_removed", report.variables_removed);
+  return report;
+}
+
 }  // namespace
+
+StatusOr<ConjunctiveQuery> MinimizeTerminalPositive(
+    const Schema& schema, const ConjunctiveQuery& query,
+    const MinimizationOptions& options, uint64_t* removed,
+    ContainmentStats* stats) {
+  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
+  if (!query.IsTerminal(schema) || !query.IsPositive()) {
+    return Status::FailedPrecondition(
+        "MinimizeTerminalPositive requires a terminal positive query");
+  }
+  return FoldNormalForm(schema, query, kExactRun.disjunct_span, options,
+                        removed, stats);
+}
+
+StatusOr<ConjunctiveQuery> FoldTerminalQueryVerified(
+    const Schema& schema, const ConjunctiveQuery& query,
+    const MinimizationOptions& options, uint64_t* removed,
+    ContainmentStats* stats) {
+  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
+  if (!query.IsTerminal(schema)) {
+    return Status::FailedPrecondition(
+        "FoldTerminalQueryVerified requires a terminal query");
+  }
+  return FoldNormalForm(schema, query, kVerifiedRun.disjunct_span, options,
+                        removed, stats);
+}
+
+StatusOr<bool> IsMinimalTerminalPositive(const Schema& schema,
+                                         const ConjunctiveQuery& query,
+                                         const MinimizationOptions& options) {
+  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
+  if (!query.IsTerminal(schema) || !query.IsPositive()) {
+    return Status::FailedPrecondition(
+        "IsMinimalTerminalPositive requires a terminal positive query");
+  }
+  // A non-bijective self-mapping on a finite variable set misses some
+  // variable, so trying every variable as the missing one is exhaustive.
+  OOCQ_ASSIGN_OR_RETURN(QueryAnalysis analysis,
+                        QueryAnalysis::Create(schema, query));
+  for (VarId v = 0; v < query.num_vars(); ++v) {
+    MappingResult mapping =
+        FindEliminatingSelfMapping(schema, analysis, v, options, nullptr);
+    if (mapping.exhausted) {
+      return Status::ResourceExhausted(
+          "self-mapping search exceeded max_mapping_steps");
+    }
+    if (mapping.found()) return false;
+  }
+  return true;
+}
 
 StatusOr<UnionQuery> RemoveRedundantDisjuncts(const Schema& schema,
                                               const UnionQuery& query,
                                               const MinimizationOptions& options,
                                               ContainmentCache* cache,
                                               ContainmentStats* stats) {
-  return RemoveRedundant(schema, PrepareDisjuncts(schema, query.disjuncts),
-                         options, cache, stats);
+  OOCQ_ASSIGN_OR_RETURN(
+      PreparedDisjuncts kept,
+      RemoveRedundant(schema, PrepareDisjuncts(schema, query.disjuncts),
+                      options, cache, stats));
+  return QueriesOf(kept);
 }
 
 StatusOr<UnionQuery> RemoveRedundantDisjuncts(
     const Schema& schema, const TerminalExpansion& expansion,
     const MinimizationOptions& options, ContainmentCache* cache,
     ContainmentStats* stats) {
-  return RemoveRedundant(schema, PrepareExpansion(schema, expansion).disjuncts,
-                         options, cache, stats);
+  OOCQ_ASSIGN_OR_RETURN(
+      PreparedDisjuncts kept,
+      RemoveRedundant(schema, PrepareExpansion(schema, expansion).disjuncts,
+                      options, cache, stats));
+  return QueriesOf(kept);
 }
 
 StatusOr<MinimizationReport> MinimizePositiveUnion(
     const Schema& schema, const UnionQuery& query,
     const MinimizationOptions& options, ContainmentCache* cache) {
-  const EngineOptions opts = WithPropagatedParallelism(options);
-  MinimizationReport report;
-
   // Each input disjunct expands (and prunes) on its own.
   TerminalExpansion expanded;
   for (const ConjunctiveQuery& disjunct : query.disjuncts) {
@@ -261,9 +345,9 @@ StatusOr<MinimizationReport> MinimizePositiveUnion(
           "MinimizePositiveUnion requires positive disjuncts");
     }
     OOCQ_ASSIGN_OR_RETURN(TerminalExpansion part,
-                          ExpandTerminal(schema, disjunct, opts.expansion));
-    report.raw_disjuncts += part.stats.raw_disjuncts;
-    report.satisfiable_disjuncts += part.stats.satisfiable_disjuncts;
+                          ExpandTerminal(schema, disjunct, options.expansion));
+    expanded.stats.raw_disjuncts += part.stats.raw_disjuncts;
+    expanded.stats.satisfiable_disjuncts += part.stats.satisfiable_disjuncts;
     for (PrunedDisjunct& q : part.pruned) {
       expanded.pruned.push_back(std::move(q));
     }
@@ -271,16 +355,7 @@ StatusOr<MinimizationReport> MinimizePositiveUnion(
       expanded.unpruned.push_back(std::move(q));
     }
   }
-
-  OOCQ_ASSIGN_OR_RETURN(
-      UnionQuery nonredundant,
-      RemoveRedundantDisjuncts(schema, expanded, opts, cache,
-                               &report.containment));
-  report.nonredundant_disjuncts = nonredundant.disjuncts.size();
-
-  OOCQ_RETURN_IF_ERROR(
-      MinimizeDisjunctsInto(schema, nonredundant, opts, report));
-  return report;
+  return MinimizeExpansion(schema, expanded, options, cache, kExactRun);
 }
 
 StatusOr<MinimizationReport> MinimizePositiveQuery(
@@ -291,24 +366,19 @@ StatusOr<MinimizationReport> MinimizePositiveQuery(
     return Status::FailedPrecondition(
         "MinimizePositiveQuery requires a positive conjunctive query");
   }
-  const EngineOptions opts = WithPropagatedParallelism(options);
-
-  MinimizationReport report;
-
   OOCQ_ASSIGN_OR_RETURN(TerminalExpansion expanded,
-                        ExpandTerminal(schema, query, opts.expansion));
-  report.raw_disjuncts = expanded.stats.raw_disjuncts;
-  report.satisfiable_disjuncts = expanded.stats.satisfiable_disjuncts;
+                        ExpandTerminal(schema, query, options.expansion));
+  return MinimizeExpansion(schema, expanded, options, cache, kExactRun);
+}
 
-  OOCQ_ASSIGN_OR_RETURN(
-      UnionQuery nonredundant,
-      RemoveRedundantDisjuncts(schema, expanded, opts, cache,
-                               &report.containment));
-  report.nonredundant_disjuncts = nonredundant.disjuncts.size();
-
-  OOCQ_RETURN_IF_ERROR(
-      MinimizeDisjunctsInto(schema, nonredundant, opts, report));
-  return report;
+StatusOr<MinimizationReport> MinimizeConjunctiveQuery(
+    const Schema& schema, const ConjunctiveQuery& query,
+    const MinimizationOptions& options, ContainmentCache* cache) {
+  OOCQ_TRACE_SPAN(span, "MinimizeConjunctiveQuery");
+  OOCQ_RETURN_IF_ERROR(CheckWellFormed(schema, query));
+  OOCQ_ASSIGN_OR_RETURN(TerminalExpansion expanded,
+                        ExpandTerminal(schema, query, options.expansion));
+  return MinimizeExpansion(schema, expanded, options, cache, kVerifiedRun);
 }
 
 }  // namespace oocq

@@ -82,7 +82,8 @@ StatusOr<UnionQuery> RemoveRedundantDisjuncts(
 
 /// RemoveRedundantDisjuncts over an expansion ExpandTerminal kept: its
 /// pruned disjuncts bring the prune's facts (PrunedDisjunct), so the
-/// screening derives their keys alone. What the minimizers call.
+/// screening derives their keys alone. The minimizers run this step and
+/// fold each kept disjunct from the analysis it built.
 StatusOr<UnionQuery> RemoveRedundantDisjuncts(
     const Schema& schema, const TerminalExpansion& expansion,
     const MinimizationOptions& options = {},

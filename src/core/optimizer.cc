@@ -133,6 +133,7 @@ std::string OptimizeReport::Summary(const Schema& schema) const {
          " nonredundant\n";
   out += "  variables removed by self-mappings: " +
          std::to_string(details.variables_removed) + "\n";
+  const ContainmentStats& containment = details.containment;
   out += "  containment work: " + std::to_string(containment.augmentations) +
          " augmentation(s), " + std::to_string(containment.membership_subsets) +
          " membership subset(s) tested, " +
@@ -259,7 +260,6 @@ StatusOr<OptimizeReport> QueryOptimizer::Optimize(
       report.details,
       MinimizeWellFormedQuery(schema_, well_formed, opts, cache.get()));
   report.optimized = report.details.minimized;
-  report.containment = report.details.containment;
   report.exact = well_formed.IsPositive();
   if (cache != nullptr) {
     report.cache_hits = cache->hits();

@@ -49,10 +49,9 @@ struct OptimizeReport {
   bool exact = false;
   SearchSpaceCost original_cost;
   SearchSpaceCost optimized_cost;
+  /// The minimization's counts; `details.containment` holds the work
+  /// counters of every containment / self-mapping search the run made.
   MinimizationReport details;
-  /// Aggregate work counters of every containment / self-mapping search
-  /// the run performed (also available as details.containment).
-  ContainmentStats containment;
   /// Containment-cache traffic of this run (EngineOptions::cache); both
   /// zero when the cache is disabled. Misses equal the distinct
   /// containment decisions computed.

@@ -4,12 +4,15 @@
 // including the budget-exhaustion and cancellation legs, and with the
 // corpus shown to exercise the reverse access paths (owner scans) — and
 // the compiled Thm 3.1 subset scan must agree with the interpreted scan
-// on random containment pairs. Labeled `concurrency` so the TSan CI job
-// runs it.
+// on random containment pairs, on the verdict and, for pairs built to
+// refute with a nonempty membership subset W, on the whole decision
+// record. Labeled `concurrency` so the TSan CI job runs it.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "compile/compiler.h"
@@ -249,6 +252,86 @@ TEST(CompileDifferentialTest, ContainmentVerdictsAgreeWithInterpretedScan) {
     }
     ++compared;
   }
+}
+
+/// Q1 & `x notin y.A` for a set term y.A of Q1 and a variable x other than
+/// y whose class is under A's element type, or nullopt when Q1 has none.
+/// Such a Q1 ⊆ Q2 is refuted by a state that puts x in y.A, so many of
+/// these pairs refute only with a nonempty W (one in about 20,000
+/// independent random pairs does).
+std::optional<ConjunctiveQuery> WithNonMembership(const Schema& schema,
+                                                  const ConjunctiveQuery& q1,
+                                                  std::mt19937_64& rng) {
+  std::vector<Atom> candidates;
+  for (const Atom& atom : q1.atoms()) {
+    if (atom.kind() != AtomKind::kMembership &&
+        atom.kind() != AtomKind::kNonMembership) {
+      continue;
+    }
+    const Term& set = atom.set_term();
+    const TypeExpr* type =
+        schema.FindAttribute(q1.RangeClassOf(set.var), set.attr);
+    if (type == nullptr || !type->is_set()) continue;
+    for (VarId x = 0; x < q1.num_vars(); ++x) {
+      if (x == set.var) continue;
+      if (schema.IsSubclassOf(q1.RangeClassOf(x), type->cls())) {
+        candidates.push_back(Atom::NonMembership(x, set.var, set.attr));
+      }
+    }
+  }
+  if (candidates.empty()) return std::nullopt;
+  ConjunctiveQuery q2 = q1;
+  q2.AddAtom(candidates[std::uniform_int_distribution<size_t>(
+      0, candidates.size() - 1)(rng)]);
+  return q2;
+}
+
+TEST(CompileDifferentialTest, NonMembershipPairsReportTheOraclesDecision) {
+  // Pairs Q1 ⊆ Q1 & `x notin y.A`: the compiled scan and the interpreted
+  // oracle must agree on the verdict, the Thm 3.1 specialization, the
+  // refuting S and W, and the subset counters.
+  Schema schema = MustParseSchema(kSchema);
+  std::mt19937_64 rng(2727);
+  RandomQueryParams params = FullParams();
+
+  int compared = 0;
+  int refuted_with_w = 0;
+  while (compared < 300) {
+    ConjunctiveQuery q1 = GenerateRandomQuery(schema, rng, params);
+    if (!CheckWellFormed(schema, q1).ok()) continue;
+    std::optional<ConjunctiveQuery> q2 = WithNonMembership(schema, q1, rng);
+    if (!q2.has_value() || !CheckWellFormed(schema, *q2).ok()) continue;
+    const std::string what =
+        QueryToString(schema, q1) + " vs " + QueryToString(schema, *q2);
+
+    ContainmentOptions interpreted;
+    interpreted.enable_compilation = false;
+    ContainmentDecision oracle;
+    ContainmentDecision scan;
+    ContainmentStats oracle_stats;
+    ContainmentStats scan_stats;
+    StatusOr<bool> slow =
+        Contained(schema, q1, *q2, interpreted, &oracle_stats, &oracle);
+    StatusOr<bool> fast = Contained(schema, q1, *q2, {}, &scan_stats, &scan);
+    ASSERT_EQ(slow.ok(), fast.ok()) << what;
+    if (slow.ok()) {
+      EXPECT_EQ(*slow, *fast) << what;
+    } else {
+      EXPECT_EQ(slow.status().code(), fast.status().code()) << what;
+    }
+    EXPECT_EQ(std::string(oracle.spec), std::string(scan.spec)) << what;
+    EXPECT_EQ(oracle.refuting_s, scan.refuting_s) << what;
+    EXPECT_EQ(oracle.refuting_w, scan.refuting_w) << what;
+    EXPECT_EQ(oracle_stats.membership_subsets, scan_stats.membership_subsets)
+        << what;
+    EXPECT_EQ(oracle_stats.membership_subsets_skipped,
+              scan_stats.membership_subsets_skipped)
+        << what;
+    if (!oracle.refuting_w.empty()) ++refuted_with_w;
+    ++compared;
+  }
+  // 60 of these 300 refute with a nonempty W.
+  EXPECT_GE(refuted_with_w, 40);
 }
 
 }  // namespace

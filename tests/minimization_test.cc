@@ -174,6 +174,34 @@ TEST(MinimizationWorkTest, SelfMappingSearchAnalyzesOncePerFold) {
   }
 }
 
+// The fold step starts each kept disjunct from the analysis the
+// containment matrix built: when nothing folds, the whole pipeline makes
+// no Thm 2.2 check beyond the expansion's and the redundancy removal's.
+TEST(MinimizationWorkTest, FoldStepReusesTheMatrixAnalyses) {
+  Schema schema = MustParseSchema(::oocq::testing::kVehicleRentalSchema);
+  ConjunctiveQuery query = MustParseQuery(
+      schema, "{ x | exists y (x in Vehicle & y in Client & x in y.VehRented) }");
+  MetricsRegistry screening;
+  {
+    MetricsScope scope(&screening);
+    StatusOr<TerminalExpansion> expansion = ExpandTerminal(schema, query, {});
+    OOCQ_ASSERT_OK(expansion.status());
+    StatusOr<UnionQuery> kept = RemoveRedundantDisjuncts(schema, *expansion);
+    OOCQ_ASSERT_OK(kept.status());
+    EXPECT_EQ(kept->disjuncts.size(), 4u);
+  }
+  MetricsRegistry pipeline;
+  {
+    MetricsScope scope(&pipeline);
+    StatusOr<MinimizationReport> report = MinimizePositiveQuery(schema, query);
+    OOCQ_ASSERT_OK(report.status());
+    EXPECT_EQ(report->nonredundant_disjuncts, 4u);
+    EXPECT_EQ(report->variables_removed, 0u);
+  }
+  EXPECT_EQ(pipeline.CounterValue("satisfiability/checks"),
+            screening.CounterValue("satisfiability/checks"));
+}
+
 TEST_F(MinimizationTest, RemoveRedundantDropsContainedDisjunct) {
   StatusOr<UnionQuery> parsed = ParseUnionQuery(
       schema_,

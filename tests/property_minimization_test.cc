@@ -1,15 +1,19 @@
 // E5: randomized validation of the §4 minimization pipeline —
 // equivalence preservation (symbolic and on states), idempotence,
-// minimality (Cor 4.4), nonredundancy, and the Thm 4.2 uniqueness
-// property for nonredundant unions.
+// minimality (Cor 4.4), nonredundancy, the Thm 4.2 uniqueness
+// property for nonredundant unions, and that every minimizer (§4's and
+// §5's) is the one pipeline its steps spell out.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <string>
+#include <tuple>
 
 #include "core/containment.h"
 #include "core/expansion.h"
+#include "core/general_minimization.h"
 #include "core/minimization.h"
 #include "core/satisfiability.h"
 #include "query/printer.h"
@@ -17,6 +21,7 @@
 #include "random_query.h"
 #include "state/evaluation.h"
 #include "state/generator.h"
+#include "support/status_macros.h"
 #include "test_util.h"
 
 namespace oocq {
@@ -35,6 +40,68 @@ schema MinProp {
   class C1 under C { }
   class C2 under C { B: E; }
 })";
+
+/// The minimizers' pipeline spelled out in raw-query steps: the Prop 2.1
+/// expansion as a union, redundancy removal over it, then one
+/// per-disjunct fold entry point on each kept disjunct —
+/// FoldTerminalQueryVerified for §5's run, MinimizeTerminalPositive for
+/// §4's.
+StatusOr<MinimizationReport> StepByStep(const Schema& schema,
+                                        const ConjunctiveQuery& query,
+                                        bool verified) {
+  MinimizationReport report;
+  ExpansionStats expansion_stats;
+  OOCQ_ASSIGN_OR_RETURN(
+      UnionQuery expansion,
+      ExpandToTerminalQueries(schema, query, {}, &expansion_stats));
+  report.raw_disjuncts = expansion_stats.raw_disjuncts;
+  report.satisfiable_disjuncts = expansion_stats.satisfiable_disjuncts;
+  OOCQ_ASSIGN_OR_RETURN(UnionQuery kept,
+                        RemoveRedundantDisjuncts(schema, expansion, {},
+                                                 nullptr, &report.containment));
+  report.nonredundant_disjuncts = kept.disjuncts.size();
+  for (const ConjunctiveQuery& disjunct : kept.disjuncts) {
+    OOCQ_ASSIGN_OR_RETURN(
+        ConjunctiveQuery minimal,
+        verified ? FoldTerminalQueryVerified(schema, disjunct, {},
+                                             &report.variables_removed,
+                                             &report.containment)
+                 : MinimizeTerminalPositive(schema, disjunct, {},
+                                            &report.variables_removed,
+                                            &report.containment));
+    report.minimized.disjuncts.push_back(std::move(minimal));
+  }
+  return report;
+}
+
+auto WorkOf(const ContainmentStats& stats) {
+  return std::make_tuple(stats.augmentations, stats.membership_subsets,
+                         stats.membership_subsets_skipped,
+                         stats.mapping_searches, stats.mapping_steps,
+                         stats.cache_hits, stats.cache_misses);
+}
+
+void ExpectSameRun(const Schema& schema,
+                   const StatusOr<MinimizationReport>& got,
+                   const StatusOr<MinimizationReport>& want,
+                   const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << what << "\n" << got.status().ToString() << " vs "
+      << want.status().ToString();
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+    return;
+  }
+  EXPECT_EQ(UnionQueryToString(schema, got->minimized),
+            UnionQueryToString(schema, want->minimized))
+      << what;
+  EXPECT_EQ(got->raw_disjuncts, want->raw_disjuncts) << what;
+  EXPECT_EQ(got->satisfiable_disjuncts, want->satisfiable_disjuncts) << what;
+  EXPECT_EQ(got->nonredundant_disjuncts, want->nonredundant_disjuncts)
+      << what;
+  EXPECT_EQ(got->variables_removed, want->variables_removed) << what;
+  EXPECT_EQ(WorkOf(got->containment), WorkOf(want->containment)) << what;
+}
 
 class MinimizationProperty : public ::testing::TestWithParam<uint64_t> {
  protected:
@@ -196,6 +263,46 @@ TEST_P(MinimizationProperty, Theorem45MinimalEquivalentsAreBijective) {
       }
     }
   }
+}
+
+// One pipeline: MinimizeConjunctiveQuery equals the §5 steps on any
+// input; MinimizePositiveQuery and MinimizePositiveUnion equal the §4
+// steps on a positive one, and there MinimizeConjunctiveQuery equals
+// MinimizePositiveQuery. Unions, counts and work counters alike.
+TEST_P(MinimizationProperty, MinimizersMatchTheirStepByStepPipeline) {
+  std::mt19937_64 rng(GetParam() + 18000);
+  int general = 0;
+  int folded = 0;
+  for (int round = 0; round < 40; ++round) {
+    RandomQueryParams params;
+    params.terminal_only = false;
+    params.max_vars = 4;
+    params.allow_negative = round % 2 == 1;
+    ConjunctiveQuery query = GenerateRandomQuery(schema_, rng, params);
+    if (!CheckWellFormed(schema_, query).ok()) continue;
+    const std::string what = QueryToString(schema_, query);
+
+    StatusOr<MinimizationReport> verified =
+        MinimizeConjunctiveQuery(schema_, query);
+    ExpectSameRun(schema_, verified, StepByStep(schema_, query, true),
+                  "MinimizeConjunctiveQuery " + what);
+    if (verified.ok() && verified->variables_removed > 0) ++folded;
+    if (!query.IsPositive()) {
+      ++general;
+      continue;
+    }
+    StatusOr<MinimizationReport> exact = MinimizePositiveQuery(schema_, query);
+    ExpectSameRun(schema_, exact, StepByStep(schema_, query, false),
+                  "MinimizePositiveQuery " + what);
+    ExpectSameRun(schema_, verified, exact,
+                  "general vs exact run of " + what);
+    UnionQuery single;
+    single.disjuncts.push_back(query);
+    ExpectSameRun(schema_, MinimizePositiveUnion(schema_, single), exact,
+                  "MinimizePositiveUnion " + what);
+  }
+  EXPECT_GT(general, 0);
+  EXPECT_GT(folded, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimizationProperty,
