@@ -4,16 +4,13 @@
 #include <map>
 #include <utility>
 
-#include "support/metrics.h"
-
 namespace oocq::compile {
 
 namespace {
 
-/// Static cost/selectivity priority per test opcode (lower runs earlier).
-/// Used when no recorded pass rates are available, so plans are
-/// deterministic with metrics off. Equality against an interned constant
-/// is the cheapest and most selective; set probes the least.
+/// Priority of a test opcode within its level (lower runs earlier): an
+/// equality against an interned constant is the cheapest and most
+/// selective test, a set probe the least.
 uint32_t StaticTestPriority(OpCode code) {
   switch (code) {
     case OpCode::kTestConst: return 50;
@@ -29,27 +26,6 @@ uint32_t StaticTestPriority(OpCode code) {
     case OpCode::kTestNotMember: return 600;
     default: return 1000;
   }
-}
-
-/// The ordering key of a test: the opcode's observed pass rate (per
-/// mille) when the metrics registry has accumulated enough samples from
-/// prior VM runs (`compile/sel/<op>/{pass,total}`), else the static
-/// priority. A lower pass rate prunes more per test, so it runs earlier.
-uint32_t TestPriority(const Op& test, bool use_stats) {
-  if (use_stats) {
-    if (MetricsRegistry* metrics = ActiveMetrics()) {
-      const std::string base =
-          std::string("compile/sel/") + OpCodeName(test.code);
-      const uint64_t total = metrics->CounterValue(base + "/total");
-      // Below this many samples the observed rate is noise; stick to the
-      // static plan so two compiles of one query agree.
-      if (total >= 256) {
-        const uint64_t pass = metrics->CounterValue(base + "/pass");
-        return static_cast<uint32_t>(pass * 1000 / total);
-      }
-    }
-  }
-  return StaticTestPriority(test.code);
 }
 
 struct AtomPlan {
@@ -76,15 +52,11 @@ void AtomVars(const Atom& atom, VarId out[2], int* count) {
 }  // namespace
 
 StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
-                                     const ConjunctiveQuery& query,
-                                     const CompileOptions& options) {
+                                     const ConjunctiveQuery& query) {
   const size_t n = query.num_vars();
   if (n == 0 || query.free_var() == kInvalidVarId || query.free_var() >= n) {
     return Status::FailedPrecondition(
         "compile: query without a bindable free variable");
-  }
-  if (n > 4096) {
-    return Status::FailedPrecondition("compile: too many variables");
   }
 
   CompiledQuery program;
@@ -101,6 +73,16 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
   plans.reserve(query.atoms().size());
   for (const Atom& atom : query.atoms()) plans.push_back({&atom, false});
 
+  // The atoms each variable occurs in, in atom order. Built once, so a
+  // join-order round reads a variable's own atoms instead of every atom.
+  std::vector<std::vector<size_t>> incident(n);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    VarId vars[2];
+    int count = 0;
+    AtomVars(*plans[i].atom, vars, &count);
+    for (int k = 0; k < count; ++k) incident[vars[k]].push_back(i);
+  }
+
   // ---- Binding order + generator selection ------------------------------
   // Greedy: seed with the most-constrained variable, then repeatedly bind
   // the variable reachable from the bound set through the cheapest
@@ -115,35 +97,33 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
   std::vector<Op> generators(n);
   std::vector<int> consumed_by_gen(n, -1);  // plan index the generator eats
 
-  auto connected = [&](VarId v) {
-    for (const AtomPlan& plan : plans) {
+  // The best generator reachable for `v` from the placed set: its rank
+  // (0 bind-var, 1 bind-slot-ref, 2 set-member or owner scan, 3 connected
+  // scan, 4 disconnected scan) and, below rank 3, its opcode, source
+  // variable and the atom it consumes — the first atom to offer the
+  // lowest rank. Slots and probes are resolved once the order is fixed.
+  struct Reach {
+    int rank = 4;
+    OpCode code = OpCode::kScanAll;
+    VarId from = kInvalidVarId;
+    int consumed = -1;
+  };
+  auto best_generator = [&](VarId v) {
+    Reach best;
+    bool connected = false;
+    auto offer = [&](int rank, OpCode code, VarId from, size_t atom_index) {
+      if (rank < best.rank) {
+        best = {rank, code, from, static_cast<int>(atom_index)};
+      }
+    };
+    for (size_t i : incident[v]) {
+      const Atom& atom = *plans[i].atom;
       VarId vars[2];
       int count = 0;
-      AtomVars(*plan.atom, vars, &count);
-      if (count != 2) continue;
-      VarId other = vars[0] == v ? vars[1] : (vars[1] == v ? vars[0] : kInvalidVarId);
-      if (other != kInvalidVarId && placed[other]) return true;
-    }
-    return false;
-  };
-
-  // Best generator reachable for `v` from the placed set. Returns the
-  // rank (0 bind-var, 1 bind-slot-ref, 2 set-member or owner scan,
-  // 3 connected scan, 4 disconnected scan) and fills gen/consumed; slots
-  // and probes are resolved once the order is fixed.
-  auto best_generator = [&](VarId v, Op* gen, int* consumed) {
-    int best = connected(v) ? 3 : 4;
-    auto offer = [&](int rank, OpCode code, VarId from, size_t atom_index) {
-      if (rank >= best) return;
-      best = rank;
-      gen->code = code;
-      gen->var_a = v;
-      gen->var_b = from;
-      gen->classes.clear();
-      *consumed = static_cast<int>(atom_index);
-    };
-    for (size_t i = 0; i < plans.size(); ++i) {
-      const Atom& atom = *plans[i].atom;
+      AtomVars(atom, vars, &count);
+      if (count == 2 && placed[vars[0] == v ? vars[1] : vars[0]]) {
+        connected = true;
+      }
       if (atom.kind() == AtomKind::kEquality) {
         // One side a term of v, the other side fully bound.
         for (const auto& [mine, other] :
@@ -171,61 +151,45 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
         }
       }
     }
-    if (best >= 3) {
-      *consumed = -1;
-      gen->var_a = v;
-      gen->var_b = kInvalidVarId;
-      if (program.range_classes[v].empty()) {
-        gen->code = OpCode::kScanAll;
-        gen->classes.clear();
-      } else {
-        gen->code = OpCode::kScanExtent;
-        gen->classes = program.range_classes[v];
-      }
-    }
+    if (best.rank >= 3 && connected) best.rank = 3;
     return best;
   };
 
-  // Seed preference: most incident atoms, then lowest id.
-  std::vector<size_t> incidence(n, 0);
-  for (const AtomPlan& plan : plans) {
-    VarId vars[2];
-    int count = 0;
-    AtomVars(*plan.atom, vars, &count);
-    for (int i = 0; i < count; ++i) ++incidence[vars[i]];
-  }
-
   while (order.size() < n) {
     VarId pick = kInvalidVarId;
-    int pick_rank = 0;
-    Op pick_gen;
-    int pick_consumed = -1;
+    Reach pick_reach;
     for (VarId v = 0; v < n; ++v) {
       if (placed[v]) continue;
-      Op gen;
-      int consumed = -1;
-      int rank = best_generator(v, &gen, &consumed);
+      const Reach reach = best_generator(v);
       bool better;
       if (pick == kInvalidVarId) {
         better = true;
-      } else if (rank != pick_rank) {
-        better = rank < pick_rank;
+      } else if (reach.rank != pick_reach.rank) {
+        better = reach.rank < pick_reach.rank;
       } else if (order.empty()) {
-        better = incidence[v] > incidence[pick];
+        // Seed preference: most incident atoms, then lowest id.
+        better = incident[v].size() > incident[pick].size();
       } else {
         better = false;  // same rank, higher id: keep the earlier pick
       }
       if (better) {
         pick = v;
-        pick_rank = rank;
-        pick_gen = std::move(gen);
-        pick_consumed = consumed;
+        pick_reach = reach;
       }
     }
+    Op& gen = generators[pick];
+    gen.var_a = pick;
+    if (pick_reach.rank >= 3) {
+      gen.code = program.range_classes[pick].empty() ? OpCode::kScanAll
+                                                     : OpCode::kScanExtent;
+      gen.classes = program.range_classes[pick];
+    } else {
+      gen.code = pick_reach.code;
+      gen.var_b = pick_reach.from;
+      plans[pick_reach.consumed].consumed = true;
+    }
+    consumed_by_gen[pick] = pick_reach.consumed;
     placed[pick] = 1;
-    generators[pick] = std::move(pick_gen);
-    consumed_by_gen[pick] = pick_consumed;
-    if (pick_consumed >= 0) plans[pick_consumed].consumed = true;
     order.push_back(pick);
   }
 
@@ -234,11 +198,11 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
 
   // ---- Slots: one register per distinct attribute term ------------------
   program.levels.resize(n);
-  std::map<std::pair<VarId, std::string>, uint16_t> slot_ids;
-  auto slot_for = [&](VarId owner, const std::string& attr) -> uint16_t {
+  std::map<std::pair<VarId, std::string>, uint32_t> slot_ids;
+  auto slot_for = [&](VarId owner, const std::string& attr) -> uint32_t {
     auto it = slot_ids.find({owner, attr});
     if (it != slot_ids.end()) return it->second;
-    uint16_t id = static_cast<uint16_t>(program.slots.size());
+    uint32_t id = static_cast<uint32_t>(program.slots.size());
     program.slots.push_back({owner, attr});
     slot_ids.emplace(std::make_pair(owner, attr), id);
     program.levels[position[owner]].loads.push_back(id);
@@ -265,7 +229,7 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
           break;
         case OpCode::kScanRefOwners:
         case OpCode::kScanSetOwners:
-          gen.probe = static_cast<uint16_t>(program.probes.size());
+          gen.probe = static_cast<uint32_t>(program.probes.size());
           program.probes.push_back(mine.attr);
           if (other.is_attribute()) {
             gen.slot_b = slot_for(other.var, other.attr);
@@ -290,7 +254,7 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
 
   // ---- Schedule every unconsumed atom as a test -------------------------
   auto operand_is_slot = [](const Term& t) { return t.is_attribute(); };
-  bool first_range_seen[4096] = {};
+  std::vector<char> first_range_seen(n, 0);
   for (const AtomPlan& plan : plans) {
     const Atom& atom = *plan.atom;
     if (plan.consumed) continue;
@@ -303,13 +267,13 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
     Op test;
     switch (atom.kind()) {
       case AtomKind::kRange: {
-        // The first range atom of an extent-scanned variable is realized
-        // by its generator; every other range atom is a plain class test.
+        // A variable's first range atom is realized by its extent scan,
+        // or by the class test added above for any other generator; every
+        // other range atom is a plain class test.
         VarId v = atom.var();
         if (!first_range_seen[v]) {
-          first_range_seen[v] = true;
-          if (generators[v].code == OpCode::kScanExtent) continue;
-          continue;  // non-scan generators added the class test above
+          first_range_seen[v] = 1;
+          continue;
         }
         test.code = OpCode::kTestClass;
         test.var_a = v;
@@ -361,17 +325,14 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
     program.levels[level].tests.push_back(std::move(test));
   }
 
-  if (program.slots.size() > 65535) {
-    return Status::FailedPrecondition("compile: too many attribute terms");
-  }
   (void)schema;
 
-  // ---- Selectivity ordering within each level ---------------------------
+  // ---- Test order within each level: static priority alone ---------------
   for (Level& level : program.levels) {
     std::stable_sort(level.tests.begin(), level.tests.end(),
-                     [&](const Op& a, const Op& b) {
-                       return TestPriority(a, options.use_selectivity_stats) <
-                              TestPriority(b, options.use_selectivity_stats);
+                     [](const Op& a, const Op& b) {
+                       return StaticTestPriority(a.code) <
+                              StaticTestPriority(b.code);
                      });
   }
   return program;

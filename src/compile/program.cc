@@ -62,7 +62,8 @@ void AppendOp(const CompiledQuery& program, const Op& op, std::string* out) {
       break;
   }
   if (op.code == OpCode::kTestConst) {
-    *out += " " + ConstantToString(program.constants[op.const_index]);
+    out->append(" ").append(
+        ConstantToString(program.constants[op.const_index]));
   }
   for (ClassId c : op.classes) *out += " c" + std::to_string(c);
   *out += "\n";
@@ -81,9 +82,9 @@ std::string CompiledQuery::DebugString() const {
   }
   for (size_t d = 0; d < levels.size(); ++d) {
     const Level& level = levels[d];
-    out += "L" + std::to_string(d) + ": ";
+    out.append("L").append(std::to_string(d)).append(": ");
     AppendOp(*this, level.gen, &out);
-    for (uint16_t s : level.loads) {
+    for (uint32_t s : level.loads) {
       out += "    load_slot s" + std::to_string(s) + "\n";
     }
     for (const Op& test : level.tests) {

@@ -7,8 +7,9 @@
 /// opcode, hoists the attribute dereferences owned by the bound variable
 /// into *slot registers* (kLoadSlot), and then runs a list of *test*
 /// opcodes — the atoms whose variables are all bound at this depth,
-/// ordered by selectivity. The innermost level emits the free variable's
-/// register into the answer set.
+/// ordered by a static per-opcode priority. The innermost level emits the
+/// free variable's register into the answer set. Slot and probe ids are
+/// 32-bit: the compiler has no size cap.
 ///
 /// Registers:
 ///   - one Oid register per query variable (the current binding);
@@ -97,9 +98,9 @@ struct Op {
   OpCode code = OpCode::kScanAll;
   VarId var_a = kInvalidVarId;
   VarId var_b = kInvalidVarId;
-  uint16_t slot_a = 0;
-  uint16_t slot_b = 0;
-  uint16_t probe = 0;
+  uint32_t slot_a = 0;
+  uint32_t slot_b = 0;
+  uint32_t probe = 0;
   uint32_t const_index = 0;
   std::vector<ClassId> classes;
 };
@@ -108,8 +109,8 @@ struct Op {
 struct Level {
   Op gen;
   /// Slot registers to load right after binding (owner == gen.var_a).
-  std::vector<uint16_t> loads;
-  /// Tests scheduled at this depth, selectivity-ordered.
+  std::vector<uint32_t> loads;
+  /// Tests scheduled at this depth, in static priority order.
   std::vector<Op> tests;
 };
 

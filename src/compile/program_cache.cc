@@ -27,14 +27,11 @@ const CompiledQuery* ProgramCache::GetOrCompile(const Schema& schema,
   }
   OOCQ_METRIC_ADD("compile/cache_misses", 1);
   StatusOr<CompiledQuery> compiled = CompileQuery(schema, query);
-  std::unique_ptr<CompiledQuery> entry;
-  if (compiled.ok()) {
-    OOCQ_METRIC_ADD("compile/compiles", 1);
-    entry = std::make_unique<CompiledQuery>(std::move(*compiled));
-  } else {
-    OOCQ_METRIC_ADD("compile/unsupported", 1);
-  }
-  return shard.programs.emplace(std::move(key), std::move(entry))
+  if (!compiled.ok()) return nullptr;
+  OOCQ_METRIC_ADD("compile/compiles", 1);
+  return shard.programs
+      .emplace(std::move(key),
+               std::make_unique<CompiledQuery>(std::move(*compiled)))
       .first->second.get();
 }
 

@@ -16,10 +16,8 @@
 namespace oocq::compile {
 
 /// Session-scoped memo of compiled programs, keyed by the printed query.
-/// Memoizes structural failures too (a query the compiler rejects today
-/// rejects it tomorrow), so the unsupported path costs one lookup, not a
-/// recompile per request. Sharded like the ContainmentCache; programs are
-/// immutable once inserted and their addresses stay stable until Clear().
+/// Sharded like the ContainmentCache; programs are immutable once
+/// inserted and their addresses stay stable until Clear().
 ///
 /// Lifecycle: the service layer owns one per session next to the
 /// ContainmentCache and clears/replaces both together on every epoch
@@ -35,21 +33,21 @@ class ProgramCache {
   ProgramCache& operator=(const ProgramCache&) = delete;
 
   /// The compiled program for `query`, compiling and memoizing on first
-  /// sight. Returns nullptr when the query is structurally uncompilable
-  /// (also memoized) — the caller falls back to the tree walker.
+  /// sight. Every well-formed query compiles; nullptr (not memoized)
+  /// means the query has no bindable free variable, which
+  /// CheckWellFormed rejects too.
   const CompiledQuery* GetOrCompile(const Schema& schema,
                                     const ConjunctiveQuery& query);
 
   /// Drops every entry (epoch invalidation).
   void Clear();
 
-  /// Entries currently resident (compiled + memoized failures).
+  /// Programs currently resident.
   size_t size() const;
 
  private:
   struct Shard {
     mutable std::mutex mu;
-    /// nullptr value = memoized structural failure.
     std::unordered_map<std::string, std::unique_ptr<CompiledQuery>> programs;
   };
 

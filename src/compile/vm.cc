@@ -13,28 +13,6 @@ namespace oocq::compile {
 
 namespace {
 
-constexpr size_t kNumOpCodes = static_cast<size_t>(OpCode::kTestConst) + 1;
-
-/// Per-opcode pass/total tallies accumulated locally during a run and
-/// flushed to `compile/sel/<op>/{pass,total}` once at exit — the feedback
-/// the compiler's selectivity ordering reads. Local accumulation keeps
-/// the inner loop free of registry lookups.
-struct SelectivityTally {
-  uint64_t total[kNumOpCodes] = {};
-  uint64_t pass[kNumOpCodes] = {};
-
-  void Flush() const {
-    if (ActiveMetrics() == nullptr) return;
-    for (size_t i = 0; i < kNumOpCodes; ++i) {
-      if (total[i] == 0) continue;
-      const std::string base =
-          std::string("compile/sel/") + OpCodeName(static_cast<OpCode>(i));
-      MetricAdd(base + "/total", total[i]);
-      MetricAdd(base + "/pass", pass[i]);
-    }
-  }
-};
-
 /// Candidate source of one open loop level.
 struct LevelRt {
   const Oid* data = nullptr;
@@ -154,7 +132,6 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
   // ---- Registers --------------------------------------------------------
   std::vector<Oid> reg(n, kInvalidOid);
   std::vector<const Value*> slot(program.slots.size(), nullptr);
-  SelectivityTally sel;
 
   auto class_test = [&](Oid oid, const std::vector<ClassId>& classes) {
     const ClassId cls = state.class_of(oid);
@@ -302,20 +279,10 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
     const Level& level = program.levels[depth];
     const Oid candidate = rt.data[rt.cursor];
     reg[level.gen.var_a] = candidate;
-    for (uint16_t s : level.loads) {
+    for (uint32_t s : level.loads) {
       slot[s] = state.GetAttribute(candidate, program.slots[s].attr);
     }
-    bool holds = true;
-    for (const Op& test : level.tests) {
-      ++sel.total[static_cast<size_t>(test.code)];
-      if (run_test(test)) {
-        ++sel.pass[static_cast<size_t>(test.code)];
-      } else {
-        holds = false;
-        break;
-      }
-    }
-    if (!holds) {
+    if (!std::all_of(level.tests.begin(), level.tests.end(), run_test)) {
       ++rt.cursor;
       continue;
     }
@@ -328,7 +295,6 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
     open_level(depth);
   }
 
-  sel.Flush();
   if (stats != nullptr) stats->bindings += bindings;
   span.Arg("bindings", bindings)
       .Arg("answers", static_cast<uint64_t>(answers.size()));

@@ -308,7 +308,7 @@ ConjunctiveQuery CanonicalizeQuery(const ConjunctiveQuery& query,
   // Materialize: variables renamed v0..v{n-1} in canonical order.
   ConjunctiveQuery result;
   for (size_t i = 0; i < n; ++i) {
-    result.AddVariable("v" + std::to_string(i));
+    result.AddVariable(std::string("v").append(std::to_string(i)));
   }
   result.set_free_var(static_cast<VarId>(index[query.free_var()]));
   std::vector<VarId> mapping(n);

@@ -273,7 +273,7 @@ std::string StateToString(const State& state) {
     if (const std::string* s = std::get_if<std::string>(&payload)) {
       return EscapeString(*s);
     }
-    return "o" + std::to_string(oid);
+    return std::string("o").append(std::to_string(oid));
   };
 
   std::string out = "state {\n";
@@ -293,7 +293,7 @@ std::string StateToString(const State& state) {
         out += "{";
         for (size_t i = 0; i < value->set().size(); ++i) {
           if (i > 0) out += ",";
-          out += " " + scalar(value->set()[i]);
+          out.append(" ").append(scalar(value->set()[i]));
         }
         out += value->set().empty() ? "}" : " }";
       }

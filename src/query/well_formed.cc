@@ -239,7 +239,8 @@ StatusOr<ConjunctiveQuery> NormalizeToWellFormed(const Schema& schema,
     std::vector<ClassId> range(candidates.begin(), candidates.end());
     if (range.empty()) range = all_terminals;
 
-    VarId fresh = result.AddVariable("v" + std::to_string(result.num_vars()));
+    VarId fresh = result.AddVariable(
+        std::string("v").append(std::to_string(result.num_vars())));
     additions.push_back(Atom::Equality(Term::Var(fresh), term));
     fresh_ranges.emplace_back(fresh, std::move(range));
   }

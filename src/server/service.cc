@@ -920,11 +920,6 @@ Response OocqService::Run(const Request& request, Session& session,
       if (eval_options.enable_compilation && session.programs != nullptr) {
         eval_options.program =
             session.programs->GetOrCompile(schema, *well_formed);
-        // The cache memoized a structural compile failure: skip the
-        // per-request recompile attempt and go straight to the walker.
-        if (eval_options.program == nullptr) {
-          eval_options.enable_compilation = false;
-        }
       }
       StatusOr<std::vector<Oid>> answers =
           Evaluate(session.state->parsed, *well_formed, eval_options);

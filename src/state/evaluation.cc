@@ -8,7 +8,6 @@
 #include "compile/compiler.h"
 #include "compile/vm.h"
 #include "state/eval_internal.h"
-#include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/status_macros.h"
 #include "support/trace.h"
@@ -20,39 +19,20 @@ using eval_internal::Truth;
 
 namespace {
 
-/// The compiled fast path: compiles (or reuses options.program) and runs
-/// the register VM. Sets *taken to false — and returns a meaningless
-/// empty vector — when the tree walker must run instead: compilation
-/// disabled, the query shape unsupported, or the compile/exec failpoint
-/// forcing a bailout. When *taken is true the result (answers or a
-/// genuine VM error such as cancellation) is final and must not fall
-/// back.
-StatusOr<std::vector<Oid>> TryCompiledEvaluate(const State& state,
-                                               const ConjunctiveQuery& query,
-                                               const EvalOptions& options,
-                                               bool* taken) {
-  *taken = false;
-  if (!options.enable_compilation) return std::vector<Oid>{};
-  // Chaos hook: force a mid-request bailout to the tree walker. The
-  // fallback is the behavior under test — never an error to the caller.
-  if (Status chaos = Failpoints::Check("compile/exec"); !chaos.ok()) {
-    OOCQ_METRIC_ADD("compile/bailouts", 1);
-    return std::vector<Oid>{};
-  }
+/// The production evaluator: runs options.program, or compiles the query
+/// first, on the register VM. Its answers and status codes are the tree
+/// walker's (compile_differential_test pins them).
+StatusOr<std::vector<Oid>> EvaluateCompiled(const State& state,
+                                            const ConjunctiveQuery& query,
+                                            const EvalOptions& options) {
   const compile::CompiledQuery* program = options.program;
   std::optional<compile::CompiledQuery> local;
   if (program == nullptr) {
-    StatusOr<compile::CompiledQuery> compiled =
-        compile::CompileQuery(state.schema(), query);
-    if (!compiled.ok()) {
-      OOCQ_METRIC_ADD("compile/unsupported", 1);
-      return std::vector<Oid>{};
-    }
+    OOCQ_ASSIGN_OR_RETURN(local,
+                          compile::CompileQuery(state.schema(), query));
     OOCQ_METRIC_ADD("compile/compiles", 1);
-    local.emplace(std::move(*compiled));
     program = &*local;
   }
-  *taken = true;
   compile::ExecOptions exec;
   exec.max_bindings = options.max_assignments;
   exec.cancel = options.cancel;
@@ -70,14 +50,11 @@ StatusOr<std::vector<Oid>> Evaluate(const State& state,
   if (options.cancel != nullptr) {
     OOCQ_RETURN_IF_ERROR(options.cancel->Check());
   }
-  // The compiled path engages only without a stats sink: EvalStats fields
-  // describe tree-walker work (assignments in its binding order) and keep
-  // their exact meaning for the ablation benches and tests.
-  if (stats == nullptr) {
-    bool taken = false;
-    StatusOr<std::vector<Oid>> compiled =
-        TryCompiledEvaluate(state, query, options, &taken);
-    if (taken) return compiled;
+  // The tree walker below is the oracle: it runs only with compilation
+  // off, or for an EvalStats sink, whose fields describe its work
+  // (assignments in its binding order) for the ablation benches and tests.
+  if (options.enable_compilation && stats == nullptr) {
+    return EvaluateCompiled(state, query, options);
   }
   const size_t n = query.num_vars();
   span.Arg("vars", static_cast<uint64_t>(n));

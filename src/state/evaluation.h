@@ -23,18 +23,18 @@ struct EvalOptions {
   /// bench_evaluation ablation measures the work saved.
   bool reorder_variables = true;
   /// Compile the query to bytecode and run the register VM
-  /// (src/compile/) instead of the tree walker. Answers and status codes
-  /// are identical (pinned by tests/compile_differential_test.cc); any
-  /// unsupported construct falls back to the tree walker silently. The
-  /// fast path only engages when no EvalStats sink is passed — the stats
-  /// fields describe tree-walker work and keep their exact meaning.
+  /// (src/compile/), the production evaluator, for every well-formed
+  /// query. False runs the tree walker instead: the reference oracle the
+  /// VM's answers and status codes are pinned to
+  /// (tests/compile_differential_test.cc). An EvalStats sink also selects
+  /// the walker, because the stats fields describe its work.
   bool enable_compilation = true;
   /// Cooperative cancellation, polled at entry and every 4096 bindings by
   /// both the tree walker and the VM. Not owned; null disables polling.
   const CancellationToken* cancel = nullptr;
   /// Pre-compiled program for this exact query (e.g. from a session
-  /// ProgramCache), sparing the per-call compile. Ignored when
-  /// enable_compilation is false. Not owned.
+  /// ProgramCache), sparing the per-call compile. Ignored whenever the
+  /// tree walker runs. Not owned.
   const compile::CompiledQuery* program = nullptr;
 };
 

@@ -223,7 +223,6 @@ const std::vector<std::string>& Failpoints::KnownNames() {
       "repl/promote",      // server/service.cc: before a follower promotes
       "repl/fence",        // server/service.cc: when a primary fences itself
       "net/partition",     // replicate/peer.cc + follower.cc: per-peer black-hole
-      "compile/exec",      // state/evaluation.cc: force the tree-walker bailout
   };
   return *names;
 }

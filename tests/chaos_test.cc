@@ -160,8 +160,7 @@ TEST_F(ChaosTest, EveryKnownFailpointFiresAcrossTheStack) {
     EXPECT_EQ(client.ReadReply().rfind("OK contained=1", 0), 0u);
     client.Send("CONTAIN s1\n{ x | x in A1 }\n{ x | x in A2 }\n.\n");
     EXPECT_EQ(client.ReadReply().rfind("OK contained=0", 0), 0u);
-    // STATE + EVAL route through the compiled evaluation fast path,
-    // which checks compile/exec on entry.
+    // STATE + EVAL run the evaluation VM with every point armed.
     client.Send("STATE s1\nstate { o1: A1 { } }\n.\n");
     EXPECT_EQ(client.ReadReply().rfind("OK", 0), 0u);
     client.Send("EVAL s1\n{ x | x in A }\n.\n");
@@ -203,35 +202,6 @@ TEST_F(ChaosTest, EveryKnownFailpointFiresAcrossTheStack) {
     EXPECT_NE(std::find(hit.begin(), hit.end(), name), hit.end())
         << "failpoint never fired: " << name;
   }
-}
-
-// The compile/exec failpoint forces the evaluation VM to bail out to the
-// tree walker mid-request. The bailout is the behavior under test: answers
-// must match the compiled run exactly, and the injected fault must be
-// invisible to the caller (OK status, no retry).
-TEST_F(ChaosTest, CompileExecBailoutMatchesInterpreters) {
-  ServiceOptions service_options;
-  // No memoization: both runs must actually reach the evaluator.
-  service_options.engine.cache.enabled = false;
-  OocqService service(service_options);
-  StatusOr<std::string> sid = service.CreateSession(HeavySchemaText(8));
-  OOCQ_ASSERT_OK(sid.status());
-  OOCQ_ASSERT_OK(service.LoadState(*sid, "state { d1: D { } d2: D { } }"));
-
-  Request eval;
-  eval.kind = RequestKind::kEvaluate;
-  eval.session_id = *sid;
-  eval.query = "{ x | x in D }";
-
-  Response compiled_eval = service.Execute(eval);
-  OOCQ_EXPECT_OK(compiled_eval.status);
-
-  OOCQ_ASSERT_OK(Failpoints::Configure("compile/exec=error"));
-  Response interpreted_eval = service.Execute(eval);
-  OOCQ_EXPECT_OK(interpreted_eval.status);
-
-  EXPECT_EQ(compiled_eval.verdict, interpreted_eval.verdict);
-  EXPECT_EQ(compiled_eval.body, interpreted_eval.body);
 }
 
 // An injected transient fault in the request path degrades with a

@@ -24,6 +24,7 @@
 #include "query/printer.h"
 #include "query/well_formed.h"
 #include "state/evaluation.h"
+#include "state/generator.h"
 #include "support/cancellation.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -129,6 +130,39 @@ TEST_F(CompileTest, SlotLoadsAreHoistedOncePerOwner) {
   }
   EXPECT_EQ(program.slots.size(), 1u) << program.DebugString();
   EXPECT_EQ(loads, 1u) << program.DebugString();
+}
+
+// A plan depends on (schema, query) alone: running it leaves nothing
+// that a later compile reads. Here y binds from x.B, so its class test
+// always passes and its membership test mostly fails; the static order
+// keeps the class test first however often the program ran.
+TEST(CompilePlanTest, PlanDependsOnTheQueryAlone) {
+  Schema schema = MustParseSchema(R"(
+schema Differential {
+  class D { }
+  class E under D { }
+  class F under D { }
+  class C { A: D; S: {D}; }
+  class C1 under C { }
+  class C2 under C { B: E; T: {E}; }
+})");
+  const std::string text =
+      "{ x | exists y (x in C2 & y in E & y = x.B & y in x.T) }";
+  const std::string plan = MustCompile(schema, text).DebugString();
+  EXPECT_LT(plan.find("test_class"), plan.find("test_member")) << plan;
+
+  GeneratorParams params;
+  params.objects_per_class = 20;
+  State state = GenerateRandomState(schema, params);
+  ConjunctiveQuery query = MustParseQuery(schema, text);
+  MetricsRegistry metrics;
+  MetricsScope scope(&metrics);
+  ASSERT_TRUE(scope.active());
+  for (int run = 0; run < 300; ++run) {
+    OOCQ_ASSERT_OK(Evaluate(state, query).status());
+  }
+  EXPECT_EQ(metrics.CounterValue("compile/execs"), 300u);
+  EXPECT_EQ(MustCompile(schema, text).DebugString(), plan);
 }
 
 // ---- VM semantics vs. the tree walker ---------------------------------
@@ -747,23 +781,41 @@ TEST_F(CompileTest, ProgramCacheComputesOnceAndReturnsStableAddress) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST_F(CompileTest, ProgramCacheMemoizesStructuralFailures) {
-  // 4097 variables exceeds the compiler's structural cap; the failure
-  // must be memoized (size() grows) and keep answering nullptr.
+TEST_F(CompileTest, LargeQueriesRunOnTheVm) {
+  // 4,097 variables, one past 2^12: every well-formed query compiles,
+  // whatever its size, and Evaluate answers it on the VM.
+  Oid e1 = *state_.AddObject(e_);
+  *state_.AddObject(f_);
   ConjunctiveQuery big;
   for (int v = 0; v < 4097; ++v) {
-    big.AddVariable("v" + std::to_string(v));
+    big.AddVariable(std::string("v").append(std::to_string(v)));
     big.AddAtom(Atom::Range(static_cast<VarId>(v), {e_}));
   }
-  StatusOr<compile::CompiledQuery> direct =
-      compile::CompileQuery(schema_, big);
-  ASSERT_FALSE(direct.ok());
+  big.set_free_var(0);
+  OOCQ_ASSERT_OK(CheckWellFormed(schema_, big));
 
   compile::ProgramCache cache;
-  EXPECT_EQ(cache.GetOrCompile(schema_, big), nullptr);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.GetOrCompile(schema_, big), nullptr);
-  EXPECT_EQ(cache.size(), 1u);
+  const compile::CompiledQuery* program = cache.GetOrCompile(schema_, big);
+  ASSERT_NE(program, nullptr);
+  EXPECT_EQ(program->levels.size(), 4097u);
+
+  MetricsRegistry metrics;
+  MetricsScope scope(&metrics);
+  ASSERT_TRUE(scope.active());
+  EvalOptions compiled;
+  compiled.program = program;
+  StatusOr<std::vector<Oid>> vm = Evaluate(state_, big, compiled);
+  OOCQ_ASSERT_OK(vm.status());
+  EXPECT_EQ(metrics.CounterValue("compile/execs"), 1u);
+
+  // Declaration order keeps the walker's reference run linear.
+  EvalOptions walker;
+  walker.enable_compilation = false;
+  walker.reorder_variables = false;
+  StatusOr<std::vector<Oid>> reference = Evaluate(state_, big, walker);
+  OOCQ_ASSERT_OK(reference.status());
+  EXPECT_EQ(*vm, *reference);
+  EXPECT_EQ(*vm, (std::vector<Oid>{e1}));
 }
 
 TEST_F(CompileTest, ProgramCacheClearDropsEntries) {
